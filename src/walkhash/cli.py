@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from statistics import median
 from typing import Callable, Sequence
@@ -38,10 +38,7 @@ _DEFAULTS = WalkConfig()
 _DEFAULT_ALGS = "sha3-512,shake256-512,blake3-256"
 _DEFAULT_N_LIST = (128, 500, 2000, 5000)
 
-_WALK_KEYS = frozenset({
-    "seed", "n", "x0", "rho-min", "rho-max", "b-min", "b-max",
-    "epsilon", "map-mode", "map-count",
-})
+_WALK_KEYS = frozenset(f.name.replace("_", "-") for f in fields(WalkConfig))
 _COMMON_KEYS = frozenset({"output-dir", "format"})
 
 
@@ -53,11 +50,6 @@ def _point(text: str) -> LatticePoint:
         return LatticePoint(int(xs), int(ys))
     except ValueError:
         raise ValueError(f"expected 'x,y' integers, got {text!r}") from None
-
-
-def _int_pair(text: str) -> tuple[int, int]:
-    p = _point(text)
-    return (p.x, p.y)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -145,9 +137,16 @@ def _io_options(args: argparse.Namespace,
 
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    # a fresh name per call, so concurrent runs never share a temp file
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, obj) -> None:
@@ -164,28 +163,7 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def _config_echo(config: WalkConfig) -> dict:
-    return {
-        "b_max": config.b_max,
-        "b_min": config.b_min,
-        "epsilon": config.epsilon,
-        "map_count": config.map_count,
-        "map_mode": config.map_mode.value,
-        "n": config.n,
-        "rho_max": config.rho_max,
-        "rho_min": config.rho_min,
-        "seed": config.seed,
-        "x0": [config.x0.x, config.x0.y],
-    }
-
-
-def _estimate_dict(est) -> dict:
-    return {
-        "box_sizes": list(est.box_sizes),
-        "counts": list(est.counts),
-        "degenerate": est.degenerate,
-        "dimension": est.dimension,
-        "r_squared": est.r_squared,
-    }
+    return {**asdict(config), "map_mode": config.map_mode.value}
 
 
 def _chi_dict(result: ChiSquareResult) -> dict:
@@ -233,17 +211,12 @@ def cmd_walk(args: argparse.Namespace) -> int:
     report = geometry(trajectory)
     if "csv" in formats:
         _write_csv(outdir / "trajectory.csv", ("index", "x", "y"),
-                   ((i, p.x, p.y) for i, p in enumerate(trajectory.points)))
+                   ((i, x, y)
+                    for i, (x, y) in enumerate(trajectory.xy.tolist())))
     if "json" in formats:
         _write_json(outdir / "geometry.json", {
             "config": _config_echo(config),
-            "geometry": {
-                "bbox_height": report.bbox_height,
-                "bbox_width": report.bbox_width,
-                "density": report.density,
-                "total_path_length": report.total_path_length,
-                "unique_points": report.unique_points,
-            },
+            "geometry": asdict(report),
             "lattice_bound": lattice_bound(config),
             "tool_version": __version__,
         })
@@ -284,7 +257,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
             _synthetic_points(synthetic), box_sizes)
         if "json" in formats:
             _write_json(outdir / "fractal.json", {
-                "estimate": _estimate_dict(estimate),
+                "estimate": asdict(estimate),
                 "synthetic": synthetic,
                 "tool_version": __version__,
             })
@@ -304,7 +277,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
         for offset in range(num_seeds):
             cfg = replace(config, n=n, seed=config.seed + offset)
             est = estimate_dimension(generate_walk(cfg), box_sizes)
-            per_seed.append({"seed": cfg.seed, **_estimate_dict(est)})
+            per_seed.append({"seed": cfg.seed, **asdict(est)})
         med = median(entry["dimension"] for entry in per_seed)
         medians.append(med)
         results[str(n)] = {"median_dimension": med, "per_seed": per_seed}
@@ -342,10 +315,6 @@ def cmd_avalanche(args: argparse.Namespace) -> int:
             positions = _int_list(positions_text)
         except ValueError as exc:
             raise ConfigError(f"positions: {exc}") from exc
-        for p in positions:
-            if not 1 <= p <= config.n - 1:
-                raise ConfigError(
-                    f"positions: {p} outside [1, {config.n - 1}]")
     trials = _resolve(args, filecfg, "trials", int, 50)
     mode_text = _resolve(args, filecfg, "mode", str,
                          PerturbMode.POINT_NUDGE.value)
@@ -355,7 +324,7 @@ def cmd_avalanche(args: argparse.Namespace) -> int:
         choices = ", ".join(m.value for m in PerturbMode)
         raise ConfigError(
             f"mode must be one of: {choices}; got {mode_text!r}") from None
-    nudge = _resolve(args, filecfg, "nudge", _int_pair, (1, 0))
+    nudge = _resolve(args, filecfg, "nudge", _point, (1, 0))
     outcome = run_avalanche(config, algs, positions, trials, mode, nudge)
     summary = {}
     for label, (records, matrix) in outcome.items():
@@ -481,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trials per position (default 50)")
     p.add_argument("--mode", choices=[m.value for m in PerturbMode],
                    help="point-nudge (default) or re-evolve")
-    p.add_argument("--nudge", type=_int_pair, metavar="DX,DY",
+    p.add_argument("--nudge", type=_point, metavar="DX,DY",
                    help="perturbation offset (default 1,0)")
     p.set_defaults(func=cmd_avalanche)
     return parser

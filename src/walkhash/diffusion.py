@@ -27,13 +27,12 @@ from .errors import ConfigError, DegenerateInput, InvalidPosition
 from .keygen import Digest, HashAlg, digest_bytes, serialize_trajectory
 from .rng import stream_key
 from .walk import (
+    MAX_COORD,
+    LatticePoint,
     Trajectory,
     WalkConfig,
-    affine_step_for,
+    _evolve,
     generate_walk,
-    lattice_bound,
-    map_templates,
-    step,
 )
 
 # Substream id for per-trial seeds; 0..2 belong to the walk module.
@@ -58,26 +57,29 @@ class PerturbationSpec:
     nudge: tuple[int, int] = (1, 0)
 
 
+def _check_position(position: int, n: int) -> None:
+    if not 1 <= position <= n - 1:
+        raise InvalidPosition(
+            f"positions must be in [1, {n - 1}] for an n={n} walk, "
+            f"got {position}")
+
+
+def _check_nudge(nudge: tuple[int, int]) -> None:
+    if any(abs(d) > MAX_COORD for d in nudge):
+        raise ConfigError(
+            f"nudge components must be in [-2**53, 2**53], got {tuple(nudge)}")
+
+
 def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
     """Return the disturbed copy of t; the input is never modified."""
-    n = t.n
-    if not 1 <= spec.position <= n - 1:
-        raise InvalidPosition(
-            f"position must be in [1, {n - 1}] for an n={n} walk, "
-            f"got {spec.position}")
-    dx, dy = spec.nudge
-    points = list(t.points)
-    points[spec.position] = points[spec.position].shifted(dx, dy)
-    if spec.mode is PerturbMode.POINT_NUDGE:
-        return Trajectory(tuple(points), t.config)
-    config = t.config
-    bound = lattice_bound(config)
-    templates = map_templates(config)
-    x = points[spec.position]
-    for i in range(spec.position + 1, n + 1):
-        x = step(x, affine_step_for(config, i, templates), bound=bound)
-        points[i] = x
-    return Trajectory(tuple(points), config)
+    _check_position(spec.position, t.n)
+    _check_nudge(spec.nudge)
+    xy = t.xy.copy()
+    xy[spec.position] += spec.nudge
+    if spec.mode is PerturbMode.RE_EVOLVE:
+        start = LatticePoint(*xy[spec.position].tolist())
+        xy[spec.position + 1:] = _evolve(t.config, start, spec.position + 1)
+    return Trajectory(xy, t.config)
 
 
 def shannon_entropy(digest: Digest | bytes) -> float:
@@ -210,14 +212,11 @@ def run_avalanche(
     if trials_per_position < 1:
         raise ConfigError(
             f"trials_per_position must be >= 1, got {trials_per_position!r}")
-    if positions is None:
-        positions = default_positions(config.n)
-    else:
-        positions = tuple(int(p) for p in positions)
-        for p in positions:
-            if not 1 <= p <= config.n - 1:
-                raise InvalidPosition(
-                    f"position {p} outside [1, {config.n - 1}]")
+    positions = default_positions(config.n) if positions is None \
+        else tuple(int(p) for p in positions)
+    for p in positions:
+        _check_position(p, config.n)
+    _check_nudge(nudge)
     records: dict[str, list[TrialRecord]] = {lb: [] for lb in labels}
     vectors: dict[str, list[bytes]] = {lb: [] for lb in labels}
     row = 0

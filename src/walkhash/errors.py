@@ -24,7 +24,7 @@ class BoundsExceeded(WalkhashError):
     """
 
 
-class InvalidPosition(WalkhashError):
+class InvalidPosition(ConfigError):
     """A perturbation position is outside the interior of the trajectory."""
 
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, InsufficientData
 from .stats import linear_fit
 from .walk import LatticePoint, Trajectory
@@ -48,18 +50,24 @@ class DimensionEstimate:
     degenerate: bool = False
 
 
+def _as_xy(points: Iterable[LatticePoint] | np.ndarray) -> np.ndarray:
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    return np.asarray(points, dtype=np.int64).reshape(-1, 2)
+
+
+def _extent(xy: np.ndarray) -> list[int]:
+    """Bounding-box width and height, counted in lattice cells."""
+    return (xy.max(axis=0) - xy.min(axis=0) + 1).tolist()
+
+
 def geometry(t: Trajectory) -> GeometryReport:
-    pts = t.points
     length = 0.0
-    prev = pts[0]
-    for p in pts[1:]:
-        length += math.hypot(p.x - prev.x, p.y - prev.y)
-        prev = p
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    width = max(xs) - min(xs) + 1
-    height = max(ys) - min(ys) + 1
-    unique = len(set(pts))
+    # a sequential sum, so the total does not depend on numpy's summation
+    for dx, dy in np.diff(t.xy, axis=0).tolist():
+        length += math.hypot(dx, dy)
+    width, height = _extent(t.xy)
+    unique = box_count(t.xy, 1)
     return GeometryReport(
         total_path_length=length,
         bbox_width=width,
@@ -69,12 +77,16 @@ def geometry(t: Trajectory) -> GeometryReport:
     )
 
 
-def box_count(points: Iterable[LatticePoint], box_size: int) -> int:
-    """Number of size x size cells containing at least one point."""
+def box_count(points: Iterable[LatticePoint] | np.ndarray,
+              box_size: int) -> int:
+    """Number of size x size cells containing at least one point.
+
+    points is any iterable of points or an (m, 2) integer array.
+    """
     if box_size < 1:
         raise ConfigError(f"box_size must be >= 1, got {box_size!r}")
-    s = box_size
-    return len({(p.x // s, p.y // s) for p in points})
+    cells = _as_xy(points) // box_size
+    return len(set(zip(cells[:, 0].tolist(), cells[:, 1].tolist())))
 
 
 def default_box_sizes(width: int, height: int) -> tuple[int, ...]:
@@ -90,29 +102,26 @@ def default_box_sizes(width: int, height: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def estimate_point_dimension(points: Iterable[LatticePoint],
+def estimate_point_dimension(points: Iterable[LatticePoint] | np.ndarray,
                              box_sizes: Sequence[int] | None = None,
                              ) -> DimensionEstimate:
-    """Box-counting dimension of an arbitrary point set."""
-    pts = list(points)
-    if not pts:
+    """Box-counting dimension of a point set (points as for box_count)."""
+    xy = _as_xy(points)
+    if not len(xy):
         raise InsufficientData("no points to analyze")
     if box_sizes is None:
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        sizes = default_box_sizes(
-            max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
+        sizes = default_box_sizes(*_extent(xy))
     else:
         sizes = tuple(sorted(set(int(s) for s in box_sizes)))
         if len(sizes) < 3:
             raise InsufficientData(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")
-    counts = tuple(box_count(pts, s) for s in sizes)
+    counts = tuple(box_count(xy, s) for s in sizes)
     for smaller, larger in zip(counts, counts[1:]):
         if larger > smaller:
             # cannot happen on the dyadic default; only on a caller-supplied
             # schedule whose cells do not nest
-            raise ValueError(
+            raise ConfigError(
                 f"box counts increased with size for schedule {sizes}; "
                 f"use nested (e.g. dyadic) sizes")
     if counts[0] == counts[-1]:
@@ -127,4 +136,4 @@ def estimate_dimension(t: Trajectory,
                        box_sizes: Sequence[int] | None = None,
                        ) -> DimensionEstimate:
     """Box-counting dimension of a trajectory's point set."""
-    return estimate_point_dimension(t.points, box_sizes)
+    return estimate_point_dimension(t.xy, box_sizes)

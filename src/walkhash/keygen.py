@@ -12,14 +12,11 @@ come from hashlib; BLAKE3 uses the vendored implementation in _blake3.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 from ._blake3 import blake3_digest
 from .errors import ConfigError
 from .walk import Trajectory
-
-_POINT = struct.Struct("<qq")
 
 _SHA3_512 = "sha3-512"
 _SHAKE256 = "shake256"
@@ -128,8 +125,7 @@ class Digest:
 
 def serialize_trajectory(t: Trajectory) -> bytes:
     """The normative byte form described in the module docstring."""
-    pack = _POINT.pack
-    return b"".join(pack(p.x, p.y) for p in t.points)
+    return t.xy.astype("<i8").tobytes()
 
 
 def digest_bytes(data: bytes, alg: HashAlg) -> Digest:

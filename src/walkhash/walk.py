@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BoundsExceeded, ConfigError, GeneratorFailure
 from .rng import Stream
@@ -35,9 +38,12 @@ _SUB_CHOICE = 2
 _SIGMA_FLOOR = 1e-12
 _RESAMPLE_LIMIT = 64
 
+# Largest lattice_bound a config may have: every integer up to 2^53 is exact
+# in float64, so step evaluates and floors coordinates without rounding.
+MAX_COORD = 2**53
 
-@dataclass(frozen=True)
-class LatticePoint:
+
+class LatticePoint(NamedTuple):
     """A point of the integer lattice Z^2."""
 
     x: int
@@ -47,8 +53,7 @@ class LatticePoint:
         return LatticePoint(self.x + dx, self.y + dy)
 
 
-@dataclass(frozen=True)
-class AffineStep:
+class AffineStep(NamedTuple):
     """One realized step: matrix entries, translation, and noise offsets."""
 
     a11: float
@@ -103,6 +108,10 @@ class WalkConfig:
     def validate(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
+        for name in ("rho_min", "rho_max", "b_min", "b_max", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 < self.rho_min <= self.rho_max:
             raise ConfigError(
                 f"rho_min must satisfy 0 < rho_min <= rho_max, got "
@@ -124,18 +133,54 @@ class WalkConfig:
                     f"got {self.map_count!r}")
         elif self.map_count is not None:
             raise ConfigError("map_count only applies to fixed-set mode")
+        try:
+            bound = lattice_bound(self)
+        except OverflowError:  # x0 or the reach is too large for a float
+            bound = math.inf
+        if bound > MAX_COORD:
+            raise ConfigError(
+                f"lattice_bound {bound} exceeds 2**53 (coordinates would not "
+                f"be exact in float64); shrink x0, b_min, b_max, epsilon or "
+                f"1 / (1 - rho_max)")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An ordered walk x_0..x_n together with the config that produced it."""
+    """An ordered walk x_0..x_n together with the config that produced it.
 
-    points: tuple[LatticePoint, ...]
+    xy is a read-only (n+1, 2) int64 array, row i holding x_i. The
+    constructor takes any sequence of integer points or an (m, 2) integer
+    array and copies it, so a trajectory never shares memory with its input.
+    """
+
+    xy: np.ndarray
     config: WalkConfig
+
+    def __post_init__(self) -> None:
+        xy = np.array(self.xy)
+        if xy.size and not np.can_cast(xy.dtype, np.int64):
+            raise TypeError(f"points must be int64 integers, got {xy.dtype}")
+        xy = xy.astype(np.int64, copy=False).reshape(-1, 2)
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self.config == other.config \
+            and np.array_equal(self.xy, other.xy)
+
+    def __hash__(self) -> int:
+        return hash((self.xy.tobytes(), self.config))
 
     @property
     def n(self) -> int:
-        return len(self.points) - 1
+        return len(self.xy) - 1
+
+    @property
+    def points(self) -> tuple[LatticePoint, ...]:
+        """The points as LatticePoint objects; builds a tuple on each call."""
+        return tuple(map(LatticePoint._make, self.xy.tolist()))
 
 
 def _spectral_norm(a11: float, a12: float, a21: float, a22: float) -> float:
@@ -259,17 +304,22 @@ def lattice_bound(config: WalkConfig) -> int:
     return math.ceil(start + reach)
 
 
+def _evolve(config: WalkConfig, x: LatticePoint,
+            first: int) -> list[LatticePoint]:
+    """The points x_first..x_n reached by stepping on from x = x_(first-1)."""
+    bound = lattice_bound(config)
+    templates = map_templates(config)
+    points = []
+    for i in range(first, config.n + 1):
+        x = step(x, affine_step_for(config, i, templates), bound=bound)
+        points.append(x)
+    return points
+
+
 def generate_walk(config: WalkConfig) -> Trajectory:
     """Generate the full trajectory x_0..x_n for a validated config."""
     config.validate()
-    bound = lattice_bound(config)
-    templates = map_templates(config)
-    points = [config.x0]
-    x = config.x0
-    for i in range(1, config.n + 1):
-        x = step(x, affine_step_for(config, i, templates), bound=bound)
-        points.append(x)
-    return Trajectory(tuple(points), config)
+    return Trajectory([config.x0, *_evolve(config, config.x0, 1)], config)
 
 
 def walk_space_size(m: int, n: int) -> int:

@@ -257,6 +257,34 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
     assert not (tmp_path / "trials_blake3-256.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["keygen", "--b-max", "inf"],
+    ["keygen", "--epsilon", "nan"],
+    ["keygen", "--x0", "10000000000000000000,0"],
+    ["keygen", "--x0", "9007199254740993,0"],
+    ["avalanche", "--n", "60", "--positions", "20", "--trials", "1",
+     "--nudge", "10000000000000000000,0"],
+    ["fractal", "--n-list", "6", "--num-seeds", "1", "--seed", "1",
+     "--b-min", "-3", "--b-max", "3", "--box-sizes", "2,3,5"],
+])
+def test_out_of_domain_inputs_exit_2(argv, tmp_path, capsys):
+    code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_leftover_temp_name_does_not_block_reports(tmp_path, capsys):
+    (tmp_path / "key.json.tmp").mkdir()
+    code, out, err = _run(capsys, "keygen", "--n", 16,
+                          "--output-dir", tmp_path)
+    assert (code, err) == (0, "")
+    report = _read_json(tmp_path / "key.json")
+    assert report["digest"] == out.strip()
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["key.json", "key.json.tmp"]
+
+
 # ------------------------------------------------------------ config file
 
 def test_config_file_flag_precedence(tmp_path, capsys):

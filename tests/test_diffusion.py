@@ -83,6 +83,18 @@ def test_positions_must_be_interior():
             perturb(t, PerturbationSpec(bad))
 
 
+def test_nudge_beyond_two_to_the_53_is_a_config_error():
+    t = generate_walk(WalkConfig(seed=1, n=10))
+    for nudge in ((2**53 + 1, 0), (0, -2**53 - 1)):
+        for mode in PerturbMode:
+            with pytest.raises(ConfigError, match="nudge"):
+                perturb(t, PerturbationSpec(5, mode, nudge))
+        with pytest.raises(ConfigError, match="nudge"):
+            run_avalanche(t.config, [_ALG], (5,), 1, nudge=nudge)
+    out = perturb(t, PerturbationSpec(5, nudge=(2**53, -2**53)))
+    assert out.xy[5].tolist() == [t.xy[5, 0] + 2**53, t.xy[5, 1] - 2**53]
+
+
 # ---------------------------------------------------------------- entropy
 
 def test_entropy_constant_and_distinct():

@@ -145,7 +145,7 @@ def test_estimate_dimension_delegates_to_point_form():
 def test_non_nested_schedule_rejected():
     pts = [LatticePoint(3, 0), LatticePoint(4, 0)]
     # size 3 merges the pair, size 4 splits it again: counts rise with size
-    with pytest.raises(ValueError, match="nested"):
+    with pytest.raises(ConfigError, match="nested"):
         estimate_point_dimension(pts, box_sizes=(1, 3, 4))
 
 

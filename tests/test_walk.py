@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from walkhash import (
@@ -149,6 +150,39 @@ def test_walk_determinism():
     assert generate_walk(config).points == generate_walk(config).points
 
 
+def test_trajectory_is_a_read_only_int64_array():
+    source = [[3, -2], [4, 5], [-7, 0]]
+    t = Trajectory(source, WalkConfig())
+    assert t.xy.dtype == np.int64 and t.xy.shape == (3, 2)
+    assert t.n == 2
+    assert t.points == (LatticePoint(3, -2), LatticePoint(4, 5),
+                        LatticePoint(-7, 0))
+    with pytest.raises(ValueError):
+        t.xy[0, 0] = 1
+    # the constructor copies, so later changes to the source do not leak in
+    arr = np.array(source, dtype=np.int64)
+    u = Trajectory(arr, WalkConfig())
+    arr[0, 0] = 99
+    assert u.xy[0, 0] == 3 and arr.flags.writeable
+    # coordinates are never rounded or wrapped into int64
+    for bad in ([(1.5, 2)], [(2**63, 0)], np.array([[2**63, 0]], np.uint64)):
+        with pytest.raises(TypeError, match="int64"):
+            Trajectory(bad, WalkConfig())
+
+
+def test_trajectory_value_equality():
+    config = WalkConfig(seed=3, n=40)
+    a, b = generate_walk(config), generate_walk(config)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == Trajectory(a.points, config)
+    moved = a.xy.copy()
+    moved[7, 1] += 1
+    assert a != Trajectory(moved, config)
+    assert a != Trajectory(a.xy, replace(config, seed=4))
+    assert a != Trajectory(a.xy[:-1], config)
+    assert a != a.points
+
+
 def test_walk_shape_and_start():
     config = WalkConfig(seed=5, n=64, x0=LatticePoint(3, -2))
     t = generate_walk(config)
@@ -259,6 +293,14 @@ def test_per_step_fresh_has_no_templates():
     (dict(map_mode=MapMode.FIXED_SET), "map_count"),
     (dict(map_mode=MapMode.FIXED_SET, map_count=0), "map_count"),
     (dict(map_count=4), "map_count"),
+    (dict(rho_max=math.nan), "rho_max must be finite"),
+    (dict(b_min=-math.inf), "b_min must be finite"),
+    (dict(b_max=math.inf), "b_max must be finite"),
+    (dict(epsilon=math.nan), "epsilon must be finite"),
+    (dict(x0=LatticePoint(2**53 + 1, 0)), "lattice_bound"),
+    (dict(x0=LatticePoint(0, -10**19)), "lattice_bound"),
+    (dict(x0=LatticePoint(10**400, 0)), "lattice_bound"),
+    (dict(b_max=1e307, rho_max=1 - 2**-40), "lattice_bound"),
 ])
 def test_config_validation_names_field(bad, message_part):
     config = replace(WalkConfig(), **bad)

@@ -4,11 +4,12 @@ Four subcommands: keygen (derive one key), walk (dump a trajectory and its
 geometry), fractal (dimension sweeps over seeds and lengths), avalanche
 (perturbation trials with per-algorithm flip statistics).
 
-Every option can also come from a flat `key = value` config file passed
-with --config; explicit flags win over file values, which win over
-defaults. Reports echo the full effective configuration plus the tool
-version, all files are written atomically (temp then rename), and JSON is
-emitted with sorted keys so identical runs produce byte-identical output.
+Each option is one row of OPTIONS (key, parser, default, help). It can
+also come from a flat `key = value` config file passed with --config;
+explicit flags win over file values, which win over defaults. Reports
+echo the full effective configuration plus the tool version, all files
+are written atomically (temp then rename), and JSON is emitted with
+sorted keys so identical runs produce byte-identical output.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
 """
@@ -21,10 +22,11 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 from statistics import median
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .diffusion import PerturbMode, default_positions, run_avalanche, trial_summary
@@ -33,13 +35,6 @@ from .fractal import estimate_dimension, estimate_point_dimension, geometry
 from .keygen import HashAlg, derive_key
 from .stats import ChiSquareMode, ChiSquareResult, chi_square_uniform
 from .walk import LatticePoint, MapMode, WalkConfig, generate_walk, lattice_bound
-
-_DEFAULTS = WalkConfig()
-_DEFAULT_ALGS = "sha3-512,shake256-512,blake3-256"
-_DEFAULT_N_LIST = (128, 500, 2000, 5000)
-
-_WALK_KEYS = frozenset(f.name.replace("_", "-") for f in fields(WalkConfig))
-_COMMON_KEYS = frozenset({"output-dir", "format"})
 
 
 # ---------------------------------------------------------------- parsing
@@ -58,6 +53,108 @@ def _int_list(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(
             f"expected comma-separated integers, got {text!r}") from None
+
+
+def _choice(enum: type[Enum]) -> Callable[[str], Enum]:
+    def parse(text: str) -> Enum:
+        try:
+            return enum(text)
+        except ValueError:
+            choices = ", ".join(m.value for m in enum)
+            raise ValueError(
+                f"must be one of: {choices}; got {text!r}") from None
+    return parse
+
+
+def _formats(text: str) -> frozenset[str]:
+    formats = frozenset(p.strip() for p in text.split(",") if p.strip())
+    if not formats or formats - {"csv", "json"}:
+        raise ValueError(
+            f"must be a non-empty subset of csv,json; got {text!r}")
+    return formats
+
+
+def _text(value) -> str | None:
+    """A default value in the form a user would type it."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return None if value is None else str(value)
+
+
+# ---------------------------------------------------------------- options
+
+@dataclass(frozen=True)
+class Option:
+    """One option: `--key VALUE` on the command line or `key = VALUE` in a
+    config file. parse turns the text into the value the command reads;
+    default is the text used when neither gives one (None: unset)."""
+
+    key: str
+    parse: Callable[[str], Any]
+    default: str | None
+    help: str
+    metavar: str | None = None
+
+
+# parse, metavar and help of each WalkConfig field; key and default come
+# from the field itself
+_WALK_ROWS = {
+    "x0": (_point, "X,Y", "start point"),
+    "rho_min": (float, "RHO", "lower contraction bound (0, 1)"),
+    "rho_max": (float, "RHO", "upper contraction bound (0, 1)"),
+    "b_min": (float, "B", "lower translation bound"),
+    "b_max": (float, "B", "upper translation bound"),
+    "epsilon": (float, "EPS", "noise half-width, >= 0"),
+    "n": (int, "N", "number of walk steps"),
+    "seed": (int, "SEED", "base random seed, 0 <= SEED < 2**64"),
+    "map_mode": (_choice(MapMode), "MODE", "per-step-fresh or fixed-set"),
+    "map_count": (int, "M", "template count for fixed-set mode"),
+}
+
+_COMMON = (
+    Option("output-dir", Path, ".", "where report files go", "DIR"),
+    Option("format", _formats, "csv,json", "comma subset of csv,json",
+           "LIST"),
+    *(Option(f.name.replace("_", "-"), parse, _text(f.default), help, meta)
+      for f in fields(WalkConfig)
+      for parse, meta, help in [_WALK_ROWS[f.name]]),
+)
+
+# command -> every option it takes, besides --config
+OPTIONS: dict[str, tuple[Option, ...]] = {
+    "keygen": _COMMON + (
+        Option("alg", str, "sha3-512",
+               "sha3-512, shake256[-BITS] or blake3[-BITS]", "ALG"),
+        Option("out-len", int, None,
+               "digest length for extendable algorithms", "BYTES"),
+    ),
+    "walk": _COMMON,
+    "fractal": _COMMON + (
+        Option("n-list", _int_list, "128,500,2000,5000",
+               "walk lengths to sweep", "N1,N2,..."),
+        Option("num-seeds", int, "20",
+               "seeds per length, from the base seed up", "COUNT"),
+        Option("box-sizes", _int_list, None,
+               "override the dyadic box size schedule", "S1,S2,..."),
+        Option("synthetic", str, None,
+               "analyze point, line:N or square:N instead of walks", "SPEC"),
+    ),
+    "avalanche": _COMMON + (
+        Option("algs", lambda text: tuple(
+                   HashAlg.parse(p) for p in text.split(",") if p.strip()),
+               "sha3-512,shake256-512,blake3-256",
+               "comma list of algorithms", "LIST"),
+        Option("positions", lambda text: None if text.strip() == "auto"
+               else _int_list(text), "auto",
+               "comma list of perturbation positions, or auto", "LIST"),
+        Option("trials", int, "50", "trials per position", "COUNT"),
+        Option("mode", _choice(PerturbMode), "point-nudge",
+               "point-nudge or re-evolve", "MODE"),
+        Option("nudge", _point, "1,0", "perturbation offset", "DX,DY"),
+    ),
+}
 
 
 def _load_config_file(path: str, allowed: frozenset[str]) -> dict[str, str]:
@@ -81,56 +178,28 @@ def _load_config_file(path: str, allowed: frozenset[str]) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, filecfg: dict[str, str], key: str,
-             conv: Callable, default):
-    """Flag beats config file beats default."""
-    value = getattr(args, key.replace("-", "_"))
-    if value is not None:
-        return value
-    if key in filecfg:
+def _read_options(args: argparse.Namespace) -> dict[str, Any]:
+    """Every option of the command, parsed; flag beats file beats default."""
+    rows = OPTIONS[args.command]
+    filecfg = _load_config_file(args.config, frozenset(o.key for o in rows)) \
+        if args.config else {}
+    opts = {}
+    for o in rows:
+        name = o.key.replace("-", "_")
+        text = getattr(args, name)
+        if text is None:
+            text = filecfg.get(o.key, o.default)
         try:
-            return conv(filecfg[key])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
+            opts[name] = None if text is None else o.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{o.key}: {exc}") from None
+    return opts
 
 
-def _walk_config(args: argparse.Namespace,
-                 filecfg: dict[str, str]) -> WalkConfig:
-    mode_text = _resolve(args, filecfg, "map-mode", str,
-                         _DEFAULTS.map_mode.value)
-    try:
-        mode = MapMode(mode_text)
-    except ValueError:
-        choices = ", ".join(m.value for m in MapMode)
-        raise ConfigError(
-            f"map-mode must be one of: {choices}; got {mode_text!r}") from None
-    config = WalkConfig(
-        x0=_resolve(args, filecfg, "x0", _point, _DEFAULTS.x0),
-        rho_min=_resolve(args, filecfg, "rho-min", float, _DEFAULTS.rho_min),
-        rho_max=_resolve(args, filecfg, "rho-max", float, _DEFAULTS.rho_max),
-        b_min=_resolve(args, filecfg, "b-min", float, _DEFAULTS.b_min),
-        b_max=_resolve(args, filecfg, "b-max", float, _DEFAULTS.b_max),
-        epsilon=_resolve(args, filecfg, "epsilon", float, _DEFAULTS.epsilon),
-        n=_resolve(args, filecfg, "n", int, _DEFAULTS.n),
-        seed=_resolve(args, filecfg, "seed", int, _DEFAULTS.seed),
-        map_mode=mode,
-        map_count=_resolve(args, filecfg, "map-count", int, None),
-    )
+def _walk_config(opts: dict[str, Any]) -> WalkConfig:
+    config = WalkConfig(**{f.name: opts[f.name] for f in fields(WalkConfig)})
     config.validate()
     return config
-
-
-def _io_options(args: argparse.Namespace,
-                filecfg: dict[str, str]) -> tuple[Path, frozenset[str]]:
-    outdir = Path(_resolve(args, filecfg, "output-dir", str, "."))
-    fmt = _resolve(args, filecfg, "format", str, "csv,json")
-    formats = frozenset(p.strip() for p in fmt.split(",") if p.strip())
-    unknown = formats - {"csv", "json"}
-    if unknown or not formats:
-        raise ConfigError(
-            f"format must be a non-empty subset of csv,json; got {fmt!r}")
-    return outdir, formats
 
 
 # ---------------------------------------------------------------- output
@@ -181,17 +250,12 @@ def _chi_dict(result: ChiSquareResult) -> dict:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_keygen(args: argparse.Namespace) -> int:
-    allowed = _WALK_KEYS | _COMMON_KEYS | {"alg", "out-len"}
-    filecfg = _load_config_file(args.config, allowed) if args.config else {}
-    config = _walk_config(args, filecfg)
-    outdir, formats = _io_options(args, filecfg)
-    alg = HashAlg.parse(
-        _resolve(args, filecfg, "alg", str, "sha3-512"),
-        _resolve(args, filecfg, "out-len", int, None))
+def cmd_keygen(opts: dict[str, Any]) -> int:
+    config = _walk_config(opts)
+    alg = HashAlg.parse(opts["alg"], opts["out_len"])
     digest = derive_key(generate_walk(config), alg)
-    if "json" in formats:
-        _write_json(outdir / "key.json", {
+    if "json" in opts["format"]:
+        _write_json(opts["output_dir"] / "key.json", {
             "algorithm": alg.label,
             "config": _config_echo(config),
             "digest": digest.hex,
@@ -202,11 +266,9 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_walk(args: argparse.Namespace) -> int:
-    allowed = _WALK_KEYS | _COMMON_KEYS
-    filecfg = _load_config_file(args.config, allowed) if args.config else {}
-    config = _walk_config(args, filecfg)
-    outdir, formats = _io_options(args, filecfg)
+def cmd_walk(opts: dict[str, Any]) -> int:
+    config = _walk_config(opts)
+    outdir, formats = opts["output_dir"], opts["format"]
     trajectory = generate_walk(config)
     report = geometry(trajectory)
     if "csv" in formats:
@@ -245,13 +307,9 @@ def _synthetic_points(spec: str) -> list[LatticePoint]:
         f"synthetic must be point, line:N, or square:N; got {spec!r}")
 
 
-def cmd_fractal(args: argparse.Namespace) -> int:
-    allowed = _WALK_KEYS | _COMMON_KEYS \
-        | {"n-list", "num-seeds", "box-sizes", "synthetic"}
-    filecfg = _load_config_file(args.config, allowed) if args.config else {}
-    outdir, formats = _io_options(args, filecfg)
-    box_sizes = _resolve(args, filecfg, "box-sizes", _int_list, None)
-    synthetic = _resolve(args, filecfg, "synthetic", str, None)
+def cmd_fractal(opts: dict[str, Any]) -> int:
+    outdir, formats = opts["output_dir"], opts["format"]
+    box_sizes, synthetic = opts["box_sizes"], opts["synthetic"]
     if synthetic is not None:
         estimate = estimate_point_dimension(
             _synthetic_points(synthetic), box_sizes)
@@ -263,13 +321,17 @@ def cmd_fractal(args: argparse.Namespace) -> int:
             })
         print(f"synthetic={synthetic} dimension={estimate.dimension:.4f}")
         return 0
-    config = _walk_config(args, filecfg)
-    n_list = _resolve(args, filecfg, "n-list", _int_list, _DEFAULT_N_LIST)
-    num_seeds = _resolve(args, filecfg, "num-seeds", int, 20)
+    config = _walk_config(opts)
+    n_list, num_seeds = opts["n_list"], opts["num_seeds"]
     if not n_list:
         raise ConfigError("n-list must not be empty")
     if num_seeds < 1:
         raise ConfigError(f"num-seeds must be >= 1, got {num_seeds!r}")
+    # the sweep's last seed must be valid too, before any walk runs
+    try:
+        replace(config, seed=config.seed + num_seeds - 1).validate()
+    except ConfigError as exc:
+        raise ConfigError(f"seed + num-seeds - 1: {exc}") from None
     results = {}
     medians = []
     for n in n_list:
@@ -296,36 +358,15 @@ def cmd_fractal(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_avalanche(args: argparse.Namespace) -> int:
-    allowed = _WALK_KEYS | _COMMON_KEYS \
-        | {"algs", "positions", "trials", "mode", "nudge"}
-    filecfg = _load_config_file(args.config, allowed) if args.config else {}
-    config = _walk_config(args, filecfg)
-    outdir, formats = _io_options(args, filecfg)
-    algs_text = _resolve(args, filecfg, "algs", str, _DEFAULT_ALGS)
-    algs = [HashAlg.parse(part)
-            for part in algs_text.split(",") if part.strip()]
-    if not algs:
-        raise ConfigError(f"algs is empty: {algs_text!r}")
-    positions_text = _resolve(args, filecfg, "positions", str, "auto")
-    if positions_text.strip() == "auto":
+def cmd_avalanche(opts: dict[str, Any]) -> int:
+    config = _walk_config(opts)
+    outdir, formats = opts["output_dir"], opts["format"]
+    positions = opts["positions"]
+    if positions is None:
         positions = default_positions(config.n)
-    else:
-        try:
-            positions = _int_list(positions_text)
-        except ValueError as exc:
-            raise ConfigError(f"positions: {exc}") from exc
-    trials = _resolve(args, filecfg, "trials", int, 50)
-    mode_text = _resolve(args, filecfg, "mode", str,
-                         PerturbMode.POINT_NUDGE.value)
-    try:
-        mode = PerturbMode(mode_text)
-    except ValueError:
-        choices = ", ".join(m.value for m in PerturbMode)
-        raise ConfigError(
-            f"mode must be one of: {choices}; got {mode_text!r}") from None
-    nudge = _resolve(args, filecfg, "nudge", _point, (1, 0))
-    outcome = run_avalanche(config, algs, positions, trials, mode, nudge)
+    trials, mode, nudge = opts["trials"], opts["mode"], opts["nudge"]
+    outcome = run_avalanche(config, opts["algs"], positions, trials, mode,
+                            nudge)
     summary = {}
     for label, (records, matrix) in outcome.items():
         if "csv" in formats:
@@ -370,37 +411,6 @@ def cmd_avalanche(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE",
-                        help="flat key = value config file")
-    parser.add_argument("--output-dir", metavar="DIR",
-                        help="where report files go (default: .)")
-    parser.add_argument("--format", metavar="LIST",
-                        help="comma subset of csv,json (default: both)")
-
-
-def _add_walk_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--n", type=int, help="number of walk steps")
-    parser.add_argument("--x0", type=_point, metavar="X,Y",
-                        help="start point")
-    parser.add_argument("--rho-min", type=float,
-                        help="lower contraction bound (0, 1)")
-    parser.add_argument("--rho-max", type=float,
-                        help="upper contraction bound (0, 1)")
-    parser.add_argument("--b-min", type=float,
-                        help="lower translation bound")
-    parser.add_argument("--b-max", type=float,
-                        help="upper translation bound")
-    parser.add_argument("--epsilon", type=float,
-                        help="noise half-width, >= 0")
-    parser.add_argument("--map-mode",
-                        choices=[m.value for m in MapMode],
-                        help="per-step-fresh (default) or fixed-set")
-    parser.add_argument("--map-count", type=int,
-                        help="template count for fixed-set mode")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkhash",
@@ -409,57 +419,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"walkhash {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("keygen", help="derive one key from a seeded walk")
-    _add_common(p)
-    _add_walk_flags(p)
-    p.add_argument("--alg", help="sha3-512, shake256[-BITS], blake3[-BITS]")
-    p.add_argument("--out-len", type=int, metavar="BYTES",
-                   help="digest length for extendable algorithms")
-    p.set_defaults(func=cmd_keygen)
-
-    p = sub.add_parser("walk", help="dump a trajectory and its geometry")
-    _add_common(p)
-    _add_walk_flags(p)
-    p.set_defaults(func=cmd_walk)
-
-    p = sub.add_parser("fractal",
-                       help="box-counting dimension sweeps")
-    _add_common(p)
-    _add_walk_flags(p)
-    p.add_argument("--n-list", type=_int_list, metavar="N1,N2,...",
-                   help="walk lengths to sweep (default 128,500,2000,5000)")
-    p.add_argument("--num-seeds", type=int,
-                   help="seeds per length, starting at --seed (default 20)")
-    p.add_argument("--box-sizes", type=_int_list, metavar="S1,S2,...",
-                   help="override the dyadic box size schedule")
-    p.add_argument("--synthetic", metavar="SPEC",
-                   help="analyze point, line:N, or square:N instead of walks")
-    p.set_defaults(func=cmd_fractal)
-
-    p = sub.add_parser("avalanche",
-                       help="perturbation trials and flip statistics")
-    _add_common(p)
-    _add_walk_flags(p)
-    p.add_argument("--algs", metavar="LIST",
-                   help=f"comma list of algorithms "
-                        f"(default {_DEFAULT_ALGS})")
-    p.add_argument("--positions", metavar="LIST",
-                   help="comma list of perturbation positions, or auto")
-    p.add_argument("--trials", type=int,
-                   help="trials per position (default 50)")
-    p.add_argument("--mode", choices=[m.value for m in PerturbMode],
-                   help="point-nudge (default) or re-evolve")
-    p.add_argument("--nudge", type=_point, metavar="DX,DY",
-                   help="perturbation offset (default 1,0)")
-    p.set_defaults(func=cmd_avalanche)
+    for command, func, text in (
+            ("keygen", cmd_keygen, "derive one key from a seeded walk"),
+            ("walk", cmd_walk, "dump a trajectory and its geometry"),
+            ("fractal", cmd_fractal, "box-counting dimension sweeps"),
+            ("avalanche", cmd_avalanche,
+             "perturbation trials and flip statistics")):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", metavar="FILE",
+                       help="flat key = value config file")
+        # every value stays text here; _read_options parses it
+        for o in OPTIONS[command]:
+            default = "" if o.default is None else f" (default: {o.default})"
+            p.add_argument(f"--{o.key}", metavar=o.metavar,
+                           help=o.help + default)
+        p.set_defaults(func=func)
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite `--key VALUE` as `--key=VALUE` for the command's options, so
+    that a VALUE such as -1,0 or -inf is read as a value, not a flag."""
+    if not argv or argv[0] not in OPTIONS:
+        return argv
+    flags = {"--config", *(f"--{o.key}" for o in OPTIONS[argv[0]])}
+    out, rest = argv[:1], iter(argv[1:])
+    for token in rest:
+        value = next(rest, None) if token in flags else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(_attach_values(argv))
     try:
-        return args.func(args)
+        return args.func(_read_options(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

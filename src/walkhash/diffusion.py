@@ -214,6 +214,8 @@ def run_avalanche(
             f"trials_per_position must be >= 1, got {trials_per_position!r}")
     positions = default_positions(config.n) if positions is None \
         else tuple(int(p) for p in positions)
+    if not positions:
+        raise ConfigError("positions must not be empty")
     for p in positions:
         _check_position(p, config.n)
     _check_nudge(nudge)

@@ -23,6 +23,7 @@ _SHAKE256 = "shake256"
 _BLAKE3 = "blake3"
 _DEFAULT_OUT = {_SHA3_512: 64, _SHAKE256: 64, _BLAKE3: 32}
 _MIN_OUT = 16
+_MAX_OUT = 1024  # 8192 bits, ample for a key
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,9 @@ class HashAlg:
     """A hash algorithm choice plus its output length in bytes.
 
     sha3-512 is fixed at 64 bytes; shake256 and blake3 are extendable and
-    accept any out_len >= 16. Labels render the digest size in bits, e.g.
-    "shake256-512" or "blake3-256", except sha3-512 whose name already
-    carries it.
+    accept any out_len from 16 to 1024 bytes. Labels render the digest size
+    in bits, e.g. "shake256-512" or "blake3-256", except sha3-512 whose name
+    already carries it.
     """
 
     name: str
@@ -45,9 +46,10 @@ class HashAlg:
                 f"got {self.name!r}")
         if self.name == _SHA3_512 and self.out_len != 64:
             raise ConfigError("sha3-512 output length is fixed at 64 bytes")
-        if self.out_len < _MIN_OUT:
+        if not _MIN_OUT <= self.out_len <= _MAX_OUT:
             raise ConfigError(
-                f"out_len must be >= {_MIN_OUT} bytes, got {self.out_len!r}")
+                f"out_len must be in [{_MIN_OUT}, {_MAX_OUT}] bytes, "
+                f"got {self.out_len!r}")
 
     @property
     def bits(self) -> int:

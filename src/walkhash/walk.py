@@ -89,9 +89,9 @@ class WalkConfig:
 
     rho_min/rho_max bound the spectral norm of each step's matrix,
     b_min/b_max bound both translation components, epsilon bounds each
-    noise component, n is the number of steps, and seed keys every random
-    stream. map_count is required in FIXED_SET mode and must be absent
-    otherwise.
+    noise component, n is the number of steps, and seed, in [0, 2**64),
+    keys every random stream. map_count is required in FIXED_SET mode and
+    must be absent otherwise.
     """
 
     x0: LatticePoint = LatticePoint(0, 0)
@@ -108,6 +108,10 @@ class WalkConfig:
     def validate(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
+        # streams reduce the seed modulo 2**64, so a wider one would alias
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(
+                f"seed must satisfy 0 <= seed < 2**64, got {self.seed!r}")
         for name in ("rho_min", "rho_max", "b_min", "b_max", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(

@@ -4,6 +4,7 @@ import csv
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from walkhash import (
     derive_key,
     generate_walk,
 )
-from walkhash.cli import main
+from walkhash.cli import OPTIONS, main
 
 
 def _run(capsys, *argv):
@@ -266,6 +267,14 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
      "--nudge", "10000000000000000000,0"],
     ["fractal", "--n-list", "6", "--num-seeds", "1", "--seed", "1",
      "--b-min", "-3", "--b-max", "3", "--box-sizes", "2,3,5"],
+    ["keygen", "--n", "20", "--seed", "-1"],
+    ["keygen", "--n", "20", "--seed", "18446744073709551616"],
+    ["fractal", "--n-list", "8", "--num-seeds", "2",
+     "--seed", "18446744073709551615"],
+    ["avalanche", "--n", "40", "--positions", ",", "--trials", "1"],
+    ["keygen", "--n", "20", "--alg", "shake256",
+     "--out-len", "18446744073709551616"],
+    ["keygen", "--n", "20", "--alg", "blake3", "--out-len", "100000000000"],
 ])
 def test_out_of_domain_inputs_exit_2(argv, tmp_path, capsys):
     code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
@@ -283,6 +292,72 @@ def test_leftover_temp_name_does_not_block_reports(tmp_path, capsys):
     assert report["digest"] == out.strip()
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["key.json", "key.json.tmp"]
+
+
+@pytest.mark.parametrize("argv, flag, value, report", [
+    (["keygen", "--n", "20"], "--x0", "-1,0", "key.json"),
+    (["avalanche", "--n", "40", "--positions", "10", "--trials", "1",
+      "--algs", "sha3-512"], "--nudge", "-1,0", "summary.json"),
+])
+def test_dash_value_in_space_form(argv, flag, value, report, tmp_path,
+                                  capsys):
+    runs = []
+    for name, form in (("space", [flag, value]), ("eq", [f"{flag}={value}"])):
+        code, out, err = _run(capsys, *argv, *form,
+                              "--output-dir", tmp_path / name)
+        assert (code, err) == (0, ""), err
+        runs.append((out, (tmp_path / name / report).read_bytes()))
+    assert runs[0] == runs[1]
+
+
+# Small runs each fuzzed flag is appended to.
+_FUZZ_BASE = {
+    "keygen": ["--n", "16"],
+    "walk": ["--n", "16"],
+    "fractal": ["--n-list", "8", "--num-seeds", "1"],
+    "avalanche": ["--n", "16", "--positions", "8", "--trials", "1",
+                  "--algs", "sha3-512"],
+}
+# No large positive integers: a valid --n, --trials or --map-count that
+# size would run for hours, which is not a crash.
+_FUZZ_VALUES = ["", ",", "x", "nan", "-inf", "1e999", "0", "-1", "-1,0",
+                "1,2,3"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, rows in OPTIONS.items()
+    for flag in ["--config", *(f"--{o.key}" for o in rows)]])
+def test_fuzzed_option_exits_0_2_or_3(command, flag, tmp_path, monkeypatch,
+                                      capsys):
+    monkeypatch.chdir(tmp_path)  # --output-dir "" writes here
+    for value in _FUZZ_VALUES:
+        argv = [command, *_FUZZ_BASE[command], flag, value]
+        code, _, err = _run(capsys, *argv)
+        assert code in (0, 2, 3), argv
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, \
+                (argv, err)
+
+
+def test_help_shows_each_default(capsys):
+    for command, rows in OPTIONS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for o in rows:
+            want = o.help if o.default is None \
+                else f"{o.help} (default: {o.default})"
+            assert f"--{o.key} " in text and want in text, (command, o.key)
+
+
+def test_readme_documents_every_option():
+    readme = (SRC.parent / "README.md").read_text()
+    flags = {f"--{o.key}" for rows in OPTIONS.values() for o in rows}
+    # a flag counts only as a whole word: --n-list does not document --n
+    missing = [f for f in sorted(flags)
+               if not re.search(re.escape(f) + r"(?![\w-])", readme)]
+    assert missing == []
 
 
 # ------------------------------------------------------------ config file
@@ -315,6 +390,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = _run(capsys, "keygen", "--config", cfg,
                         "--output-dir", tmp_path)
     assert code == 2 and "key = value" in err
+
+
+def test_config_file_value_is_parsed_even_when_unused(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n = x\n")  # synthetic mode builds no walk
+    code, out, err = _run(capsys, "fractal", "--config", cfg,
+                          "--synthetic", "point", "--output-dir", tmp_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n: ") and err.count("\n") == 1
 
 
 def test_config_file_missing(tmp_path, capsys):

@@ -20,6 +20,7 @@ from walkhash import (
     serialize_trajectory,
 )
 from walkhash._blake3 import blake3_digest
+from walkhash.keygen import _MAX_OUT
 
 # known-answer: SHA3-512 of 16 zero bytes, confirmed by the from-scratch
 # Keccak oracle below
@@ -174,6 +175,8 @@ def test_alg_validation_errors():
         HashAlg("sha3-512", 32)
     with pytest.raises(ConfigError):
         HashAlg.shake256(8)  # below the 16-byte floor
+    with pytest.raises(ConfigError):
+        HashAlg.shake256(_MAX_OUT + 1)
     with pytest.raises(ConfigError):
         HashAlg.parse("shake256-20")  # bits not a multiple of 8
     with pytest.raises(ConfigError):

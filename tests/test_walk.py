@@ -301,6 +301,8 @@ def test_per_step_fresh_has_no_templates():
     (dict(x0=LatticePoint(0, -10**19)), "lattice_bound"),
     (dict(x0=LatticePoint(10**400, 0)), "lattice_bound"),
     (dict(b_max=1e307, rho_max=1 - 2**-40), "lattice_bound"),
+    (dict(seed=-1), "seed"),
+    (dict(seed=2**64), "seed"),
 ])
 def test_config_validation_names_field(bad, message_part):
     config = replace(WalkConfig(), **bad)

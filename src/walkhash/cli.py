@@ -162,7 +162,7 @@ def _load_config_file(path: str, allowed: frozenset[str]) -> dict[str, str]:
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -182,7 +182,7 @@ def _read_options(args: argparse.Namespace) -> dict[str, Any]:
     """Every option of the command, parsed; flag beats file beats default."""
     rows = OPTIONS[args.command]
     filecfg = _load_config_file(args.config, frozenset(o.key for o in rows)) \
-        if args.config else {}
+        if args.config is not None else {}
     opts = {}
     for o in rows:
         name = o.key.replace("-", "_")
@@ -411,8 +411,16 @@ def cmd_avalanche(opts: dict[str, Any]) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigError, so they end in
+    one `error:` line and exit 2 like every other bad input."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="walkhash",
         description="Keys from hashed chaotic lattice walks, and the "
                     "measurement harness around them.")
@@ -452,8 +460,8 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_attach_values(argv))
     try:
+        args = build_parser().parse_args(_attach_values(argv))
         return args.func(_read_options(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -114,7 +114,7 @@ def estimate_point_dimension(points: Iterable[LatticePoint] | np.ndarray,
     else:
         sizes = tuple(sorted(set(int(s) for s in box_sizes)))
         if len(sizes) < 3:
-            raise InsufficientData(
+            raise ConfigError(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")
     counts = tuple(box_count(xy, s) for s in sizes)
     for smaller, larger in zip(counts, counts[1:]):

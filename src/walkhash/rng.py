@@ -11,9 +11,17 @@ SplitMix64 is the fixed-increment mixing generator of Steele, Lea and Flood
 (the one used to seed the xoshiro family). It is not cryptographic; it only
 drives map sampling, which is fine because all security-relevant mixing
 happens in the hash stage.
+
+Because a stream is counter-based (draw k of the stream with key K is
+mix64(K + k * golden)), draw k of many streams can be computed at once:
+stream_keys, mix64_array, u64_draws and uniform_draws are the uint64
+numpy counterparts of stream_key, mix64, Stream.next_u64 and
+Stream.uniform and give the same values bit for bit.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -75,3 +83,35 @@ class Stream:
         if n <= 0:
             raise ValueError("n must be positive")
         return self.next_u64() % n
+
+
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX_A_U64 = np.uint64(_MIX_A)
+_MIX_B_U64 = np.uint64(_MIX_B)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 of each word of a uint64 array (arithmetic wraps mod 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX_A_U64
+    z = (z ^ (z >> np.uint64(27))) * _MIX_B_U64
+    return z ^ (z >> np.uint64(31))
+
+
+def stream_keys(seed: int, path: tuple[int, ...],
+                index: np.ndarray) -> np.ndarray:
+    """stream_key(seed, *path, i) for each i of a non-negative int array."""
+    parts = index.astype(np.uint64) * _GOLDEN_U64
+    return mix64_array(np.uint64(stream_key(seed, *path)) ^ parts)
+
+
+def u64_draws(keys: np.ndarray, k: int) -> np.ndarray:
+    """Draw k (1-based) of the streams with these keys: next_u64 called k
+    times on each."""
+    return mix64_array(keys + np.uint64(k * _GOLDEN & _MASK64))
+
+
+def uniform_draws(keys: np.ndarray, k: int, lo: float, hi: float
+                  ) -> np.ndarray:
+    """Draw k of each stream as Stream.uniform(lo, hi) would make it."""
+    u = (u64_draws(keys, k) >> np.uint64(11)) * _INV53
+    return lo + (hi - lo) * u

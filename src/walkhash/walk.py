@@ -12,6 +12,14 @@ All randomness is drawn from keyed streams (see rng): step i of a walk uses
 the stream (seed, 0, i), so any step can be regenerated without replaying
 the others. Draw order within a step is fixed and documented in
 sample_affine_step; it is part of the reproducibility contract.
+
+Because the streams are counter-based, a walk draws its steps as columns:
+_step_table computes every step of a block at once with numpy uint64
+arithmetic (rng.stream_keys and friends) and gives the same values as the
+per-step streams, and only the floor recurrence runs as a scalar loop. The
+scalar functions (Stream, sample_affine_step, affine_step_for,
+map_templates, step) are the reference the tables are tested against, and
+they fill in the rare lanes whose matrix draw is rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundsExceeded, ConfigError, GeneratorFailure
-from .rng import Stream
+from .rng import Stream, stream_keys, u64_draws, uniform_draws
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -41,6 +49,10 @@ _RESAMPLE_LIMIT = 64
 # Largest lattice_bound a config may have: every integer up to 2^53 is exact
 # in float64, so step evaluates and floors coordinates without rounding.
 MAX_COORD = 2**53
+
+# Steps per table block in _evolve: enough to amortize numpy's per-call
+# cost, few enough that a block's table stays small (64 KB).
+_BLOCK = 1024
 
 
 class LatticePoint(NamedTuple):
@@ -131,10 +143,12 @@ class WalkConfig:
         if self.epsilon < 0.0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if self.map_mode is MapMode.FIXED_SET:
-            if self.map_count is None or self.map_count < 1:
+            # a step chooses its template with one 64-bit draw, so a
+            # template past 2**64 could never be chosen
+            if self.map_count is None or not 1 <= self.map_count < 2**64:
                 raise ConfigError(
-                    f"map_count must be >= 1 in fixed-set mode, "
-                    f"got {self.map_count!r}")
+                    f"map_count must satisfy 1 <= map_count < 2**64 in "
+                    f"fixed-set mode, got {self.map_count!r}")
         elif self.map_count is not None:
             raise ConfigError("map_count only applies to fixed-set mode")
         try:
@@ -193,6 +207,14 @@ def _spectral_norm(a11: float, a12: float, a21: float, a22: float) -> float:
     t = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
     d2 = 2.0 * abs(a11 * a22 - a12 * a21)
     return 0.5 * (math.sqrt(t + d2) + math.sqrt(max(t - d2, 0.0)))
+
+
+def _spectral_norms(a11: np.ndarray, a12: np.ndarray, a21: np.ndarray,
+                    a22: np.ndarray) -> np.ndarray:
+    """_spectral_norm of each lane, in the same expression order."""
+    t = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
+    d2 = 2.0 * np.abs(a11 * a22 - a12 * a21)
+    return 0.5 * (np.sqrt(t + d2) + np.sqrt(np.maximum(t - d2, 0.0)))
 
 
 def _draw_map(stream: Stream, config: WalkConfig) -> tuple[float, ...]:
@@ -286,10 +308,14 @@ def step(x: LatticePoint, s: AffineStep,
     ny = math.floor(fy)
     if bound is not None and (nx > bound or nx < -bound
                               or ny > bound or ny < -bound):
-        raise BoundsExceeded(
-            f"walk reached ({nx}, {ny}), outside the safe region "
-            f"[-{bound}, {bound}]^2")
+        raise _outside(nx, ny, bound)
     return LatticePoint(nx, ny)
+
+
+def _outside(nx: int, ny: int, bound: int) -> BoundsExceeded:
+    return BoundsExceeded(
+        f"walk reached ({nx}, {ny}), outside the safe region "
+        f"[-{bound}, {bound}]^2")
 
 
 def lattice_bound(config: WalkConfig) -> int:
@@ -308,22 +334,114 @@ def lattice_bound(config: WalkConfig) -> int:
     return math.ceil(start + reach)
 
 
-def _evolve(config: WalkConfig, x: LatticePoint,
-            first: int) -> list[LatticePoint]:
-    """The points x_first..x_n reached by stepping on from x = x_(first-1)."""
+def _map_columns(config: WalkConfig, keys: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """_draw_map on every stream key at once.
+
+    Returns the (m, 6) rows a11 a12 a21 a22 b1 b2 and the mask of lanes
+    whose first matrix draw is rejected; _draw_map redraws those, which
+    moves every later draw, so their rows must be refilled by the caller.
+    """
+    e11, e12, e21, e22 = (uniform_draws(keys, k, -1.0, 1.0)
+                          for k in (1, 2, 3, 4))
+    sigma = _spectral_norms(e11, e12, e21, e22)
+    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max) / sigma
+    rows = np.column_stack((
+        e11 * scale, e12 * scale, e21 * scale, e22 * scale,
+        uniform_draws(keys, 6, config.b_min, config.b_max),
+        uniform_draws(keys, 7, config.b_min, config.b_max)))
+    return rows, sigma <= _SIGMA_FLOOR
+
+
+def _choices(config: WalkConfig, lo: int, hi: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The stream keys (seed, 2, i) of FIXED_SET steps lo <= i < hi and the
+    template each step chooses (draw 1 modulo map_count)."""
+    keys = stream_keys(config.seed, (_SUB_CHOICE,), np.arange(lo, hi))
+    return keys, u64_draws(keys, 1) % np.uint64(config.map_count)
+
+
+def _used_templates(config: WalkConfig, choice: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The templates named in choice: their sorted distinct indices and
+    (len, 6) rows, row k equal to map_templates(config)[used[k]].
+
+    Only these are drawn, so memory and time follow the walk, not
+    map_count.
+    """
+    used = np.unique(choice)
+    rows, rejected = _map_columns(
+        config, stream_keys(config.seed, (_SUB_TEMPLATE,), used))
+    for k in np.flatnonzero(rejected).tolist():
+        stream = Stream(config.seed, _SUB_TEMPLATE, int(used[k]))
+        rows[k] = _draw_map(stream, config)
+    return used, rows
+
+
+def _step_table(config: WalkConfig, lo: int, hi: int,
+                templates: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> np.ndarray:
+    """The steps lo <= i < hi as (hi - lo, 8) float64 rows
+    a11 a12 a21 a22 b1 b2 d1 d2, equal to affine_step_for(config, i).
+
+    In FIXED_SET mode, templates is a _used_templates result that covers
+    every choice of these steps; when None, it is drawn for them here.
+    """
+    eps = config.epsilon
+    if config.map_mode is MapMode.PER_STEP_FRESH:
+        keys = stream_keys(config.seed, (_SUB_STEP,), np.arange(lo, hi))
+        rows, rejected = _map_columns(config, keys)
+        noise = (8, 9)
+    else:
+        keys, choice = _choices(config, lo, hi)
+        used, rows = _used_templates(config, choice) if templates is None \
+            else templates
+        rows = rows[np.searchsorted(used, choice)]
+        rejected = ()  # _used_templates refilled the rejected templates
+        noise = (2, 3)
+    table = np.column_stack((rows, *(uniform_draws(keys, k, -eps, eps)
+                                     for k in noise)))
+    for k in np.flatnonzero(rejected).tolist():
+        table[k] = affine_step_for(config, lo + k)
+    return table
+
+
+def _evolve(config: WalkConfig, x: LatticePoint, first: int) -> np.ndarray:
+    """The points x_first..x_n reached by stepping on from x = x_(first-1),
+    as an (n - first + 1, 2) int64 array.
+
+    Each step is step(x, affine_step_for(config, i), bound) with the maps
+    read from _step_table a block at a time.
+    """
     bound = lattice_bound(config)
-    templates = map_templates(config)
-    points = []
-    for i in range(first, config.n + 1):
-        x = step(x, affine_step_for(config, i, templates), bound=bound)
-        points.append(x)
-    return points
+    templates = None
+    if config.map_mode is MapMode.FIXED_SET:
+        # drawn once for the walk, not once per block
+        templates = _used_templates(config,
+                                    _choices(config, first, config.n + 1)[1])
+    floor = math.floor
+    px, py = x
+    out: list[int] = []
+    append = out.append
+    for lo in range(first, config.n + 1, _BLOCK):
+        block = _step_table(config, lo, min(lo + _BLOCK, config.n + 1),
+                            templates)
+        for a11, a12, a21, a22, b1, b2, d1, d2 in block.tolist():
+            nx = floor(a11 * px + a12 * py + b1 + d1)
+            ny = floor(a21 * px + a22 * py + b2 + d2)
+            if nx > bound or nx < -bound or ny > bound or ny < -bound:
+                raise _outside(nx, ny, bound)
+            append(nx)
+            append(ny)
+            px, py = nx, ny
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 def generate_walk(config: WalkConfig) -> Trajectory:
     """Generate the full trajectory x_0..x_n for a validated config."""
     config.validate()
-    return Trajectory([config.x0, *_evolve(config, config.x0, 1)], config)
+    return Trajectory(np.vstack((config.x0, _evolve(config, config.x0, 1))),
+                      config)
 
 
 def walk_space_size(m: int, n: int) -> int:

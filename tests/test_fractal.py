@@ -159,9 +159,9 @@ def test_custom_schedule_is_sorted_and_deduped():
 def test_insufficient_inputs():
     with pytest.raises(InsufficientData):
         estimate_point_dimension([])
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ConfigError):
         estimate_point_dimension([LatticePoint(0, 0)], box_sizes=(1, 2))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ConfigError):
         estimate_point_dimension([LatticePoint(0, 0)], box_sizes=(2, 2, 2))
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
-from walkhash.rng import Stream, mix64, stream_key
+import numpy as np
+
+from walkhash.rng import (Stream, mix64, mix64_array, stream_key, stream_keys,
+                          u64_draws, uniform_draws)
 
 
 def test_published_splitmix64_sequence():
@@ -71,3 +74,22 @@ def test_below_range_and_spread():
     assert set(draws) == set(range(10))
     with pytest.raises(ValueError):
         s.below(0)
+
+
+def test_array_draws_equal_scalar_streams():
+    index = np.array([0, 1, 2, 41, 42, 2**40, 2**63 - 1])
+    for seed in (0, 1, 12345, 2**64 - 1):
+        for path in ((), (0,), (3, 7)):
+            keys = stream_keys(seed, path, index)
+            assert keys.dtype == np.uint64
+            for lane, i in enumerate(index.tolist()):
+                assert int(keys[lane]) == stream_key(seed, *path, i)
+                s = Stream(seed, *path, i)
+                assert int(u64_draws(keys, 1)[lane]) == s.next_u64()
+                assert uniform_draws(keys, 2, -2.5, 7.0)[lane] \
+                    == s.uniform(-2.5, 7.0)
+                assert uniform_draws(keys, 3, -0.0, 0.0)[lane] \
+                    == s.uniform(-0.0, 0.0)
+    words = [0, 1, 2**63, 2**64 - 1, 0xDEADBEEF]
+    assert mix64_array(np.array(words, dtype=np.uint64)).tolist() \
+        == [mix64(z) for z in words]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from walkhash import (
     step,
     walk_space_size,
 )
-from walkhash.rng import Stream
+from walkhash import walk
+from walkhash.rng import Stream, stream_keys
 
 
 def _step_oracle(x: LatticePoint, s: AffineStep) -> LatticePoint:
@@ -281,6 +283,167 @@ def test_per_step_fresh_has_no_templates():
     assert map_templates(WalkConfig()) is None
 
 
+# ------------------------------------------------------------ step tables
+
+def _replay(config, x, first, bound=None):
+    """The scalar reference for walk._evolve: one step at a time."""
+    bound = lattice_bound(config) if bound is None else bound
+    templates = map_templates(config)
+    points = []
+    for i in range(first, config.n + 1):
+        x = step(x, affine_step_for(config, i, templates), bound)
+        points.append(x)
+    return np.array(points, dtype=np.int64).reshape(-1, 2)
+
+
+def _random_config(rng, mode, n=None):
+    rho_max = rng.choice([0.3, 0.8, 0.95, 0.99, 0.999])
+    b = rng.choice([0.0, 1.0, 100.0, 1e9, 1e12])
+    b_min, b_max = sorted((rng.uniform(-b, b), rng.uniform(-b, b)))
+    return WalkConfig(
+        x0=LatticePoint(rng.randint(-500, 500), rng.randint(-500, 500)),
+        rho_min=rng.uniform(0.01, rho_max), rho_max=rho_max,
+        b_min=b_min, b_max=b_max,
+        epsilon=rng.choice([0.0, 0.0, 0.5, 7.25]),
+        n=n or rng.choice([1, 2, 3, rng.randint(4, 300)]),
+        seed=rng.randrange(2**64), map_mode=mode,
+        map_count=rng.randint(1, 12) if mode is MapMode.FIXED_SET else None)
+
+
+def _same_as_replay(config, x, first):
+    """walk._evolve equals the scalar replay, also when that raises."""
+    try:
+        want = _replay(config, x, first)
+    except BoundsExceeded as exc:
+        with pytest.raises(BoundsExceeded, match=re.escape(str(exc))):
+            walk._evolve(config, x, first)
+        return None
+    got = walk._evolve(config, x, first)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    return got
+
+
+def _check_evolve(config, rng):
+    """The whole walk equals the scalar replay, and so does a tail started
+    at a moved point, as a re-evolve perturbation does."""
+    config.validate()
+    points = _same_as_replay(config, config.x0, 1)
+    if points is None:
+        return
+    assert np.array_equal(generate_walk(config).xy[1:], points)
+    first = rng.randint(1, config.n)
+    x, y = config.x0 if first == 1 else points[first - 2].tolist()
+    start = LatticePoint(x + rng.randint(-3, 3), y + rng.randint(-3, 3))
+    _same_as_replay(config, start, first)
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_step_table_walk_matches_scalar_replay(mode):
+    rng = random.Random(f"table-{mode.value}")
+    for _ in range(30):
+        _check_evolve(_random_config(rng, mode), rng)
+    edge = dict(rho_min=0.99, rho_max=0.999, epsilon=0.0, b_min=-1e12,
+                b_max=1e12, x0=LatticePoint(-10**6, -37), n=150)
+    if mode is MapMode.FIXED_SET:
+        edge["map_count"] = 5
+    _check_evolve(replace(WalkConfig(map_mode=mode), **edge), rng)
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_step_table_crosses_block_boundaries(mode):
+    rng = random.Random(f"blocks-{mode.value}")
+    config = _random_config(rng, mode, n=2 * walk._BLOCK + 5)
+    _check_evolve(config, rng)
+    t = generate_walk(config)
+    for first in (walk._BLOCK, walk._BLOCK + 1, walk._BLOCK + 2):
+        start = LatticePoint(*t.xy[first - 1].tolist()).shifted(1, -1)
+        assert np.array_equal(walk._evolve(config, start, first),
+                              _replay(config, start, first))
+
+
+def test_step_table_rows_equal_affine_step_for():
+    config = WalkConfig(seed=99, map_mode=MapMode.FIXED_SET, map_count=6)
+    for cfg in (replace(config, map_mode=MapMode.PER_STEP_FRESH,
+                        map_count=None), config):
+        table = walk._step_table(cfg, 40, 90)
+        assert table.shape == (50, 8) and table.dtype == np.float64
+        for k, row in enumerate(table.tolist()):
+            assert tuple(row) == tuple(affine_step_for(cfg, 40 + k))
+
+
+def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
+    # from (1, 1) each row floors to 1 in step's order, while any other
+    # grouping of a11*x + a12*y + b1 + d1 rounds to 1 - 2**-53 and floors
+    # to 0
+    below, half = 1 - 2**-53, 2**-54
+    rows = [(below, half, below, 0.0, -half, half, 0.0, -half),
+            (below, 0.0, below, half, half, -half, -half, 0.0)] * 3
+    monkeypatch.setattr(walk, "_step_table",
+                        lambda config, lo, hi, templates=None:
+                        np.array(rows[lo - 1:hi - 1]))
+    config = WalkConfig(x0=LatticePoint(1, 1), n=len(rows))
+    x, want = config.x0, []
+    for row in rows:
+        x = step(x, AffineStep(*row))
+        want.append(list(x))
+    assert want == [[1, 1]] * len(rows)
+    assert walk._evolve(config, config.x0, 1).tolist() == want
+
+
+def test_fixed_set_draws_only_the_templates_it_uses():
+    # map_templates would draw 2**64 - 1 templates; the walk draws the few
+    # its steps choose, each equal to the scalar template of that index
+    config = WalkConfig(seed=12, n=300, map_mode=MapMode.FIXED_SET,
+                        map_count=2**64 - 1)
+
+    class Templates:
+        def __getitem__(self, j):
+            return walk._draw_map(Stream(config.seed, walk._SUB_TEMPLATE, j),
+                                  config)
+
+    x, want = config.x0, []
+    for i in range(1, config.n + 1):
+        x = step(x, affine_step_for(config, i, Templates()))
+        want.append(list(x))
+    assert generate_walk(config).xy[1:].tolist() == want
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_rejected_matrix_draws_fall_back_to_scalar(mode, monkeypatch):
+    # a typical draw has spectral norm near 1; at this floor some lanes
+    # (templates too) are redrawn, which shifts their later draws
+    monkeypatch.setattr(walk, "_SIGMA_FLOOR", 0.6)
+    rng = random.Random(f"fallback-{mode.value}")
+    config = _random_config(rng, mode, n=400)
+    if mode is MapMode.FIXED_SET:
+        config = replace(config, map_count=60)
+        sub, count = walk._SUB_TEMPLATE, config.map_count
+    else:
+        sub, count = walk._SUB_STEP, config.n
+    keys = stream_keys(config.seed, (sub,), np.arange(count))
+    _, rejected = walk._map_columns(config, keys)
+    assert 0 < rejected.sum() < count
+    _check_evolve(config, rng)
+    if mode is MapMode.FIXED_SET:
+        used, rows = walk._used_templates(config, np.arange(60)[::-1])
+        assert used.tolist() == list(range(60))
+        assert rows.tolist() == [list(t) for t in map_templates(config)]
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_table_walk_raises_the_scalar_bounds_error(mode, monkeypatch):
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: 40)
+    config = _random_config(random.Random(5), mode, n=300)
+    config = replace(config, x0=LatticePoint(0, 0), b_min=-100.0,
+                     b_max=100.0)
+    with pytest.raises(BoundsExceeded) as table_error:
+        walk._evolve(config, config.x0, 1)
+    with pytest.raises(BoundsExceeded) as scalar_error:
+        _replay(config, config.x0, 1, bound=40)
+    assert str(table_error.value) == str(scalar_error.value)
+    assert "outside the safe region [-40, 40]^2" in str(table_error.value)
+
+
 # ------------------------------------------------------------- validation
 
 @pytest.mark.parametrize("bad, message_part", [
@@ -303,6 +466,7 @@ def test_per_step_fresh_has_no_templates():
     (dict(b_max=1e307, rho_max=1 - 2**-40), "lattice_bound"),
     (dict(seed=-1), "seed"),
     (dict(seed=2**64), "seed"),
+    (dict(map_mode=MapMode.FIXED_SET, map_count=2**64), "map_count"),
 ])
 def test_config_validation_names_field(bad, message_part):
     config = replace(WalkConfig(), **bad)

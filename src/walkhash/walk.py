@@ -353,57 +353,31 @@ def _map_columns(config: WalkConfig, keys: np.ndarray
     return rows, sigma <= _SIGMA_FLOOR
 
 
-def _choices(config: WalkConfig, lo: int, hi: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The stream keys (seed, 2, i) of FIXED_SET steps lo <= i < hi and the
-    template each step chooses (draw 1 modulo map_count)."""
-    keys = stream_keys(config.seed, (_SUB_CHOICE,), np.arange(lo, hi))
-    return keys, u64_draws(keys, 1) % np.uint64(config.map_count)
-
-
-def _used_templates(config: WalkConfig, choice: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The templates named in choice: their sorted distinct indices and
-    (len, 6) rows, row k equal to map_templates(config)[used[k]].
-
-    Only these are drawn, so memory and time follow the walk, not
-    map_count.
-    """
-    used = np.unique(choice)
-    rows, rejected = _map_columns(
-        config, stream_keys(config.seed, (_SUB_TEMPLATE,), used))
-    for k in np.flatnonzero(rejected).tolist():
-        stream = Stream(config.seed, _SUB_TEMPLATE, int(used[k]))
-        rows[k] = _draw_map(stream, config)
-    return used, rows
-
-
-def _step_table(config: WalkConfig, lo: int, hi: int,
-                templates: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> np.ndarray:
+def _step_table(config: WalkConfig, lo: int, hi: int) -> np.ndarray:
     """The steps lo <= i < hi as (hi - lo, 8) float64 rows
     a11 a12 a21 a22 b1 b2 d1 d2, equal to affine_step_for(config, i).
 
-    In FIXED_SET mode, templates is a _used_templates result that covers
-    every choice of these steps; when None, it is drawn for them here.
+    In FIXED_SET mode each step draws only the template it chooses, so the
+    cost follows the steps, not map_count.
     """
     eps = config.epsilon
     if config.map_mode is MapMode.PER_STEP_FRESH:
         keys = stream_keys(config.seed, (_SUB_STEP,), np.arange(lo, hi))
         rows, rejected = _map_columns(config, keys)
-        noise = (8, 9)
-    else:
-        keys, choice = _choices(config, lo, hi)
-        used, rows = _used_templates(config, choice) if templates is None \
-            else templates
-        rows = rows[np.searchsorted(used, choice)]
-        rejected = ()  # _used_templates refilled the rejected templates
-        noise = (2, 3)
-    table = np.column_stack((rows, *(uniform_draws(keys, k, -eps, eps)
-                                     for k in noise)))
+        table = np.column_stack((rows, uniform_draws(keys, 8, -eps, eps),
+                                 uniform_draws(keys, 9, -eps, eps)))
+        for k in np.flatnonzero(rejected).tolist():
+            table[k] = affine_step_for(config, lo + k)
+        return table
+    keys = stream_keys(config.seed, (_SUB_CHOICE,), np.arange(lo, hi))
+    choice = u64_draws(keys, 1) % np.uint64(config.map_count)
+    rows, rejected = _map_columns(
+        config, stream_keys(config.seed, (_SUB_TEMPLATE,), choice))
     for k in np.flatnonzero(rejected).tolist():
-        table[k] = affine_step_for(config, lo + k)
-    return table
+        stream = Stream(config.seed, _SUB_TEMPLATE, int(choice[k]))
+        rows[k] = _draw_map(stream, config)
+    return np.column_stack((rows, uniform_draws(keys, 2, -eps, eps),
+                            uniform_draws(keys, 3, -eps, eps)))
 
 
 def _evolve(config: WalkConfig, x: LatticePoint, first: int) -> np.ndarray:
@@ -414,18 +388,12 @@ def _evolve(config: WalkConfig, x: LatticePoint, first: int) -> np.ndarray:
     read from _step_table a block at a time.
     """
     bound = lattice_bound(config)
-    templates = None
-    if config.map_mode is MapMode.FIXED_SET:
-        # drawn once for the walk, not once per block
-        templates = _used_templates(config,
-                                    _choices(config, first, config.n + 1)[1])
     floor = math.floor
     px, py = x
     out: list[int] = []
     append = out.append
     for lo in range(first, config.n + 1, _BLOCK):
-        block = _step_table(config, lo, min(lo + _BLOCK, config.n + 1),
-                            templates)
+        block = _step_table(config, lo, min(lo + _BLOCK, config.n + 1))
         for a11, a12, a21, a22, b1, b2, d1, d2 in block.tolist():
             nx = floor(a11 * px + a12 * py + b1 + d1)
             ny = floor(a21 * px + a22 * py + b2 + d2)

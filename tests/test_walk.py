@@ -379,7 +379,7 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
     rows = [(below, half, below, 0.0, -half, half, 0.0, -half),
             (below, 0.0, below, half, half, -half, -half, 0.0)] * 3
     monkeypatch.setattr(walk, "_step_table",
-                        lambda config, lo, hi, templates=None:
+                        lambda config, lo, hi:
                         np.array(rows[lo - 1:hi - 1]))
     config = WalkConfig(x0=LatticePoint(1, 1), n=len(rows))
     x, want = config.x0, []
@@ -391,8 +391,8 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
 
 
 def test_fixed_set_draws_only_the_templates_it_uses():
-    # map_templates would draw 2**64 - 1 templates; the walk draws the few
-    # its steps choose, each equal to the scalar template of that index
+    # map_templates would draw 2**64 - 1 templates; each step draws only
+    # the one it chooses, equal to the scalar template of that index
     config = WalkConfig(seed=12, n=300, map_mode=MapMode.FIXED_SET,
                         map_count=2**64 - 1)
 
@@ -423,11 +423,12 @@ def test_rejected_matrix_draws_fall_back_to_scalar(mode, monkeypatch):
     keys = stream_keys(config.seed, (sub,), np.arange(count))
     _, rejected = walk._map_columns(config, keys)
     assert 0 < rejected.sum() < count
-    _check_evolve(config, rng)
     if mode is MapMode.FIXED_SET:
-        used, rows = walk._used_templates(config, np.arange(60)[::-1])
-        assert used.tolist() == list(range(60))
-        assert rows.tolist() == [list(t) for t in map_templates(config)]
+        # the walk chooses some rejected template, so its refill is checked
+        chosen = {Stream(config.seed, walk._SUB_CHOICE, i).below(count)
+                  for i in range(1, config.n + 1)}
+        assert chosen & set(np.flatnonzero(rejected).tolist())
+    _check_evolve(config, rng)
 
 
 @pytest.mark.parametrize("mode", list(MapMode))

@@ -7,14 +7,17 @@ no delimiters. A trajectory of n steps therefore serializes to exactly
 
 Keys are fixed-length digests of that byte string. SHA3-512 and SHAKE256
 come from hashlib; BLAKE3 uses the vendored implementation in _blake3.
+digest_many hashes independent messages as one batch, which the numpy
+BLAKE3 runs as shared lanes; digest_bytes is its one-message case.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
-from ._blake3 import blake3_digest
+from ._blake3 import blake3_many
 from .errors import ConfigError
 from .walk import Trajectory
 
@@ -130,15 +133,20 @@ def serialize_trajectory(t: Trajectory) -> bytes:
     return t.xy.astype("<i8").tobytes()
 
 
+def digest_many(messages: Sequence[bytes], alg: HashAlg) -> list[Digest]:
+    """Hash each message under alg, in order."""
+    if alg.name == _SHA3_512:
+        outs = [hashlib.sha3_512(m).digest() for m in messages]
+    elif alg.name == _SHAKE256:
+        outs = [hashlib.shake_256(m).digest(alg.out_len) for m in messages]
+    else:
+        outs = blake3_many(messages, alg.out_len)
+    return [Digest(alg, out) for out in outs]
+
+
 def digest_bytes(data: bytes, alg: HashAlg) -> Digest:
     """Hash raw bytes under alg. Building block for derive_key and tests."""
-    if alg.name == _SHA3_512:
-        out = hashlib.sha3_512(data).digest()
-    elif alg.name == _SHAKE256:
-        out = hashlib.shake_256(data).digest(alg.out_len)
-    else:
-        out = blake3_digest(data, alg.out_len)
-    return Digest(alg, out)
+    return digest_many([data], alg)[0]
 
 
 def derive_key(t: Trajectory, alg: HashAlg | None = None) -> Digest:

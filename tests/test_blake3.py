@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from walkhash._blake3 import blake3_digest
+from walkhash._blake3 import blake3_digest, blake3_many
 
 _VECTORS = json.loads(
     (Path(__file__).parent / "data" / "blake3_vectors.json").read_text())
@@ -53,3 +53,31 @@ def test_determinism():
 def test_out_len_validation():
     with pytest.raises(ValueError):
         blake3_digest(b"x", 0)
+
+
+@pytest.mark.parametrize("out_len", [32, 64, 131])
+def test_many_matches_vectors_in_input_order(out_len):
+    # Every vector length in one shuffled call, some lengths repeated, so
+    # equal-length groups, one-chunk and many-chunk trees share the call.
+    lengths = [int(n) for n in _VECTORS] + [0, 1024, 1025, 32016, 32016]
+    random.Random(out_len).shuffle(lengths)
+    digests = blake3_many([_pattern(n) for n in lengths], out_len)
+    assert [d.hex() for d in digests] == \
+        [_VECTORS[str(n)][str(out_len)] for n in lengths]
+
+
+def test_many_of_nothing_is_empty():
+    assert blake3_many([], 32) == []
+
+
+def test_many_out_len_validation():
+    for messages in ([], [b"x"]):
+        with pytest.raises(ValueError):
+            blake3_many(messages, 0)
+
+
+def test_many_accepts_any_byte_buffer():
+    messages = [_pattern(n) for n in (0, 65, 2049)]
+    expected = blake3_many(messages, 48)
+    assert blake3_many([bytearray(m) for m in messages], 48) == expected
+    assert blake3_many([memoryview(m) for m in messages], 48) == expected

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,17 +21,20 @@ from walkhash import (
     affine_step_for,
     default_positions,
     derive_key,
+    digest_bytes,
     generate_walk,
     lattice_bound,
     map_templates,
     perturb,
     run_avalanche,
     run_trials,
+    serialize_trajectory,
     shannon_entropy,
     step,
     trial_seed,
     trial_summary,
 )
+from walkhash import diffusion
 from walkhash.rng import stream_key
 
 _ALG = HashAlg.sha3_512()
@@ -235,6 +239,48 @@ def test_run_avalanche_shares_walks_across_algs():
     for a, b in zip(sha_records, shake_records):
         assert (a.trial_id, a.position) == (b.trial_id, b.position)
         assert a.flip_vector != b.flip_vector  # digests differ by alg
+
+
+@pytest.mark.parametrize("mode", list(PerturbMode))
+def test_avalanche_batches_equal_per_trial_rebuild(monkeypatch, mode):
+    # 9 trials at 4 a batch: batches of 4, 4 and 1, each digested once per
+    # alg, must give the records and matrices of one trial at a time.
+    config = WalkConfig(seed=21, n=20)
+    algs = [HashAlg.sha3_512(), HashAlg.shake256(64), HashAlg.blake3(32)]
+    positions, trials, nudge = (4, 11, 17), 3, (1, -2)
+    monkeypatch.setattr(diffusion, "_BATCH_BYTES", 4 * 32 * (config.n + 1))
+    calls = []
+    real_digest_many = diffusion.digest_many
+
+    def counted(messages, alg):
+        calls.append(len(messages))
+        return real_digest_many(messages, alg)
+
+    monkeypatch.setattr(diffusion, "digest_many", counted)
+    out = run_avalanche(config, algs, positions, trials, mode, nudge)
+    assert calls == [8] * 6 + [2] * 3
+    for alg in algs:
+        expected = []
+        row = 0
+        for position in positions:
+            for trial in range(trials):
+                base = generate_walk(replace(
+                    config, seed=trial_seed(config.seed, position, trial)))
+                disturbed = perturb(
+                    base, PerturbationSpec(position, mode, nudge))
+                d0 = digest_bytes(serialize_trajectory(base), alg)
+                d1 = digest_bytes(serialize_trajectory(disturbed), alg)
+                flipped = bytes(x ^ y for x, y in zip(d0.data, d1.data))
+                hamming = int.from_bytes(flipped, "big").bit_count()
+                expected.append(TrialRecord(
+                    row, position, alg, hamming, hamming / alg.bits,
+                    shannon_entropy(d1) - shannon_entropy(d0), flipped))
+                row += 1
+        records, matrix = out[alg.label]
+        assert records == expected
+        assert np.array_equal(
+            matrix.bits,
+            BitMatrix.from_flip_vectors([r.flip_vector for r in expected]).bits)
 
 
 def test_run_avalanche_validation():

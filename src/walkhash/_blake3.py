@@ -65,7 +65,7 @@ _ROT1, _ROT2, _ROT3 = ([(i + r) % 4 for i in range(4)] for r in (1, 2, 3))
 
 
 def _rotr(x, r: int, tmp) -> None:
-    """x = x rotated right by r bits, in place; tmp is scratch of x's shape."""
+    """x = x rotated right by r bits, in place; tmp is a buffer of x's shape."""
     np.right_shift(x, r, out=tmp)
     x <<= 32 - r
     x |= tmp

@@ -28,13 +28,27 @@ from pathlib import Path
 from statistics import median
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .diffusion import PerturbMode, default_positions, run_avalanche, trial_summary
 from .errors import ConfigError, DegenerateInput, WalkhashError
-from .fractal import estimate_dimension, estimate_point_dimension, geometry
+from .fractal import (
+    DimensionEstimate,
+    estimate_dimension,
+    estimate_point_dimension,
+    geometry,
+)
 from .keygen import HashAlg, derive_key
 from .stats import ChiSquareMode, ChiSquareResult, chi_square_uniform
-from .walk import LatticePoint, MapMode, WalkConfig, generate_walk, lattice_bound
+from .walk import (
+    LatticePoint,
+    MapMode,
+    Trajectory,
+    WalkConfig,
+    generate_walk,
+    lattice_bound,
+)
 
 
 # ---------------------------------------------------------------- parsing
@@ -287,10 +301,10 @@ def cmd_walk(opts: dict[str, Any]) -> int:
     return 0
 
 
-def _synthetic_points(spec: str) -> list[LatticePoint]:
+def _synthetic_points(spec: str) -> np.ndarray:
     kind, _, arg = spec.partition(":")
     if kind == "point" and not arg:
-        return [LatticePoint(0, 0)]
+        return np.zeros((1, 2), dtype=np.int64)
     if kind in ("line", "square"):
         try:
             size = int(arg)
@@ -300,11 +314,66 @@ def _synthetic_points(spec: str) -> list[LatticePoint]:
             raise ConfigError(
                 f"synthetic {kind} needs a positive size, e.g. {kind}:64")
         if kind == "line":
-            return [LatticePoint(i, 0) for i in range(size)]
-        return [LatticePoint(i, j)
-                for i in range(size) for j in range(size)]
+            return np.column_stack((np.arange(size, dtype=np.int64),
+                                    np.zeros(size, dtype=np.int64)))
+        # rows (i, j) with i the slow index
+        return np.indices((size, size), dtype=np.int64).reshape(2, -1).T
     raise ConfigError(
         f"synthetic must be point, line:N, or square:N; got {spec!r}")
+
+
+def _seed_estimates(config: WalkConfig, ns: Sequence[int],
+                    box_sizes: Sequence[int] | None,
+                    ) -> tuple[list[DimensionEstimate], WalkhashError | None]:
+    """The estimate of each n of ns in order under config's seed, up to the
+    first failure, and that failure (None if there is none).
+
+    Step i of a walk depends only on (seed, i), so the walk of length n is
+    the first n + 1 points of the seed's longest walk, which is walked
+    once. If that walk fails, each n is walked alone, so each fails as it
+    would alone.
+    """
+    try:
+        longest = generate_walk(replace(config, n=max(ns)))
+    except WalkhashError:
+        longest = None
+    estimates = []
+    for n in ns:
+        cfg = replace(config, n=n)
+        try:
+            estimates.append(estimate_dimension(
+                generate_walk(cfg) if longest is None or n < 1
+                else Trajectory(longest.xy[:n + 1], cfg), box_sizes))
+        except WalkhashError as exc:
+            return estimates, exc
+    return estimates, None
+
+
+def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
+           box_sizes: Sequence[int] | None) -> dict[int, list[dict]]:
+    """Each n's per-seed estimate entries, in seed order.
+
+    The sweep runs seed by seed, holding one walk at a time, but a failure
+    is the one the n-major loop (for n, for seed) would meet first.
+    """
+    ns = list(dict.fromkeys(n_list))
+    entries: dict[int, list[dict]] = {n: [] for n in ns}
+    failed: tuple[int, WalkhashError] | None = None  # (index into ns, error)
+    for offset in range(num_seeds):
+        # a later seed can only fail first at an earlier n
+        todo = ns if failed is None else ns[:failed[0]]
+        if not todo:
+            break
+        seed = config.seed + offset
+        estimates, error = _seed_estimates(
+            replace(config, seed=seed), todo, box_sizes)
+        for n, est in zip(todo, estimates):
+            entries[n].append({"seed": seed, **asdict(est)})
+        if error is not None:
+            failed = (len(estimates), error)
+    if failed is not None:
+        raise failed[1]
+    return entries
 
 
 def cmd_fractal(opts: dict[str, Any]) -> int:
@@ -332,17 +401,13 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
         replace(config, seed=config.seed + num_seeds - 1).validate()
     except ConfigError as exc:
         raise ConfigError(f"seed + num-seeds - 1: {exc}") from None
+    entries = _sweep(config, n_list, num_seeds, box_sizes)
     results = {}
     medians = []
     for n in n_list:
-        per_seed = []
-        for offset in range(num_seeds):
-            cfg = replace(config, n=n, seed=config.seed + offset)
-            est = estimate_dimension(generate_walk(cfg), box_sizes)
-            per_seed.append({"seed": cfg.seed, **asdict(est)})
-        med = median(entry["dimension"] for entry in per_seed)
+        med = median(entry["dimension"] for entry in entries[n])
         medians.append(med)
-        results[str(n)] = {"median_dimension": med, "per_seed": per_seed}
+        results[str(n)] = {"median_dimension": med, "per_seed": entries[n]}
     trend_ok = all(b >= a for a, b in zip(medians, medians[1:]))
     if "json" in formats:
         _write_json(outdir / "fractal.json", {

@@ -35,6 +35,7 @@ from .walk import (
     LatticePoint,
     Trajectory,
     WalkConfig,
+    _continues,
     _evolve,
     generate_walk,
 )
@@ -45,6 +46,11 @@ _SUB_TRIAL = 3
 # Serialized-walk bytes per digest batch in run_avalanche (a trial holds
 # two walks of 16 * (n + 1) bytes), so memory does not grow with trials.
 _BATCH_BYTES = 1 << 24
+
+# First segment of a re-evolve replay, in steps. At the default config a
+# replay rejoins the base walk after a median of 2 steps (at most 11 in 200
+# trials), and each segment costs one step table.
+_SEGMENT = 16
 
 
 class PerturbMode(Enum):
@@ -79,14 +85,33 @@ def _check_nudge(nudge: tuple[int, int]) -> None:
 
 
 def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
-    """Return the disturbed copy of t; the input is never modified."""
+    """Return the disturbed copy of t; the input is never modified.
+
+    RE_EVOLVE replays the tail after the nudged point in segments of
+    _SEGMENT steps and up, doubling each time. Under contraction the replay
+    soon lands on a point of t again; from there it would retrace t, so once
+    walk._continues confirms that t's later rows follow the steps, they are
+    kept instead of replayed. A trajectory whose rows do not follow (one
+    not generated from its config) is replayed to the end.
+    """
     _check_position(spec.position, t.n)
     _check_nudge(spec.nudge)
     xy = t.xy.copy()
     xy[spec.position] += spec.nudge
     if spec.mode is PerturbMode.RE_EVOLVE:
-        start = LatticePoint(*xy[spec.position].tolist())
-        xy[spec.position + 1:] = _evolve(t.config, start, spec.position + 1)
+        i, size = spec.position, _SEGMENT
+        while i < t.n:
+            last = min(i + size, t.n)
+            start = LatticePoint(*xy[i].tolist())
+            xy[i + 1:last + 1] = _evolve(t.config, start, i + 1, last)
+            met = np.flatnonzero(
+                (xy[i + 1:last + 1] == t.xy[i + 1:last + 1]).all(axis=1))
+            if met.size:
+                if not _continues(t.config, t.xy, i + 1 + int(met[0])):
+                    start = LatticePoint(*xy[last].tolist())
+                    xy[last + 1:] = _evolve(t.config, start, last + 1)
+                break
+            i, size = last, 2 * size
     return Trajectory(xy, t.config)
 
 

@@ -1,9 +1,12 @@
 """Geometry summaries and box-counting dimension estimates.
 
 Box counting bins points into axis-aligned cells of side s via floor
-division, so negative coordinates bin consistently with positive ones. The
-dimension estimate is the negated slope of log2(count) against log2(size)
-over a dyadic schedule of sizes, fit with the shared least-squares helper.
+division, so negative coordinates bin consistently with positive ones, and
+counts the distinct cells with one sort of int64 keys, one key per cell
+(a lexsort of the two columns when the cells span too much for one key).
+The dimension estimate is the negated slope of log2(count) against
+log2(size) over a dyadic schedule of sizes, fit with the shared
+least-squares helper.
 """
 
 from __future__ import annotations
@@ -85,8 +88,20 @@ def box_count(points: Iterable[LatticePoint] | np.ndarray,
     """
     if box_size < 1:
         raise ConfigError(f"box_size must be >= 1, got {box_size!r}")
-    cells = _as_xy(points) // box_size
-    return len(set(zip(cells[:, 0].tolist(), cells[:, 1].tolist())))
+    cx, cy = _as_xy(points).T // box_size
+    if not len(cx):
+        return 0
+    lx, ly = int(cx.min()), int(cy.min())
+    # extents in cells, as Python ints so that they cannot wrap
+    wx, wy = int(cx.max()) - lx + 1, int(cy.max()) - ly + 1
+    if wx * wy < 2**63:
+        # each cell as one int64 key in [0, wx * wy)
+        keys = np.sort((cx - lx) * wy + (cy - ly))
+        return int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+    order = np.lexsort((cy, cx))
+    cx, cy = cx[order], cy[order]
+    return int(np.count_nonzero((cx[1:] != cx[:-1])
+                                | (cy[1:] != cy[:-1]))) + 1
 
 
 def default_box_sizes(width: int, height: int) -> tuple[int, ...]:

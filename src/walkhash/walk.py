@@ -380,20 +380,23 @@ def _step_table(config: WalkConfig, lo: int, hi: int) -> np.ndarray:
                             uniform_draws(keys, 3, -eps, eps)))
 
 
-def _evolve(config: WalkConfig, x: LatticePoint, first: int) -> np.ndarray:
-    """The points x_first..x_n reached by stepping on from x = x_(first-1),
-    as an (n - first + 1, 2) int64 array.
+def _evolve(config: WalkConfig, x: LatticePoint, first: int,
+            last: int | None = None) -> np.ndarray:
+    """The points x_first..x_last reached by stepping on from
+    x = x_(first-1), as an (last - first + 1, 2) int64 array; last defaults
+    to n.
 
     Each step is step(x, affine_step_for(config, i), bound) with the maps
     read from _step_table a block at a time.
     """
     bound = lattice_bound(config)
+    end = config.n + 1 if last is None else last + 1
     floor = math.floor
     px, py = x
     out: list[int] = []
     append = out.append
-    for lo in range(first, config.n + 1, _BLOCK):
-        block = _step_table(config, lo, min(lo + _BLOCK, config.n + 1))
+    for lo in range(first, end, _BLOCK):
+        block = _step_table(config, lo, min(lo + _BLOCK, end))
         for a11, a12, a21, a22, b1, b2, d1, d2 in block.tolist():
             nx = floor(a11 * px + a12 * py + b1 + d1)
             ny = floor(a21 * px + a22 * py + b2 + d2)
@@ -403,6 +406,26 @@ def _evolve(config: WalkConfig, x: LatticePoint, first: int) -> np.ndarray:
             append(ny)
             px, py = nx, ny
     return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def _continues(config: WalkConfig, xy: np.ndarray, i: int) -> bool:
+    """Whether the rows xy[i+1:] are the points _evolve reaches from xy[i].
+
+    The check runs as numpy columns: every row must lie within the lattice
+    bound and within 2^53 (so that it is exact in float64), and each must
+    be the floor of the step from the row before it, evaluated in step's
+    order.
+    """
+    limit = min(lattice_bound(config), MAX_COORD)
+    rows = xy[i:]
+    if ((rows > limit) | (rows < -limit)).any():
+        return False
+    s = _step_table(config, i + 1, i + len(rows))
+    px, py = rows[:-1, 0], rows[:-1, 1]
+    fx = s[:, 0] * px + s[:, 1] * py + s[:, 4] + s[:, 6]
+    fy = s[:, 2] * px + s[:, 3] * py + s[:, 5] + s[:, 7]
+    return bool(np.array_equal(np.floor(fx), rows[1:, 0])
+                and np.array_equal(np.floor(fy), rows[1:, 1]))
 
 
 def generate_walk(config: WalkConfig) -> Trajectory:

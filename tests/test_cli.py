@@ -5,22 +5,32 @@ import importlib.metadata
 import json
 import os
 import re
+import random
 import shutil
 import subprocess
 import sys
+import weakref
+from dataclasses import asdict, replace
 from pathlib import Path
+from statistics import median
 
+import numpy as np
 import pytest
 
 import walkhash
 from walkhash import (
     BitMatrix,
+    ConfigError,
     HashAlg,
     LatticePoint,
+    MapMode,
     WalkConfig,
+    WalkhashError,
     derive_key,
+    estimate_dimension,
     generate_walk,
 )
+from walkhash import cli, walk
 from walkhash.cli import OPTIONS, main
 
 
@@ -178,6 +188,124 @@ def test_fractal_sweep_report_shape(tmp_path, capsys):
     want_trend = medians[0][1] <= medians[1][1]
     assert report["median_trend_non_decreasing"] is want_trend
     assert "n=128 median_dimension=" in out
+
+
+def _n_major_sweep(config, n_list, num_seeds, box_sizes=None):
+    """The sweep as one walk per (n, seed), n-major, raising the first
+    error it meets: the reference for fractal's prefix sweep. Returns the
+    report's results and the medians in n-list order."""
+    results, medians = {}, []
+    for n in n_list:
+        per_seed = []
+        for offset in range(num_seeds):
+            cfg = replace(config, n=n, seed=config.seed + offset)
+            est = estimate_dimension(generate_walk(cfg), box_sizes)
+            per_seed.append({"seed": cfg.seed, **asdict(est)})
+        med = median(e["dimension"] for e in per_seed)
+        medians.append(med)
+        results[str(n)] = {"median_dimension": med, "per_seed": per_seed}
+    return json.loads(json.dumps(results)), medians
+
+
+def _fractal_argv(config, n_list, num_seeds, box_sizes):
+    argv = ["fractal", "--seed", config.seed, "--num-seeds", num_seeds,
+            "--n-list", ",".join(map(str, n_list)),
+            "--map-mode", config.map_mode.value]
+    if config.map_count is not None:
+        argv += ["--map-count", config.map_count]
+    if box_sizes is not None:
+        argv += ["--box-sizes", ",".join(map(str, box_sizes))]
+    return argv
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_fractal_sweep_equals_one_walk_per_n_and_seed(mode, tmp_path,
+                                                      capsys):
+    rng = random.Random(f"sweep-{mode.value}")
+    for case in range(8):
+        config = WalkConfig(
+            seed=rng.randrange(2**63), map_mode=mode,
+            map_count=rng.randint(1, 7) if mode is MapMode.FIXED_SET
+            else None)
+        # unsorted, with repeats, and crossing a step-table block
+        n_list = [rng.choice([1, 2, 9, 64, 300, 1030, 1100])
+                  for _ in range(rng.randint(1, 5))]
+        num_seeds = rng.randint(1, 4)
+        box_sizes = rng.choice([None, (1, 2, 4, 8)])
+        results, medians = _n_major_sweep(config, n_list, num_seeds,
+                                          box_sizes)
+        outdir = tmp_path / str(case)
+        code, out, err = _run(capsys, *_fractal_argv(
+            config, n_list, num_seeds, box_sizes), "--output-dir", outdir)
+        assert (code, err) == (0, "")
+        assert _read_json(outdir / "fractal.json")["results"] == results
+        assert out == "".join(f"n={n} median_dimension={med:.4f}\n"
+                              for n, med in zip(n_list, medians))
+
+
+@pytest.mark.parametrize("seed, n_list", [
+    (6, (3, 20, 40)),     # seed 6 fails at n=40, seed 7 first, at n=20
+    (6, (3, 20, 0)),      # seed 7's bounds error comes before n=0
+    (6, (3, 0, 20)),      # n=0 comes before any bounds error
+    (6, (40, 3, 20)),
+    (6, (0, 3)),
+    (6, (3, 20, 3, 40)),
+    (6, (3, 9)),          # both seeds pass
+    (5, (3, 9, 40)),      # seed 5 fails at n=9, before seed 6 at n=40
+])
+def test_fractal_sweep_reports_the_n_major_first_error(seed, n_list,
+                                                       monkeypatch, tmp_path,
+                                                       capsys):
+    # with this bound, seeds 5, 6 and 7 first leave the region at steps 8,
+    # 31 and 4
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: 120)
+    config = WalkConfig(seed=seed)
+    try:
+        _n_major_sweep(config, n_list, 2)
+        want_code, want_err = 0, ""
+    except WalkhashError as exc:
+        want_code = 2 if isinstance(exc, ConfigError) else 3
+        want_err = f"error: {exc}\n"
+    code, _, err = _run(capsys, *_fractal_argv(config, n_list, 2, None),
+                        "--output-dir", tmp_path)
+    assert (code, err) == (want_code, want_err)
+    if n_list == (3, 20, 40):
+        with pytest.raises(WalkhashError) as late:
+            generate_walk(replace(config, n=40))
+        assert code == 3 and str(late.value) not in err
+
+
+def test_fractal_sweep_walks_each_seed_once_holding_one_walk(
+        monkeypatch, tmp_path, capsys):
+    made, refs = [], []  # (kind, n, walks alive before it was built)
+
+    def tracked(kind, make):
+        def build(*args):
+            alive = sum(r() is not None for r in refs)
+            t = make(*args)
+            refs.append(weakref.ref(t))
+            made.append((kind, t.n, alive))
+            return t
+        return build
+
+    monkeypatch.setattr(cli, "generate_walk", tracked("walk", generate_walk))
+    monkeypatch.setattr(cli, "Trajectory", tracked("prefix", cli.Trajectory))
+    code, _, err = _run(capsys, "fractal", "--n-list", "64,300,128",
+                        "--num-seeds", 50, "--output-dir", tmp_path)
+    assert (code, err) == (0, "")
+    # one walk a seed, at the longest n, gone before the next seed's; each
+    # shorter walk is a prefix built while only that walk is alive
+    assert made == [("walk", 300, 0), ("prefix", 64, 1), ("prefix", 300, 1),
+                    ("prefix", 128, 1)] * 50
+
+
+def test_synthetic_points_rows():
+    for spec, want in (
+            ("point", [[0, 0]]),
+            ("line:4", [[i, 0] for i in range(4)]),
+            ("square:3", [[i, j] for i in range(3) for j in range(3)])):
+        points = cli._synthetic_points(spec)
+        assert points.dtype == np.int64 and points.tolist() == want
 
 
 # -------------------------------------------------------------- avalanche

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -10,13 +11,17 @@ import pytest
 
 from walkhash import (
     BitMatrix,
+    BoundsExceeded,
     ConfigError,
     DegenerateInput,
     HashAlg,
     InvalidPosition,
+    LatticePoint,
+    MapMode,
     PerturbMode,
     PerturbationSpec,
     TrialRecord,
+    Trajectory,
     WalkConfig,
     affine_step_for,
     default_positions,
@@ -34,7 +39,7 @@ from walkhash import (
     trial_seed,
     trial_summary,
 )
-from walkhash import diffusion
+from walkhash import diffusion, walk
 from walkhash.rng import stream_key
 
 _ALG = HashAlg.sha3_512()
@@ -78,6 +83,65 @@ def test_re_evolve_zero_nudge_reproduces_walk():
     t = generate_walk(WalkConfig(seed=4, n=25))
     out = perturb(t, PerturbationSpec(10, PerturbMode.RE_EVOLVE, (0, 0)))
     assert out.points == t.points
+
+
+def _full_replay(t, spec):
+    """RE_EVOLVE as one replay of the whole tail: the reference."""
+    xy = t.xy.copy()
+    xy[spec.position] += spec.nudge
+    start = LatticePoint(*xy[spec.position].tolist())
+    xy[spec.position + 1:] = diffusion._evolve(t.config, start,
+                                               spec.position + 1)
+    return xy
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_re_evolve_equals_full_replay(mode):
+    rng = random.Random(f"rejoin-{mode.value}")
+    for _ in range(60):
+        b = rng.choice([1.0, 100.0, 1e6])  # wide maps rejoin late
+        config = WalkConfig(
+            seed=rng.randrange(2**64), n=rng.choice([2, 3, 40, 300, 1100]),
+            b_min=-b, b_max=b, epsilon=rng.choice([0.0, 0.5, 3.0]),
+            map_mode=mode,
+            map_count=rng.randint(1, 6) if mode is MapMode.FIXED_SET
+            else None)
+        t = generate_walk(config)
+        spec = PerturbationSpec(
+            rng.randint(1, config.n - 1), PerturbMode.RE_EVOLVE,
+            (rng.randint(-4, 4), rng.randint(-4, 4)))
+        assert np.array_equal(perturb(t, spec).xy, _full_replay(t, spec))
+
+
+def test_re_evolve_replays_a_trajectory_that_is_not_its_walk():
+    config = WalkConfig(seed=21, n=200)
+    t = generate_walk(config)
+    spec = PerturbationSpec(50, PerturbMode.RE_EVOLVE, (1, 0))
+    for row in (60, 120, 200):
+        xy = t.xy.copy()
+        xy[row] += (0, 1)
+        hand = Trajectory(xy, config)
+        out = perturb(hand, spec)
+        assert np.array_equal(out.xy, _full_replay(hand, spec))
+        assert out.xy[row].tolist() == t.xy[row].tolist()
+
+
+def test_re_evolve_raises_the_replay_bounds_error(monkeypatch):
+    # t's rows follow the steps, but with the bound lowered a row far past
+    # the point where the replay meets t leaves the region
+    spec = PerturbationSpec(5, PerturbMode.RE_EVOLVE, (1, 0))
+    for seed in range(50):
+        t = generate_walk(WalkConfig(seed=seed, n=300))
+        early = np.abs(_full_replay(t, spec)[:spec.position + 20]).max()
+        if np.abs(t.xy).max() > early:
+            break
+    else:
+        pytest.fail("no walk reaches past its early rows")
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: int(early))
+    with pytest.raises(BoundsExceeded) as replayed:
+        _full_replay(t, spec)
+    with pytest.raises(BoundsExceeded, match=re.escape(str(replayed.value))):
+        perturb(t, spec)
 
 
 def test_positions_must_be_interior():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from walkhash import (
@@ -98,6 +99,39 @@ def test_box_count_grid_interval_oracle():
 def test_box_count_rejects_bad_size():
     with pytest.raises(ConfigError):
         box_count([LatticePoint(0, 0)], 0)
+
+
+def _set_count(points, size: int) -> int:
+    """Distinct cells as a set of coordinate pairs: the oracle."""
+    return len({(x // size, y // size)
+                for x, y in np.asarray(points).reshape(-1, 2).tolist()})
+
+
+def test_box_count_matches_set_oracle():
+    rng = np.random.default_rng(2024)
+    for trial in range(200):
+        span = int(rng.choice([2, 40, 10**6, 2**40]))
+        xy = rng.integers(-span, span + 1, size=(rng.integers(0, 300), 2))
+        if trial % 2:
+            xy = np.vstack((xy, xy[:len(xy) // 3]))  # repeated points
+        for size in (1, 2, 3, 5, 64, 1000):
+            assert box_count(xy, size) == _set_count(xy, size)
+    assert box_count([], 3) == 0
+    assert box_count(np.empty((0, 2), dtype=np.int64), 1) == 0
+
+
+def test_box_count_wide_extents_fall_back_to_lexsort():
+    # the corners give 2**54 + 1 cells a side, so wx * wy >= 2**63 and a
+    # packed key would wrap: (0, 0) and (1024, -1024) would share one
+    edge = 2**53
+    corners = [(-edge, -edge), (edge, edge), (-edge, edge)]
+    xy = corners + [(0, 0), (1024, -1024), (0, 0)]
+    assert box_count(xy, 1) == 5
+    rng = np.random.default_rng(53)
+    pts = np.vstack((xy, rng.integers(-edge, edge + 1, size=(300, 2)),
+                     rng.integers(-3, 4, size=(300, 2))))
+    for size in (1, 2, 3, 2**20, 2**52):
+        assert box_count(pts, size) == _set_count(pts, size)
 
 
 # ------------------------------------------------------------- dimension

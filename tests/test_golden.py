@@ -48,6 +48,10 @@ CASES = {
     "fractal-box-sizes": [
         "fractal", "--seed", "2", "--n-list", "100", "--num-seeds", "2",
         "--box-sizes", "1,2,4,8"],
+    "fractal-fixed-unsorted": [
+        "fractal", "--map-mode", "fixed-set", "--map-count", "5",
+        "--n-list", "300,40,300,90", "--num-seeds", "3",
+        "--box-sizes", "1,2,4,8"],
 }
 
 # case -> {"stdout" or report file name: SHA-256 hex}
@@ -89,6 +93,12 @@ PINS = {
             "601fffafa0b1a2462d6335b7227fb2d10ace8bf95aa57f90f65f963e4771d53e",
         "stdout":
             "b72b6015903d935a92f045482d6af8aae18dee587358a28d4e7b3bd361a80098",
+    },
+    "fractal-fixed-unsorted": {
+        "fractal.json":
+            "aab32f96053bc0741269d1c61997737b65abc4fc508413095d12d78c2afb37ce",
+        "stdout":
+            "7f184a15bac4aef11bcbf1f5c9e89622a52525f26b4c07822756cde01179a955",
     },
     "fractal-square": {
         "fractal.json":

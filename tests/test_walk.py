@@ -366,8 +366,11 @@ def test_step_table_crosses_block_boundaries(mode):
     t = generate_walk(config)
     for first in (walk._BLOCK, walk._BLOCK + 1, walk._BLOCK + 2):
         start = LatticePoint(*t.xy[first - 1].tolist()).shifted(1, -1)
-        assert np.array_equal(walk._evolve(config, start, first),
-                              _replay(config, start, first))
+        tail = _replay(config, start, first)
+        assert np.array_equal(walk._evolve(config, start, first), tail)
+        for last in (first, walk._BLOCK + 1, 2 * walk._BLOCK + 1):
+            assert np.array_equal(walk._evolve(config, start, first, last),
+                                  tail[:last - first + 1])
 
 
 def test_step_table_rows_equal_affine_step_for():
@@ -397,6 +400,7 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
         want.append(list(x))
     assert want == [[1, 1]] * len(rows)
     assert walk._evolve(config, config.x0, 1).tolist() == want
+    assert walk._continues(config, np.array([[1, 1], *want]), 0)
 
 
 def test_fixed_set_draws_only_the_templates_it_uses():

@@ -4,8 +4,8 @@ import csv
 import importlib.metadata
 import json
 import os
-import re
 import random
+import re
 import shutil
 import subprocess
 import sys

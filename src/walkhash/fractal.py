@@ -86,8 +86,10 @@ def box_count(points: Iterable[LatticePoint] | np.ndarray,
 
     points is any iterable of points or an (m, 2) integer array.
     """
-    if box_size < 1:
-        raise ConfigError(f"box_size must be >= 1, got {box_size!r}")
+    # numpy divides by the size as an int64
+    if not 1 <= box_size < 2**63:
+        raise ConfigError(
+            f"box_size must satisfy 1 <= box_size < 2**63, got {box_size!r}")
     cx, cy = _as_xy(points).T // box_size
     if not len(cx):
         return 0

@@ -16,10 +16,14 @@ sample_affine_step; it is part of the reproducibility contract.
 Because the streams are counter-based, a walk draws its steps as columns:
 _step_table computes every step of a block at once with numpy uint64
 arithmetic (rng.stream_keys and friends) and gives the same values as the
-per-step streams, and only the floor recurrence runs as a scalar loop. The
-scalar functions (Stream, sample_affine_step, affine_step_for,
-map_templates, step) are the reference the tables are tested against, and
-they fill in the rare lanes whose matrix draw is rejected.
+per-step streams. The floor recurrence then runs the block's segments as
+numpy lanes, iterated to the fixed point where each lane starts where the
+one before it ends (see _lane_rows), and keeps them only if one numpy check
+(_follows) confirms every row; otherwise, and for short blocks, the scalar
+loop runs the block. The scalar functions (Stream, sample_affine_step,
+affine_step_for, map_templates, step) are the reference the tables and
+lanes are tested against, and they fill in the rare steps whose matrix
+draw is rejected.
 """
 
 from __future__ import annotations
@@ -50,9 +54,14 @@ _RESAMPLE_LIMIT = 64
 # in float64, so step evaluates and floors coordinates without rounding.
 MAX_COORD = 2**53
 
-# Steps per table block in _evolve: enough to amortize numpy's per-call
-# cost, few enough that a block's table stays small (64 KB).
-_BLOCK = 1024
+# _evolve's blocks and lanes, set by measurement: steps per block (its
+# table is 128 KB), steps per lane, the shortest block that runs faster as
+# lanes than as the scalar loop, and the passes after which a block falls
+# back to the scalar loop (bounding the cost when lanes do not coalesce).
+_BLOCK = 2048
+_SEGMENT = 16
+_LANE_MIN = 512
+_PASSES = 4
 
 
 class LatticePoint(NamedTuple):
@@ -380,6 +389,93 @@ def _step_table(config: WalkConfig, lo: int, hi: int) -> np.ndarray:
                             uniform_draws(keys, 3, -eps, eps)))
 
 
+def _floor_step(ax: np.ndarray, ay: np.ndarray, b: np.ndarray,
+                d: np.ndarray, px: np.ndarray, py: np.ndarray,
+                out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """np.floor(ax * px + ay * py + b + d) into out: step's expression with
+    one float64 ufunc per operation and no fused multiply-add, so it rounds
+    exactly as step does (integer coordinates up to 2^53 convert exactly).
+    """
+    np.multiply(ax, px, out)
+    np.multiply(ay, py, tmp)
+    np.add(out, tmp, out)
+    np.add(out, b, out)
+    np.add(out, d, out)
+    return np.floor(out, out)
+
+
+def _follows(table: np.ndarray, rows: np.ndarray, limit: int) -> bool:
+    """Whether every row lies in [-limit, limit] and each row after the
+    first is where the step in the table row before it takes the row
+    before it: rows is (m + 1, 2) for an (m, 8) table, int64 or float64.
+    """
+    if not ((rows >= -limit) & (rows <= limit)).all():
+        return False
+    shape = (len(table), 2)
+    # columns (a11, a21), (a12, a22), (b1, b2), (d1, d2) of every row
+    want = _floor_step(table[:, 0:4:2], table[:, 1:4:2], table[:, 4:6],
+                       table[:, 6:8], rows[:-1, :1], rows[:-1, 1:],
+                       np.empty(shape), np.empty(shape))
+    return bool(np.array_equal(want, rows[1:]))
+
+
+def _lane_rows(table: np.ndarray, x: LatticePoint) -> np.ndarray | None:
+    """The rows x, x_1..x_m reached by stepping from x through the m steps
+    of table (m a multiple of _SEGMENT), as (m + 1, 2) float64, or None
+    when the lanes reach no fixed point in _PASSES passes.
+
+    Lane j holds steps j*_SEGMENT .. (j+1)*_SEGMENT - 1; a pass runs step t
+    of every lane in one _floor_step call. Lane 0 starts from x, the others
+    from x as a guess, and each pass restarts lane j+1 from the end lane j
+    reached in the pass before. The maps contract, so a restarted lane soon
+    lands on a point of its previous pass and follows it from there. At the
+    first step of a pass where every lane is back on its previous rows, the
+    rest of the pass would repeat the one before: each lane starts where
+    the one before it ends. _evolve still checks the rows with _follows.
+    """
+    m, seg = len(table), _SEGMENT
+    lanes = m // seg
+    rows = np.empty((m + 1, 2))
+    rows[:] = x  # the true start, and the guess the other lanes start from
+    # step t of every lane as _floor_step's (2, lanes) arguments: the
+    # column pairs (a11, a21), (a12, a22), (b1, b2) and (d1, d2) of its
+    # maps, the rows it starts from, and the rows it writes
+    maps = table.reshape(lanes, seg, 8).transpose(1, 2, 0)
+    before = rows[:-1].reshape(lanes, seg, 2).transpose(1, 2, 0)
+    after = rows[1:].reshape(lanes, seg, 2).transpose(1, 2, 0)
+    calls = [(c[0:4:2], c[1:4:2], c[4:6], c[6:8], *b, a)
+             for c, b, a in zip(maps, before, after)]
+    new, tmp = np.empty((2, 2, lanes))
+    for p in range(_PASSES):
+        for ax, ay, b, d, px, py, out in calls:
+            _floor_step(ax, ay, b, d, px, py, new, tmp)
+            # equal bits: every lane is back on its previous rows
+            if p and new.tobytes() == out.tobytes():
+                return rows
+            out[...] = new
+    return None
+
+
+def _scalar_rows(table: np.ndarray, x: LatticePoint,
+                 bound: int) -> np.ndarray:
+    """The points reached by stepping from x through table one step at a
+    time, each step(x, row, bound) with Python floats and ints, as an
+    (m, 2) int64 array."""
+    floor = math.floor
+    px, py = x
+    out: list[int] = []
+    append = out.append
+    for a11, a12, a21, a22, b1, b2, d1, d2 in table.tolist():
+        nx = floor(a11 * px + a12 * py + b1 + d1)
+        ny = floor(a21 * px + a22 * py + b2 + d2)
+        if nx > bound or nx < -bound or ny > bound or ny < -bound:
+            raise _outside(nx, ny, bound)
+        append(nx)
+        append(ny)
+        px, py = nx, ny
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
 def _evolve(config: WalkConfig, x: LatticePoint, first: int,
             last: int | None = None) -> np.ndarray:
     """The points x_first..x_last reached by stepping on from
@@ -387,45 +483,41 @@ def _evolve(config: WalkConfig, x: LatticePoint, first: int,
     to n.
 
     Each step is step(x, affine_step_for(config, i), bound) with the maps
-    read from _step_table a block at a time.
+    read from _step_table a block of _BLOCK steps at a time. A block of
+    _LANE_MIN steps or more runs as lanes (_lane_rows) and is kept only if
+    _follows confirms every row; any other block, or one whose lanes fail,
+    runs the scalar loop from the block's exact start, which also raises
+    the scalar BoundsExceeded.
     """
     bound = lattice_bound(config)
+    limit = min(bound, MAX_COORD)
     end = config.n + 1 if last is None else last + 1
-    floor = math.floor
-    px, py = x
-    out: list[int] = []
-    append = out.append
+    out = np.empty((max(end - first, 0), 2), dtype=np.int64)
     for lo in range(first, end, _BLOCK):
-        block = _step_table(config, lo, min(lo + _BLOCK, end))
-        for a11, a12, a21, a22, b1, b2, d1, d2 in block.tolist():
-            nx = floor(a11 * px + a12 * py + b1 + d1)
-            ny = floor(a21 * px + a22 * py + b2 + d2)
-            if nx > bound or nx < -bound or ny > bound or ny < -bound:
-                raise _outside(nx, ny, bound)
-            append(nx)
-            append(ny)
-            px, py = nx, ny
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+        m = min(_BLOCK, end - lo)
+        lanes = m >= _LANE_MIN
+        # lanes take whole segments: a short last one runs on past the block
+        table = _step_table(
+            config, lo, lo + (-(-m // _SEGMENT) * _SEGMENT if lanes else m))
+        rows = _lane_rows(table, x) if lanes else None
+        table = table[:m]
+        if rows is not None and _follows(table, rows[:m + 1], limit):
+            out[lo - first:lo - first + m] = rows[1:m + 1]
+        else:
+            out[lo - first:lo - first + m] = _scalar_rows(table, x, bound)
+        x = LatticePoint(*out[lo - first + m - 1].tolist())
+    return out
 
 
 def _continues(config: WalkConfig, xy: np.ndarray, i: int) -> bool:
-    """Whether the rows xy[i+1:] are the points _evolve reaches from xy[i].
-
-    The check runs as numpy columns: every row must lie within the lattice
-    bound and within 2^53 (so that it is exact in float64), and each must
-    be the floor of the step from the row before it, evaluated in step's
-    order.
+    """Whether the rows xy[i+1:] are the points _evolve reaches from xy[i]:
+    every row from xy[i] on lies within the lattice bound and within 2^53
+    (so that it is exact in float64), and each follows the step before it
+    (_follows).
     """
-    limit = min(lattice_bound(config), MAX_COORD)
     rows = xy[i:]
-    if ((rows > limit) | (rows < -limit)).any():
-        return False
-    s = _step_table(config, i + 1, i + len(rows))
-    px, py = rows[:-1, 0], rows[:-1, 1]
-    fx = s[:, 0] * px + s[:, 1] * py + s[:, 4] + s[:, 6]
-    fy = s[:, 2] * px + s[:, 3] * py + s[:, 5] + s[:, 7]
-    return bool(np.array_equal(np.floor(fx), rows[1:, 0])
-                and np.array_equal(np.floor(fy), rows[1:, 1]))
+    return _follows(_step_table(config, i + 1, i + len(rows)), rows,
+                    min(lattice_bound(config), MAX_COORD))
 
 
 def generate_walk(config: WalkConfig) -> Trajectory:

@@ -405,6 +405,10 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
     ["keygen", "--n", "20", "--alg", "blake3", "--out-len", "100000000000"],
     ["fractal", "--n-list", "8", "--num-seeds", "1", "--box-sizes", "0"],
     ["fractal", "--n-list", "8", "--num-seeds", "1", "--box-sizes", "1,2"],
+    ["fractal", "--n-list", "8", "--num-seeds", "1",
+     "--box-sizes", "1,2,9223372036854775808"],
+    ["fractal", "--synthetic", "line:4",
+     "--box-sizes", "1,2,9223372036854775808"],
     ["keygen", "--n", "16", "--config", ""],
     ["keygen", "--n", "16", "--map-mode", "fixed-set",
      "--map-count", "18446744073709551616"],

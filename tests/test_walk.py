@@ -447,15 +447,192 @@ def test_rejected_matrix_draws_fall_back_to_scalar(mode, monkeypatch):
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_table_walk_raises_the_scalar_bounds_error(mode, monkeypatch):
     monkeypatch.setattr(walk, "lattice_bound", lambda config: 40)
-    config = _random_config(random.Random(5), mode, n=300)
-    config = replace(config, x0=LatticePoint(0, 0), b_min=-100.0,
-                     b_max=100.0)
-    with pytest.raises(BoundsExceeded) as table_error:
-        walk._evolve(config, config.x0, 1)
+    for n in (300, 2 * walk._BLOCK + 5):  # the scalar loop, then lanes
+        config = _random_config(random.Random(5), mode, n=n)
+        config = replace(config, x0=LatticePoint(0, 0), b_min=-100.0,
+                         b_max=100.0)
+        with pytest.raises(BoundsExceeded) as table_error:
+            walk._evolve(config, config.x0, 1)
+        with pytest.raises(BoundsExceeded) as scalar_error:
+            _replay(config, config.x0, 1, bound=40)
+        assert str(table_error.value) == str(scalar_error.value)
+        assert "outside the safe region [-40, 40]^2" in str(table_error.value)
+
+
+# ------------------------------------------------------------------ lanes
+
+def _lane_lengths():
+    """Walk lengths at every edge of _evolve's lanes: a segment, the
+    shortest lane block, a block, and a partial last segment and block."""
+    seg, low, block = walk._SEGMENT, walk._LANE_MIN, walk._BLOCK
+    return [seg - 1, seg, seg + 1, low - 1, low, low + 1, block - 1, block,
+            block + 1, block + low + 1, 5000]
+
+
+def _edge_config(rng, mode, n):
+    """A config that validate accepts, biased to the edges of the domain."""
+    while True:
+        rho_max = rng.choice([0.5, 0.95, 0.999, 1 - 1e-6, 1 - 1e-9])
+        b = rng.choice([0.0, 0.0, 100.0, 1e9, 1e12])
+        b_min, b_max = sorted((rng.uniform(-b, b), rng.uniform(-b, b)))
+        far = rng.choice([0, 500, 10**6, 10**12])
+        config = WalkConfig(
+            x0=LatticePoint(rng.randint(-far, far), rng.randint(-far, far)),
+            rho_min=rng.uniform(rho_max / 2, rho_max), rho_max=rho_max,
+            b_min=b_min, b_max=b_max,
+            epsilon=rng.choice([0.0, 0.0, 0.5, 7.25]),
+            n=n, seed=rng.randrange(2**64), map_mode=mode,
+            map_count=rng.randint(1, 12) if mode is MapMode.FIXED_SET
+            else None)
+        try:
+            config.validate()
+        except ConfigError:  # lattice_bound past 2**53
+            continue
+        return config
+
+
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of walk.<name> from here on."""
+    calls = []
+    inner = getattr(walk, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(walk, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_lane_walk_matches_scalar_replay_at_every_edge(mode):
+    rng = random.Random(f"lanes-{mode.value}")
+    for n in _lane_lengths():
+        for _ in range(2):
+            config = _edge_config(rng, mode, n)
+            _same_as_replay(config, config.x0, 1)
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_lanes_reach_their_fixed_point_on_contracting_walks(mode,
+                                                            monkeypatch):
+    # at the default contraction every block of _LANE_MIN steps or more is
+    # kept from the lanes, never replayed by the scalar loop
+    scalar = _count_calls(monkeypatch, "_scalar_rows")
+    rng = random.Random(f"accepted-{mode.value}")
+    for n in (walk._LANE_MIN, 2000, walk._BLOCK + walk._LANE_MIN + 3, 5000):
+        config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
+                            map_count=5 if mode is MapMode.FIXED_SET
+                            else None)
+        assert np.array_equal(generate_walk(config).xy[1:],
+                              _replay(config, config.x0, 1))
+        assert all(len(table) < walk._LANE_MIN for table, *_ in scalar)
+
+
+def test_lanes_stop_at_the_first_step_of_a_pass_at_their_fixed_point(
+        monkeypatch):
+    # every map sends every point to (3, -2), so the first pass is exact
+    # and the second rejoins it at its first step
+    steps = _count_calls(monkeypatch, "_floor_step")
+    table = np.zeros((4 * walk._SEGMENT, 8))
+    table[:, 4:6] = (3.25, -1.5)
+    rows = walk._lane_rows(table, LatticePoint(40, 7))
+    assert rows.tolist() == [[40, 7]] + [[3, -2]] * len(table)
+    assert len(steps) == walk._SEGMENT + 1
+
+
+def test_lanes_keep_the_evaluation_order_of_step(monkeypatch):
+    # the rows of test_recurrence_keeps_the_evaluation_order_of_step, long
+    # enough to run as lanes, which must round them as step does
+    below, half = 1 - 2**-53, 2**-54
+    rows = [(below, half, below, 0.0, -half, half, 0.0, -half),
+            (below, 0.0, below, half, half, -half, -half, 0.0)]
+    n = walk._LANE_MIN + 3
+    monkeypatch.setattr(walk, "_step_table", lambda config, lo, hi:
+                        np.array([rows[i % 2] for i in range(lo, hi)]))
+    scalar = _count_calls(monkeypatch, "_scalar_rows")
+    config = WalkConfig(x0=LatticePoint(1, 1), n=n)
+    assert walk._evolve(config, config.x0, 1).tolist() == [[1, 1]] * n
+    assert scalar == []
+
+
+def test_walks_that_never_coalesce_fall_back_to_the_scalar_loop(
+        monkeypatch):
+    # a translation keeps every lane's distance to the true walk, so the
+    # lanes have no fixed point within _PASSES passes
+    n = walk._BLOCK + walk._LANE_MIN
+    monkeypatch.setattr(walk, "_step_table", lambda config, lo, hi:
+                        np.tile([1.0, 0.0, 0.0, 1.0, 1.5, 0.0, -0.25, 0.0],
+                                (hi - lo, 1)))
+    lanes = []
+    inner = walk._lane_rows
+    monkeypatch.setattr(walk, "_lane_rows", lambda table, x:
+                        lanes.append(inner(table, x)))
+    config = WalkConfig(x0=LatticePoint(-7, 3), n=n)
+    got = walk._evolve(config, config.x0, 1)
+    assert got.tolist() == [[-7 + i, 3] for i in range(1, n + 1)]
+    assert lanes == [None, None]
+
+
+def test_a_corrupted_lane_row_falls_back_to_the_exact_walk(monkeypatch):
+    config = WalkConfig(n=walk._BLOCK + 700, seed=41)
+    want = _replay(config, config.x0, 1)
+    for row in (1, walk._SEGMENT, walk._SEGMENT + 1, 700, walk._BLOCK):
+        inner = walk._lane_rows
+        scalar = []
+
+        def corrupt(table, x, inner=inner):
+            rows = inner(table, x)
+            if row < len(rows):
+                rows[row] += (0, 1)
+            return rows
+
+        with monkeypatch.context() as patch:
+            patch.setattr(walk, "_lane_rows", corrupt)
+            scalar = _count_calls(patch, "_scalar_rows")
+            assert np.array_equal(walk._evolve(config, config.x0, 1), want)
+        assert len(scalar) >= 1
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_lane_walk_raises_the_scalar_bounds_error_in_a_later_block(
+        mode, monkeypatch):
+    # the bound holds for the first block and fails in a later one
+    rng = random.Random(f"late-bound-{mode.value}")
+    n = 3 * walk._BLOCK
+    for _ in range(20):
+        config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
+                            map_count=4 if mode is MapMode.FIXED_SET
+                            else None)
+        xy = generate_walk(config).xy
+        early = int(np.abs(xy[:walk._BLOCK + 1]).max())
+        if np.abs(xy).max() > early:
+            break
+    else:
+        pytest.fail("no walk leaves its first block's region")
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: early)
     with pytest.raises(BoundsExceeded) as scalar_error:
-        _replay(config, config.x0, 1, bound=40)
-    assert str(table_error.value) == str(scalar_error.value)
-    assert "outside the safe region [-40, 40]^2" in str(table_error.value)
+        _replay(config, config.x0, 1, bound=early)
+    with pytest.raises(BoundsExceeded) as lane_error:
+        walk._evolve(config, config.x0, 1)
+    assert str(lane_error.value) == str(scalar_error.value)
+
+
+@pytest.mark.parametrize("n", [1, 2 * walk._BLOCK + 1])
+def test_far_start_raises_the_scalar_bounds_error(n):
+    # lattice_bound adds the start's sup norm, so this faithful walk leaves
+    # the bound on its first step (see ROADMAP item 3); lanes or not, the
+    # error is the scalar one
+    config = WalkConfig(x0=LatticePoint(-825, -680),
+                        rho_min=0.8340528309020399, rho_max=0.95,
+                        b_min=0.0, b_max=0.0, epsilon=0.0, n=n,
+                        seed=9818071680104426896)
+    config.validate()
+    with pytest.raises(BoundsExceeded,
+                       match=re.escape("walk reached (-896, 114), outside "
+                                       "the safe region [-854, 854]^2")):
+        generate_walk(config)
+    _same_as_replay(config, config.x0, 1)
 
 
 # ------------------------------------------------------------- validation

@@ -11,7 +11,12 @@ echo the full effective configuration plus the tool version, all files
 are written atomically (temp then rename), and JSON is emitted with
 sorted keys so identical runs produce byte-identical output.
 
-Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
+main(argv) may be called any number of times in one process: the parser is
+built on the first call and reused, since parsing neither changes it nor
+keeps anything from one call to the next.
+
+Exit codes: 0 success, 2 configuration problem, 3 runtime failure
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from statistics import median
 from typing import Any, Callable, Sequence
@@ -42,6 +48,7 @@ from .fractal import (
 from .keygen import HashAlg, derive_key
 from .stats import ChiSquareMode, ChiSquareResult, chi_square_uniform
 from .walk import (
+    MAX_POINTS,
     LatticePoint,
     MapMode,
     Trajectory,
@@ -313,6 +320,9 @@ def _synthetic_points(spec: str) -> np.ndarray:
         if size < 1:
             raise ConfigError(
                 f"synthetic {kind} needs a positive size, e.g. {kind}:64")
+        if (size if kind == "line" else size * size) > MAX_POINTS:
+            raise ConfigError(
+                f"synthetic {spec} has more than 2**58 points")
         if kind == "line":
             return np.column_stack((np.arange(size, dtype=np.int64),
                                     np.zeros(size, dtype=np.int64)))
@@ -484,7 +494,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser. The first call builds it and every later
+    call returns that same object; build_parser.__wrapped__() builds a
+    fresh one."""
     parser = _Parser(
         prog="walkhash",
         description="Keys from hashed chaotic lattice walks, and the "
@@ -533,6 +547,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (WalkhashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # Python's own MemoryError carries no message; numpy's names the size
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return 3
 
 

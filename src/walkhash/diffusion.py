@@ -18,13 +18,18 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice, product
+from itertools import islice
 from statistics import fmean
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, InvalidPosition
+from .errors import (
+    ConfigError,
+    DegenerateInput,
+    InvalidPosition,
+    WalkhashError,
+)
 from .keygen import Digest, HashAlg, digest_many, serialize_trajectory
 # Not called here, but bound by name: perfbench's traced pass wraps
 # diffusion.digest_bytes.
@@ -42,6 +47,10 @@ from .walk import (
 
 # Substream id for per-trial seeds; 0..2 belong to the walk module.
 _SUB_TRIAL = 3
+
+# Rows (trials over all positions) a run may have: the serialized BitMatrix
+# stores its row count as an unsigned 32-bit integer.
+_MAX_ROWS = 2**32
 
 # Serialized-walk bytes per digest batch in run_avalanche (a trial holds
 # two walks of 16 * (n + 1) bytes), so memory does not grow with trials.
@@ -239,6 +248,10 @@ def run_avalanche(
     Trials run in batches of about _BATCH_BYTES of serialized walks: the
     batch's walks are generated in (position, trial) order, then each
     algorithm digests all of them in one digest_many call.
+
+    A WalkhashError raised while a trial builds or disturbs its walk keeps
+    its class; its message gains the seed, position, trial and trial_seed
+    of that trial.
     """
     config.validate()
     if not algs:
@@ -255,20 +268,31 @@ def run_avalanche(
         raise ConfigError("positions must not be empty")
     for p in positions:
         _check_position(p, config.n)
+    if len(positions) * trials_per_position >= _MAX_ROWS:
+        raise ConfigError(
+            f"positions x trials must be < 2**32 rows, got "
+            f"{len(positions)} x {trials_per_position}")
     _check_nudge(nudge)
     records: dict[str, list[TrialRecord]] = {lb: [] for lb in labels}
     vectors: dict[str, list[bytes]] = {lb: [] for lb in labels}
     batch = max(1, _BATCH_BYTES // (32 * (config.n + 1)))
-    pending = product(positions, range(trials_per_position))
+    # lazy: itertools.product would first copy range(trials) into a tuple
+    pending = ((p, t) for p in positions for t in range(trials_per_position))
     row = 0
     while chunk := list(islice(pending, batch)):
         messages: list[bytes] = []
         for position, trial in chunk:
-            tconfig = replace(
-                config, seed=trial_seed(config.seed, position, trial))
-            base = generate_walk(tconfig)
-            disturbed = perturb(
-                base, PerturbationSpec(position, mode, nudge))
+            tseed = trial_seed(config.seed, position, trial)
+            try:
+                base = generate_walk(replace(config, seed=tseed))
+                disturbed = perturb(
+                    base, PerturbationSpec(position, mode, nudge))
+            except WalkhashError as exc:
+                # `keygen --seed trial_seed` with the same walk options
+                # replays the base walk
+                raise type(exc)(
+                    f"{exc} (seed={config.seed} position={position} "
+                    f"trial={trial} trial_seed={tseed})") from exc
             messages += (serialize_trajectory(base),
                          serialize_trajectory(disturbed))
         for alg, label in zip(algs, labels):

@@ -54,6 +54,11 @@ _RESAMPLE_LIMIT = 64
 # in float64, so step evaluates and floors coordinates without rounding.
 MAX_COORD = 2**53
 
+# Most points a walk (n + 1 of them) or a synthetic point set may have. At
+# 16 bytes a point, any larger array is one numpy refuses to shape at all;
+# up to here an allocation too big for the host fails as out of memory.
+MAX_POINTS = 2**58
+
 # _evolve's blocks and lanes, set by measurement: steps per block (its
 # table is 128 KB), steps per lane, the shortest block that runs faster as
 # lanes than as the scalar loop, and the passes after which a block falls
@@ -127,8 +132,9 @@ class WalkConfig:
     map_count: int | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.n, int) or not 1 <= self.n < MAX_POINTS:
+            raise ConfigError(
+                f"n must be an integer with 1 <= n < 2**58, got {self.n!r}")
         # streams reduce the seed modulo 2**64, so a wider one would alias
         if not 0 <= self.seed < 2**64:
             raise ConfigError(

@@ -20,15 +20,21 @@ import pytest
 import walkhash
 from walkhash import (
     BitMatrix,
+    BoundsExceeded,
     ConfigError,
     HashAlg,
     LatticePoint,
     MapMode,
+    PerturbationSpec,
+    PerturbMode,
     WalkConfig,
     WalkhashError,
     derive_key,
     estimate_dimension,
     generate_walk,
+    perturb,
+    run_avalanche,
+    trial_seed,
 )
 from walkhash import cli, walk
 from walkhash.cli import OPTIONS, main
@@ -386,6 +392,91 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
     assert not (tmp_path / "trials_blake3-256.csv").exists()
 
 
+# main(argv) in a child limited to 2 GB of address space (`ulimit -v
+# 2000000`), with every walk of a trial raising instead of running.
+_NO_WALK = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from walkhash import cli, diffusion
+from walkhash.errors import BoundsExceeded
+def no_walk(config):
+    raise BoundsExceeded("generate_walk called")
+diffusion.generate_walk = no_walk
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("positions, trials, code, err", [
+    ("1", 10**20, 2, "error: positions x trials must be < 2**32 rows, got "
+                     "1 x 100000000000000000000\n"),
+    ("1,2", 2**31, 2, "error: positions x trials must be < 2**32 rows, got "
+                      "2 x 2147483648\n"),
+    # allowed, and its first trial starts before any (position, trial)
+    # pair past it is made
+    ("1", 10**9, 3, "error: generate_walk called (seed=0 position=1 trial=0 "
+                    f"trial_seed={trial_seed(0, 1, 0)})\n"),
+])
+def test_avalanche_rows_are_bounded_before_any_walk(positions, trials, code,
+                                                    err, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_WALK, "avalanche", "--n", "10",
+         "--positions", positions, "--trials", str(trials),
+         "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _first_trial_error(config, positions, trials, mode, nudge):
+    """The first WalkhashError of the (position, trial) loop, with the
+    trial that raised it and whether its base walk was built."""
+    for position in positions:
+        for trial in range(trials):
+            tseed = trial_seed(config.seed, position, trial)
+            try:
+                base = generate_walk(replace(config, seed=tseed))
+            except WalkhashError as exc:
+                return exc, position, trial, tseed, False
+            try:
+                perturb(base, PerturbationSpec(position, mode, nudge))
+            except WalkhashError as exc:
+                return exc, position, trial, tseed, True
+    raise AssertionError("no trial failed")
+
+
+@pytest.mark.parametrize("mode, bound, seed", [
+    (PerturbMode.POINT_NUDGE, 150, 3),   # position 20's base walk fails
+    (PerturbMode.RE_EVOLVE, 250, 5),     # position 20, trial 2 replays out
+])
+def test_avalanche_failure_names_its_trial(mode, bound, seed, monkeypatch,
+                                           tmp_path, capsys):
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: bound)
+    config = WalkConfig(seed=seed, n=30)
+    exc, position, trial, tseed, base_ok = _first_trial_error(
+        config, (10, 20), 3, mode, (100, 0))
+    assert base_ok is (mode is PerturbMode.RE_EVOLVE)
+    code, out, err = _run(capsys, "avalanche", "--n", 30, "--seed", seed,
+                          "--positions", "10,20", "--trials", 3,
+                          "--mode", mode.value, "--nudge", "100,0",
+                          "--algs", "sha3-512", "--output-dir", tmp_path)
+    assert (code, out) == (3, "")
+    assert err == (f"error: {exc} (seed={seed} position={position} "
+                   f"trial={trial} trial_seed={tseed})\n")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(BoundsExceeded, match=f"trial_seed={tseed}"):
+        run_avalanche(config, [HashAlg.parse("sha3-512")],
+                               (10, 20), 3, mode, (100, 0))
+    # keygen at the trial's seed replays the base walk
+    code, out, err = _run(capsys, "keygen", "--n", 30, "--seed", tseed,
+                          "--output-dir", tmp_path / "replay")
+    if base_ok:
+        want = derive_key(generate_walk(replace(config, seed=tseed)))
+        assert (code, out, err) == (0, want.hex + "\n", "")
+    else:
+        assert (code, out, err) == (3, "", f"error: {exc}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["keygen", "--b-max", "inf"],
     ["keygen", "--epsilon", "nan"],
@@ -415,12 +506,42 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
     ["keygen", "--n", "16", "--bogus", "1"],
     ["keygen", "--n"],
     ["bogus"],
+    ["keygen", "--n", "4611686018427387904"],
+    ["avalanche", "--n", "4611686018427387904", "--trials", "1"],
+    ["fractal", "--synthetic", "line:4611686018427387904"],
+    ["fractal", "--synthetic", "square:4294967296"],
 ])
 def test_out_of_domain_inputs_exit_2(argv, tmp_path, capsys):
     code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+# Each allocates 2**58 bytes or more at once, beyond even a 57-bit address
+# space, so it fails before any memory is touched.
+@pytest.mark.parametrize("argv", [
+    ["keygen", "--n", "36028797018963968"],
+    ["walk", "--n", "36028797018963968"],
+    ["avalanche", "--n", "36028797018963968", "--trials", "1"],
+    ["fractal", "--n-list", "36028797018963968", "--num-seeds", "1"],
+    ["fractal", "--synthetic", "line:36028797018963968"],
+])
+def test_oversize_allocations_exit_3(argv, tmp_path, capsys):
+    code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bare_memory_error_gets_a_message(monkeypatch, tmp_path, capsys):
+    def exhausted(config):
+        raise MemoryError
+    monkeypatch.setattr(cli, "generate_walk", exhausted)
+    code, out, err = _run(capsys, "keygen", "--output-dir", tmp_path)
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: an allocation failed\n"
 
 
 def test_no_command_is_a_one_line_error(capsys):
@@ -573,6 +694,98 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "walkhash" in capsys.readouterr().out
+
+
+# An interleaved sequence of calls on one parser: every command, a config
+# file then none, flags given then left out, each kind of failure followed
+# by a valid call, --help and --version. Paths are relative to the run's
+# directory, so two runs print the same text.
+_REUSE_CALLS = [
+    ["keygen", "--n", "64", "--seed", "3", "--alg", "shake256",
+     "--out-len", "32", "--x0", "-1,0"],
+    ["keygen", "--n", "64"],
+    ["walk", "--config", "run.cfg"],
+    ["walk", "--format", "json"],
+    ["fractal", "--n-list", "8,16", "--num-seeds", "2",
+     "--box-sizes", "1,2,4"],
+    ["fractal", "--n-list", "16", "--num-seeds", "1"],
+    ["avalanche", "--n", "40", "--positions", "10,20", "--trials", "2",
+     "--algs", "sha3-512,shake256-512", "--mode", "re-evolve",
+     "--nudge", "2,-1"],
+    ["avalanche", "--n", "40", "--positions", "10", "--trials", "1",
+     "--algs", "blake3-256"],
+    ["keygen", "--n", "16", "--bogus", "1"],        # usage error
+    ["keygen", "--n", "16"],
+    ["walk", "--n", "0"],                           # ConfigError
+    ["walk", "--n", "16", "--seed", "4"],
+    ["keygen", "--n", "16", "--output-dir", "blocker/sub"],  # OSError
+    ["keygen", "--n", "16", "--alg", "blake3-256"],
+    ["--version"],
+    ["fractal", "--synthetic", "square:8"],
+    ["keygen", "--help"],
+    ["fractal", "--config", "run.cfg", "--n-list", "32", "--num-seeds", "1"],
+    ["fractal", "--n-list", "32", "--num-seeds", "1"],
+    [],                                             # no command
+    ["avalanche", "--config", "run.cfg", "--positions", "20", "--trials", "1",
+     "--algs", "sha3-512"],
+    ["avalanche", "--n", "30", "--positions", "20", "--trials", "1",
+     "--algs", "sha3-512"],
+    ["walk", "--n", "16", "--seed", "4", "--map-mode", "fixed-set",
+     "--map-count", "3"],
+    ["walk", "--n", "16", "--seed", "4"],
+]
+
+
+def _reuse_run(root, monkeypatch, capsys):
+    """Each _REUSE_CALLS call's exit code, stdout, stderr and report bytes,
+    run in order with the reports of call i under root/i."""
+    root.mkdir()
+    monkeypatch.chdir(root)
+    Path("run.cfg").write_text("seed = 9\nn = 40\nrho_max = 0.9\n")
+    Path("blocker").write_text("")
+    seen = []
+    for i, argv in enumerate(_REUSE_CALLS):
+        outdir = Path(str(i))
+        if "--output-dir" not in argv:
+            argv = [*argv, "--output-dir", str(outdir)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in outdir.glob("*")}
+        seen.append((argv, code, out, err, files))
+    return seen
+
+
+def test_reused_parser_leaks_nothing_between_calls(monkeypatch, tmp_path,
+                                                   capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    cached = _reuse_run(tmp_path / "cached", monkeypatch, capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _reuse_run(tmp_path / "fresh", monkeypatch, capsys)
+    assert cached == fresh
+    assert sorted({c[1] for c in cached}) == [0, 2, 3]
+    # each flag given once took effect, and the call without it did not
+    # keep it
+    keys = [c[2].strip() for c in cached[:2]]
+    assert len(keys[0]) == 64 and len(keys[1]) == 128
+    assert json.loads(cached[2][4]["geometry.json"])["config"]["n"] == 40
+    assert json.loads(cached[3][4]["geometry.json"])["config"]["n"] == 2000
+
+
+def test_parser_is_built_once_and_help_follows_columns(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["keygen", "--help"])
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(["keygen", "--help"])
+        assert cached == capsys.readouterr().out
+        widest = max(map(len, cached.splitlines()))
+        assert (widest <= 50) is (columns == "50"), (columns, widest)
 
 
 # The src/ directory the package under test was imported from.

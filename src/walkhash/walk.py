@@ -55,8 +55,8 @@ _RESAMPLE_LIMIT = 64
 MAX_COORD = 2**53
 
 # Most points a walk (n + 1 of them) or a synthetic point set may have. At
-# 16 bytes a point, any larger array is one numpy refuses to shape at all;
-# up to here an allocation too big for the host fails as out of memory.
+# 16 bytes a point their arrays stay below numpy's 2**63-byte limit, so one
+# too big for the host fails as out of memory, not as a size error.
 MAX_POINTS = 2**58
 
 # _evolve's blocks and lanes, set by measurement: steps per block (its

@@ -6,8 +6,7 @@ generated with the reference Rust implementation; the test suite fails
 loudly if this file ever drifts from it.
 
 Every digest, one or many, takes the same batched path ("SIMD across
-chunks", BLAKE3 spec section 5.3). Each compression's cost is numpy
-dispatch, not arithmetic, so independent work shares lanes:
+chunks", BLAKE3 spec section 5.3), so independent work shares lanes:
 
 - Messages are grouped by length, because each length has its own tree
   shape. Within a group every chunk of every message is one lane,
@@ -19,11 +18,23 @@ dispatch, not arithmetic, so independent work shares lanes:
 - Each parent level of a group is one compression, and the root output
   blocks of every message in the call are one more.
 
-The compression holds its state as four (4, L) rows a, b, c, d. A round
-is one G over whole rows (the column step) and one G over b, c and d
-rotated by 1, 2 and 3 lanes of the row (the diagonal step), updated in
-place. The message words of all seven rounds are gathered once per call
-through a schedule computed at import.
+A compression has two kernels with one output, picked by lane count:
+
+- Below _CROSSOVER lanes, the int kernel holds each of the 16 state words
+  and 16 message words as one Python int, lane j in bits 64j..64j+31
+  (SWAR, "SIMD within a register"). A G step is the same 30 int
+  operations at any lane count, with no numpy dispatch. One 32 KB
+  message is 32 chunk lanes, then 16, 8, 4, 2 and 1, so it runs here.
+- At or above it, the numpy kernel holds the state as four (4, L) rows
+  a, b, c, d. A round is one G over whole rows (the column step) and one
+  G over b, c and d rotated by 1, 2 and 3 lanes of the row (the diagonal
+  step), updated in place. The message words of all seven rounds are
+  gathered once per call through a schedule computed at import.
+
+The int kernel's cost grows with the width of its ints, while the numpy
+kernel's is mostly dispatch and barely grows below a few hundred lanes.
+_CROSSOVER is where the two measured equal (88 lanes on a 2-core Xeon
+VM, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -62,6 +73,7 @@ def _schedule() -> np.ndarray:
 
 _SCHEDULE = _schedule()
 _ROT1, _ROT2, _ROT3 = ([(i + r) % 4 for i in range(4)] for r in (1, 2, 3))
+_CROSSOVER = 88  # lanes; see the module docstring
 
 
 def _rotr(x, r: int, tmp) -> None:
@@ -86,13 +98,8 @@ def _g(a, b, c, d, mx, my, tmp) -> None:
     _rotr(b, 7, tmp)
 
 
-def _compress(h, m, counter, block_len, flags):
-    """Full 16-word compression output for a batch of lanes.
-
-    h: (8, L) or (8, 1) input chaining values; m: (16, L) message words;
-    counter: scalar or (L,) uint64; block_len, flags: scalar or (L,).
-    """
-    lanes = m.shape[1]
+def _start(h, counter, block_len, flags, lanes: int):
+    """(16, L) uint32 initial state: h, four IV words, counter, len, flags."""
     v = np.empty((16, lanes), dtype=np.uint32)
     v[0:8] = h
     v[8:12] = _IV[0:4, None]
@@ -101,6 +108,13 @@ def _compress(h, m, counter, block_len, flags):
     v[13] = counter >> np.uint64(32)
     v[14] = block_len
     v[15] = flags
+    return v
+
+
+def _compress_rows(h, m, counter, block_len, flags):
+    """The numpy kernel: each G runs over four (4, L) state rows."""
+    lanes = m.shape[1]
+    v = _start(h, counter, block_len, flags, lanes)
     a, b, c, d = v[0:4], v[4:8], v[8:12], v[12:16]
     tmp = np.empty((4, lanes), dtype=np.uint32)
     words = m[_SCHEDULE]
@@ -112,6 +126,69 @@ def _compress(h, m, counter, block_len, flags):
     v[0:8] ^= v[8:16]
     v[8:16] ^= h
     return v
+
+
+def _gi(a, b, c, d, mx, my, M):
+    """G on lane-packed ints; M masks the low 32 bits of every 64-bit slot."""
+    a = (a + b + mx) & M
+    d ^= a
+    d = ((d >> 16) | (d << 16)) & M
+    c = (c + d) & M
+    b ^= c
+    b = ((b >> 12) | (b << 20)) & M
+    a = (a + b + my) & M
+    d ^= a
+    d = ((d >> 8) | (d << 24)) & M
+    c = (c + d) & M
+    b ^= c
+    b = ((b >> 7) | (b << 25)) & M
+    return a, b, c, d
+
+
+def _compress_ints(h, m, counter, block_len, flags):
+    """The int kernel: each state and message word is one Python int.
+
+    Lane j of a word sits in bits 64j..64j+31, so a sum of three words
+    never carries into the next lane and a shift's spill lands in bits
+    that the mask M clears.
+    """
+    lanes = m.shape[1]
+    width = 8 * lanes
+    state = _start(h, counter, block_len, flags, lanes)
+    blob = np.concatenate([state, m]).astype("<u8").tobytes()
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15, \
+        *w = [int.from_bytes(blob[i:i + width], "little")
+              for i in range(0, 32 * width, width)]
+    hin = v0, v1, v2, v3, v4, v5, v6, v7
+    M = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * lanes, "little")
+    for _ in range(7):
+        v0, v4, v8, v12 = _gi(v0, v4, v8, v12, w[0], w[1], M)
+        v1, v5, v9, v13 = _gi(v1, v5, v9, v13, w[2], w[3], M)
+        v2, v6, v10, v14 = _gi(v2, v6, v10, v14, w[4], w[5], M)
+        v3, v7, v11, v15 = _gi(v3, v7, v11, v15, w[6], w[7], M)
+        v0, v5, v10, v15 = _gi(v0, v5, v10, v15, w[8], w[9], M)
+        v1, v6, v11, v12 = _gi(v1, v6, v11, v12, w[10], w[11], M)
+        v2, v7, v8, v13 = _gi(v2, v7, v8, v13, w[12], w[13], M)
+        v3, v4, v9, v14 = _gi(v3, v4, v9, v14, w[14], w[15], M)
+        w = [w[i] for i in _PERM]
+    low = v8, v9, v10, v11, v12, v13, v14, v15
+    out = [x ^ y for x, y in zip((v0, v1, v2, v3, v4, v5, v6, v7), low)]
+    out += [x ^ y for x, y in zip(low, hin)]
+    blob = b"".join(x.to_bytes(width, "little") for x in out)
+    return np.frombuffer(blob, dtype="<u8").reshape(16, lanes).astype(
+        np.uint32)
+
+
+def _compress(h, m, counter, block_len, flags):
+    """Full 16-word compression output for a batch of lanes.
+
+    h: (8, L) or (8, 1) input chaining values; m: (16, L) message words;
+    counter: scalar or (L,) uint64; block_len, flags: scalar or (L,).
+    Returns (16, L) uint32 from the int kernel below _CROSSOVER lanes and
+    from the numpy kernel at or above it.
+    """
+    kernel = _compress_ints if m.shape[1] < _CROSSOVER else _compress_rows
+    return kernel(h, m, counter, block_len, flags)
 
 
 def _root_nodes(padded, n: int):

@@ -7,8 +7,9 @@ no delimiters. A trajectory of n steps therefore serializes to exactly
 
 Keys are fixed-length digests of that byte string. SHA3-512 and SHAKE256
 come from hashlib; BLAKE3 uses the vendored implementation in _blake3.
-digest_many hashes independent messages as one batch, which the numpy
-BLAKE3 runs as shared lanes; digest_bytes is its one-message case.
+digest_many hashes independent messages as one batch, which BLAKE3 runs
+as shared lanes (lane-packed ints when narrow, numpy rows when wide);
+digest_bytes is its one-message case.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ _MAX_OUT = 1024  # 8192 bits, ample for a key
 class HashAlg:
     """A hash algorithm choice plus its output length in bytes.
 
-    sha3-512 is fixed at 64 bytes; shake256 and blake3 are extendable and
-    accept any out_len from 16 to 1024 bytes. Labels render the digest size
-    in bits, e.g. "shake256-512" or "blake3-256", except sha3-512 whose name
-    already carries it.
+    out_len is an int (not a bool). sha3-512 is fixed at 64 bytes;
+    shake256 and blake3 are extendable and accept any out_len from 16 to
+    1024 bytes. Labels render the digest size in bits, e.g. "shake256-512"
+    or "blake3-256", except sha3-512 whose name already carries it.
     """
 
     name: str
@@ -47,6 +48,11 @@ class HashAlg:
             raise ConfigError(
                 f"alg must be one of {sorted(_DEFAULT_OUT)}, "
                 f"got {self.name!r}")
+        if not isinstance(self.out_len, int) \
+                or isinstance(self.out_len, bool):
+            raise ConfigError(
+                f"out_len must be an int number of bytes, "
+                f"got {self.out_len!r}")
         if self.name == _SHA3_512 and self.out_len != 64:
             raise ConfigError("sha3-512 output length is fixed at 64 bytes")
         if not _MIN_OUT <= self.out_len <= _MAX_OUT:

@@ -10,8 +10,10 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from walkhash import _blake3
 from walkhash._blake3 import blake3_digest, blake3_many
 
 _VECTORS = json.loads(
@@ -81,3 +83,77 @@ def test_many_accepts_any_byte_buffer():
     expected = blake3_many(messages, 48)
     assert blake3_many([bytearray(m) for m in messages], 48) == expected
     assert blake3_many([memoryview(m) for m in messages], 48) == expected
+
+
+# ------------------------------------------------- int and numpy kernels
+
+_C = _blake3._CROSSOVER
+
+
+def _lane_inputs(lanes, counters, per_lane_len_flags, seed):
+    rng = np.random.default_rng([lanes, seed])
+    h = rng.integers(0, 2**32, (8, lanes), dtype=np.uint32)
+    m = rng.integers(0, 2**32, (16, lanes), dtype=np.uint32)
+    if counters == "scalar":
+        counter = 0
+    elif counters == "scalar-high":
+        counter = 2**40 + 12345  # nonzero high word
+    else:
+        counter = rng.integers(0, 2**64, lanes, dtype=np.uint64)
+        counter[::2] &= np.uint64(0xFFFFFFFF)  # some high words zero
+    if per_lane_len_flags:
+        block_len = rng.integers(0, 65, lanes).astype(np.uint32)
+        # Every flag bit, alone and combined, BLAKE3's seven and beyond.
+        flags = (np.arange(lanes) % 256).astype(np.uint32)
+    else:
+        block_len, flags = 64, 0x7F
+    return h, m, counter, block_len, flags
+
+
+@pytest.mark.parametrize("lanes",
+                         [1, 2, 31, 32, 33, _C - 1, _C, _C + 1, 320])
+@pytest.mark.parametrize("counters", ["scalar", "scalar-high", "per-lane"])
+@pytest.mark.parametrize("per_lane_len_flags", [False, True])
+def test_int_kernel_equals_numpy_kernel(lanes, counters, per_lane_len_flags):
+    for seed in range(3):
+        h, m, counter, block_len, flags = _lane_inputs(
+            lanes, counters, per_lane_len_flags, seed)
+        rows = _blake3._compress_rows(h, m, counter, block_len, flags)
+        ints = _blake3._compress_ints(h, m, counter, block_len, flags)
+        assert ints.dtype == rows.dtype == np.uint32
+        assert ints.shape == rows.shape == (16, lanes)
+        np.testing.assert_array_equal(ints, rows)
+        # Parent levels pass one shared (8, 1) chaining value.
+        iv = _blake3._IV[:, None]
+        np.testing.assert_array_equal(
+            _blake3._compress_ints(iv, m, counter, block_len, flags),
+            _blake3._compress_rows(iv, m, counter, block_len, flags))
+
+
+@pytest.mark.parametrize("crossover", [0, 2**62], ids=["numpy", "ints"])
+@pytest.mark.parametrize("length", sorted(_VECTORS, key=int))
+def test_reference_vectors_with_one_kernel(monkeypatch, crossover, length):
+    monkeypatch.setattr(_blake3, "_CROSSOVER", crossover)
+    data = _pattern(int(length))
+    for out_len, expected in _VECTORS[length].items():
+        assert blake3_digest(data, int(out_len)).hex() == expected
+
+
+def test_avalanche_shaped_batch_runs_both_kernels(monkeypatch):
+    # Ten 32,016-byte messages: 320 chunk lanes (numpy), then parent
+    # levels of 160 down to 10 lanes and a root of 10 (ints below the
+    # crossover), as one avalanche call per algorithm makes.
+    rng = random.Random(32016)
+    messages = [rng.randbytes(32016) for _ in range(10)]
+    expected = [blake3_digest(msg) for msg in messages]
+    widths = {"ints": [], "rows": []}
+    for name in widths:
+        kernel = getattr(_blake3, f"_compress_{name}")
+
+        def spy(h, m, *rest, kernel=kernel, seen=widths[name]):
+            seen.append(m.shape[1])
+            return kernel(h, m, *rest)
+        monkeypatch.setattr(_blake3, f"_compress_{name}", spy)
+    assert blake3_many(messages) == expected
+    assert 320 in widths["rows"] and max(widths["ints"]) < _C
+    assert 10 in widths["ints"] and min(widths["rows"]) >= _C

@@ -184,6 +184,16 @@ def test_alg_validation_errors():
     assert HashAlg.parse("shake256-256", out_len=32).out_len == 32
 
 
+@pytest.mark.parametrize("name", ["sha3-512", "shake256", "blake3"])
+@pytest.mark.parametrize("out_len", [32.0, 64.0, True, "32", None])
+def test_alg_out_len_must_be_an_int(name, out_len):
+    # A float would otherwise label itself "shake256-256.0" and then fail
+    # in derive_key with a bare TypeError from hashlib or a slice.
+    with pytest.raises(ConfigError, match="out_len must be an int") as err:
+        HashAlg(name, out_len)
+    assert "\n" not in str(err.value)
+
+
 def test_digest_length_checked():
     with pytest.raises(ValueError):
         Digest(HashAlg.sha3_512(), b"short")

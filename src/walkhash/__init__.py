@@ -15,7 +15,6 @@ from .diffusion import (
     default_positions,
     perturb,
     run_avalanche,
-    run_trials,
     shannon_entropy,
     trial_seed,
     trial_summary,
@@ -104,7 +103,6 @@ __all__ = [
     "affine_step_for",
     "perturb",
     "run_avalanche",
-    "run_trials",
     "sample_affine_step",
     "serialize_trajectory",
     "shannon_entropy",

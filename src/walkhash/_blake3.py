@@ -236,8 +236,9 @@ def _root_nodes(padded, n: int):
 
 def blake3_many(messages, out_len: int = 32) -> list[bytes]:
     """BLAKE3 hash of each message, extended to out_len bytes, in order."""
-    if out_len < 1:
-        raise ValueError("out_len must be at least 1")
+    if not isinstance(out_len, int) or isinstance(out_len, bool) \
+            or out_len < 1:
+        raise ValueError(f"out_len must be an int >= 1, got {out_len!r}")
     data = [np.frombuffer(msg, dtype=np.uint8) for msg in messages]
     groups: dict[int, list[int]] = {}
     for i, arr in enumerate(data):

@@ -40,8 +40,7 @@ from .walk import (
     LatticePoint,
     Trajectory,
     WalkConfig,
-    _continues,
-    _evolve,
+    _replay,
     generate_walk,
 )
 
@@ -55,11 +54,6 @@ _MAX_ROWS = 2**32
 # Serialized-walk bytes per digest batch in run_avalanche (a trial holds
 # two walks of 16 * (n + 1) bytes), so memory does not grow with trials.
 _BATCH_BYTES = 1 << 24
-
-# First segment of a re-evolve replay, in steps. At the default config a
-# replay rejoins the base walk after a median of 2 steps (at most 11 in 200
-# trials), and each segment costs one step table.
-_SEGMENT = 16
 
 
 class PerturbMode(Enum):
@@ -96,31 +90,23 @@ def _check_nudge(nudge: tuple[int, int]) -> None:
 def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
     """Return the disturbed copy of t; the input is never modified.
 
-    RE_EVOLVE replays the tail after the nudged point in segments of
-    _SEGMENT steps and up, doubling each time. Under contraction the replay
-    soon lands on a point of t again; from there it would retrace t, so once
-    walk._continues confirms that t's later rows follow the steps, they are
-    kept instead of replayed. A trajectory whose rows do not follow (one
-    not generated from its config) is replayed to the end.
+    RE_EVOLVE replays the tail after the nudged point to t's last row with
+    walk._replay: up to 16 scalar steps until the replay lands on a row of
+    t, then t's own rows once they are confirmed to follow t.config's
+    steps (a trajectory whose rows do not follow is replayed to the end).
     """
     _check_position(spec.position, t.n)
     _check_nudge(spec.nudge)
+    x, y = t.xy[spec.position].tolist()
+    moved = LatticePoint(x + spec.nudge[0], y + spec.nudge[1])
+    if not all(-2**63 <= c < 2**63 for c in moved):
+        raise ConfigError(
+            f"nudged point {tuple(moved)} at position {spec.position} "
+            f"does not fit int64")
     xy = t.xy.copy()
-    xy[spec.position] += spec.nudge
+    xy[spec.position] = moved
     if spec.mode is PerturbMode.RE_EVOLVE:
-        i, size = spec.position, _SEGMENT
-        while i < t.n:
-            last = min(i + size, t.n)
-            start = LatticePoint(*xy[i].tolist())
-            xy[i + 1:last + 1] = _evolve(t.config, start, i + 1, last)
-            met = np.flatnonzero(
-                (xy[i + 1:last + 1] == t.xy[i + 1:last + 1]).all(axis=1))
-            if met.size:
-                if not _continues(t.config, t.xy, i + 1 + int(met[0])):
-                    start = LatticePoint(*xy[last].tolist())
-                    xy[last + 1:] = _evolve(t.config, start, last + 1)
-                break
-            i, size = last, 2 * size
+        xy[spec.position + 1:] = _replay(t.config, t.xy, spec.position, moved)
     return Trajectory(xy, t.config)
 
 
@@ -274,7 +260,6 @@ def run_avalanche(
             f"{len(positions)} x {trials_per_position}")
     _check_nudge(nudge)
     records: dict[str, list[TrialRecord]] = {lb: [] for lb in labels}
-    vectors: dict[str, list[bytes]] = {lb: [] for lb in labels}
     batch = max(1, _BATCH_BYTES // (32 * (config.n + 1)))
     # lazy: itertools.product would first copy range(trials) into a tuple
     pending = ((p, t) for p in positions for t in range(trials_per_position))
@@ -311,26 +296,12 @@ def run_avalanche(
                     delta_entropy=shannon_entropy(d1) - shannon_entropy(d0),
                     flip_vector=flipped.to_bytes(alg.out_len, "big"),
                 ))
-                vectors[label].append(records[label][-1].flip_vector)
         row += len(chunk)
     return {
-        label: (records[label], BitMatrix.from_flip_vectors(vectors[label]))
+        label: (records[label], BitMatrix.from_flip_vectors(
+            [r.flip_vector for r in records[label]]))
         for label in labels
     }
-
-
-def run_trials(
-    config: WalkConfig,
-    alg: HashAlg,
-    positions: Sequence[int] | None = None,
-    trials_per_position: int = 50,
-    mode: PerturbMode = PerturbMode.POINT_NUDGE,
-    nudge: tuple[int, int] = (1, 0),
-) -> tuple[list[TrialRecord], BitMatrix]:
-    """Single-algorithm form of run_avalanche."""
-    result = run_avalanche(
-        config, [alg], positions, trials_per_position, mode, nudge)
-    return result[alg.label]
 
 
 def trial_summary(records: Iterable[TrialRecord]) -> dict:

@@ -64,19 +64,11 @@ class Stream:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-        return z ^ (z >> 31)
+        return mix64(self._state)
 
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform double in [lo, hi), from the top 53 bits of one u64."""
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-        u = ((z ^ (z >> 31)) >> 11) * _INV53
-        return lo + (hi - lo) * u
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * _INV53)
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is < n / 2**64, irrelevant here."""

@@ -78,6 +78,16 @@ def test_many_out_len_validation():
             blake3_many(messages, 0)
 
 
+def test_out_len_must_be_an_int():
+    # as HashAlg: a bool, float or str length is an error, not a digest
+    for bad in (True, False, 32.0, "32", None):
+        with pytest.raises(ValueError, match="out_len must be an int"):
+            blake3_digest(b"x", bad)
+        for messages in ([], [b"x"]):
+            with pytest.raises(ValueError, match="out_len must be an int"):
+                blake3_many(messages, bad)
+
+
 def test_many_accepts_any_byte_buffer():
     messages = [_pattern(n) for n in (0, 65, 2049)]
     expected = blake3_many(messages, 48)

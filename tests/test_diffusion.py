@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -32,7 +33,6 @@ from walkhash import (
     map_templates,
     perturb,
     run_avalanche,
-    run_trials,
     serialize_trajectory,
     shannon_entropy,
     step,
@@ -72,7 +72,7 @@ def test_re_evolve_matches_replay_oracle():
     # replay the tail independently from the shifted point
     bound = lattice_bound(config)
     templates = map_templates(config)
-    x = t.points[pos].shifted(*nudge)
+    x = LatticePoint(t.points[pos].x + nudge[0], t.points[pos].y + nudge[1])
     assert out.points[pos] == x
     for i in range(pos + 1, config.n + 1):
         x = step(x, affine_step_for(config, i, templates), bound=bound)
@@ -90,40 +90,80 @@ def _full_replay(t, spec):
     xy = t.xy.copy()
     xy[spec.position] += spec.nudge
     start = LatticePoint(*xy[spec.position].tolist())
-    xy[spec.position + 1:] = diffusion._evolve(t.config, start,
-                                               spec.position + 1)
+    xy[spec.position + 1:] = walk._evolve(t.config, start, spec.position + 1,
+                                          t.n)
     return xy
 
 
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_equals_full_replay(mode):
     rng = random.Random(f"rejoin-{mode.value}")
-    for _ in range(60):
+    # 60 short walks, then 12 whose tails reach or cross a _BLOCK boundary
+    for n in [None] * 60 + [2049, 4113, 5000] * 4:
         b = rng.choice([1.0, 100.0, 1e6])  # wide maps rejoin late
         config = WalkConfig(
-            seed=rng.randrange(2**64), n=rng.choice([2, 3, 40, 300, 1100]),
+            seed=rng.randrange(2**64),
+            n=n or rng.choice([2, 3, 40, 300, 1100]),
             b_min=-b, b_max=b, epsilon=rng.choice([0.0, 0.5, 3.0]),
             map_mode=mode,
             map_count=rng.randint(1, 6) if mode is MapMode.FIXED_SET
             else None)
         t = generate_walk(config)
+        high = config.n - 1 if n is None \
+            else max(1, config.n - 1 - walk._BLOCK)
         spec = PerturbationSpec(
-            rng.randint(1, config.n - 1), PerturbMode.RE_EVOLVE,
+            rng.randint(1, high), PerturbMode.RE_EVOLVE,
             (rng.randint(-4, 4), rng.randint(-4, 4)))
         assert np.array_equal(perturb(t, spec).xy, _full_replay(t, spec))
 
 
 def test_re_evolve_replays_a_trajectory_that_is_not_its_walk():
-    config = WalkConfig(seed=21, n=200)
-    t = generate_walk(config)
     spec = PerturbationSpec(50, PerturbMode.RE_EVOLVE, (1, 0))
-    for row in (60, 120, 200):
-        xy = t.xy.copy()
-        xy[row] += (0, 1)
-        hand = Trajectory(xy, config)
-        out = perturb(hand, spec)
-        assert np.array_equal(out.xy, _full_replay(hand, spec))
-        assert out.xy[row].tolist() == t.xy[row].tolist()
+    # the last row of the replay's first block of steps, the row after it,
+    # a row inside the second block, and the last row, which ends it
+    edge = spec.position + walk._BLOCK
+    for n, rows in ((200, (60, 120, 200)),
+                    (edge + walk._BLOCK, (edge, edge + 1, 3000,
+                                          edge + walk._BLOCK))):
+        config = WalkConfig(seed=21, n=n)
+        t = generate_walk(config)
+        for row in rows:
+            xy = t.xy.copy()
+            xy[row] += (0, 1)
+            hand = Trajectory(xy, config)
+            out = perturb(hand, spec)
+            assert np.array_equal(out.xy, _full_replay(hand, spec))
+            assert out.xy[row].tolist() == t.xy[row].tolist()
+
+
+def test_re_evolve_ends_at_the_trajectory_not_at_config_n():
+    config = WalkConfig(seed=21, n=200)
+    spec = PerturbationSpec(50, PerturbMode.RE_EVOLVE, (1, 0))
+    for rows in (101, 301):
+        # a walk's rows do not depend on n, so these follow config's steps
+        walk_xy = generate_walk(replace(config, n=rows - 1)).xy
+        for shift in (0, 5):
+            xy = walk_xy.copy()
+            xy[90] += (0, shift)
+            hand = Trajectory(xy, config)
+            out = perturb(hand, spec)
+            assert out.n == rows - 1
+            assert np.array_equal(out.xy, _full_replay(hand, spec))
+
+
+def test_re_evolve_memory_stays_near_the_walk_size():
+    # the replay checks the walk's rows one block of steps at a time, so
+    # it never holds a step table of the whole tail (64 bytes a step)
+    t = generate_walk(WalkConfig(seed=3, n=200_000))
+    spec = PerturbationSpec(10, PerturbMode.RE_EVOLVE)
+    tracemalloc.start()
+    try:
+        out = perturb(t, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.xy, _full_replay(t, spec))
+    assert peak < 3 * t.xy.nbytes
 
 
 def test_re_evolve_raises_the_replay_bounds_error(monkeypatch):
@@ -142,6 +182,18 @@ def test_re_evolve_raises_the_replay_bounds_error(monkeypatch):
         _full_replay(t, spec)
     with pytest.raises(BoundsExceeded, match=re.escape(str(replayed.value))):
         perturb(t, spec)
+
+
+def test_point_nudge_past_int64_is_a_config_error():
+    for x, dx in ((2**63 - 1, 1), (-2**63, -1), (2**63 - 2**53, 2**53)):
+        t = Trajectory([[0, 0], [x, 0], [0, 0]], WalkConfig(n=2))
+        for mode in PerturbMode:
+            with pytest.raises(ConfigError, match=r"^nudged point .* int64$"):
+                perturb(t, PerturbationSpec(1, mode, (dx, 0)))
+    t = Trajectory([[0, 0], [2**63 - 2, -2**63 + 1], [0, 0]],
+                   WalkConfig(n=2))
+    out = perturb(t, PerturbationSpec(1, nudge=(1, -1)))
+    assert out.xy[1].tolist() == [2**63 - 1, -2**63]
 
 
 def test_positions_must_be_interior():
@@ -250,7 +302,8 @@ def test_trial_seed_is_the_documented_stream():
 def test_record_invariants_and_shapes():
     config = WalkConfig(seed=5, n=12)
     positions = (3, 7)
-    records, matrix = run_trials(config, _ALG, positions, 4)
+    records, matrix = run_avalanche(config, [_ALG], positions, 4)[
+        _ALG.label]
     assert len(records) == 8
     assert matrix.rows == 8 and matrix.cols == 512
     for row, r in enumerate(records):
@@ -265,32 +318,22 @@ def test_record_invariants_and_shapes():
 
 def test_trials_replay_in_isolation():
     config = WalkConfig(seed=8, n=12)
-    batch, _ = run_trials(config, _ALG, (3, 7), 3)
-    alone, _ = run_trials(config, _ALG, (7,), 3)
+    batch, _ = run_avalanche(config, [_ALG], (3, 7), 3)[_ALG.label]
+    alone, _ = run_avalanche(config, [_ALG], (7,), 3)[_ALG.label]
     strip = lambda r: (r.position, r.hamming, r.bitflip_rate,
                        r.delta_entropy, r.flip_vector)
     assert [strip(r) for r in batch[3:]] == [strip(r) for r in alone]
 
 
 def test_zero_nudge_trials_score_zero():
-    records, matrix = run_trials(
-        WalkConfig(seed=1, n=12), _ALG, (5,), 3, nudge=(0, 0))
+    records, matrix = run_avalanche(
+        WalkConfig(seed=1, n=12), [_ALG], (5,), 3, nudge=(0, 0))[_ALG.label]
     for r in records:
         assert r.hamming == 0
         assert r.bitflip_rate == 0.0
         assert r.delta_entropy == 0.0
         assert r.flip_vector == b"\x00" * 64
     assert int(matrix.bits.sum()) == 0
-
-
-def test_run_trials_equals_run_avalanche_single():
-    config = WalkConfig(seed=3, n=12)
-    records, matrix = run_trials(config, _ALG, (4,), 3)
-    full = run_avalanche(config, [_ALG], (4,), 3)
-    assert set(full) == {_ALG.label}
-    other_records, other_matrix = full[_ALG.label]
-    assert records == other_records
-    assert np.array_equal(matrix.bits, other_matrix.bits)
 
 
 def test_run_avalanche_shares_walks_across_algs():

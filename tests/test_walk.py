@@ -41,21 +41,18 @@ def _step_oracle(x: LatticePoint, s: AffineStep) -> LatticePoint:
 # ----------------------------------------------------------- spectral norm
 
 def test_spectral_norm_known_matrices():
-    assert AffineStep(3, 0, 0, 1, 0, 0, 0, 0).spectral_norm() \
-        == pytest.approx(3.0, abs=1e-12)
+    assert walk._spectral_norm(3, 0, 0, 1) == pytest.approx(3.0, abs=1e-12)
     c, s = math.cos(0.3), math.sin(0.3)
-    assert AffineStep(c, -s, s, c, 0, 0, 0, 0).spectral_norm() \
-        == pytest.approx(1.0, abs=1e-12)
+    assert walk._spectral_norm(c, -s, s, c) == pytest.approx(1.0, abs=1e-12)
     # rank-1 all-ones matrix has singular values (2, 0)
-    assert AffineStep(1, 1, 1, 1, 0, 0, 0, 0).spectral_norm() \
-        == pytest.approx(2.0, abs=1e-12)
+    assert walk._spectral_norm(1, 1, 1, 1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_rescaling_forces_requested_norm():
     config = WalkConfig(rho_min=0.5, rho_max=0.5)
     for seed in range(20):
         s = sample_affine_step(Stream(seed, 0, 1), config)
-        assert s.spectral_norm() == pytest.approx(0.5, abs=1e-12)
+        assert walk._spectral_norm(*s[:4]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_epsilon_zero_gives_exact_zero_noise():
@@ -68,7 +65,7 @@ def test_sample_bounds_small_batch():
     config = WalkConfig(b_min=-3.0, b_max=7.0, epsilon=0.25)
     for i in range(500):
         s = affine_step_for(config, i + 1)
-        assert config.rho_min - 1e-9 <= s.spectral_norm() \
+        assert config.rho_min - 1e-9 <= walk._spectral_norm(*s[:4]) \
             <= config.rho_max + 1e-9
         assert -3.0 <= s.b1 <= 7.0 and -3.0 <= s.b2 <= 7.0
         assert -0.25 <= s.d1 <= 0.25 and -0.25 <= s.d2 <= 0.25
@@ -92,7 +89,7 @@ def test_rho_distribution_one_million_samples():
             if lo <= i < lo + block:
                 s = sample_affine_step(Stream(999, 0, i), config)
                 assert tuple(table[i - lo].tolist()) == tuple(s)
-                assert norms[i] == s.spectral_norm()
+                assert norms[i] == walk._spectral_norm(*s[:4])
     assert norms.min() >= 0.5 - 1e-9
     assert norms.max() <= 0.95 + 1e-9
     norms.sort()
@@ -365,7 +362,7 @@ def test_step_table_crosses_block_boundaries(mode):
     _check_evolve(config, rng)
     t = generate_walk(config)
     for first in (walk._BLOCK, walk._BLOCK + 1, walk._BLOCK + 2):
-        start = LatticePoint(*t.xy[first - 1].tolist()).shifted(1, -1)
+        start = LatticePoint(*(t.xy[first - 1] + (1, -1)).tolist())
         tail = _replay(config, start, first)
         assert np.array_equal(walk._evolve(config, start, first), tail)
         for last in (first, walk._BLOCK + 1, 2 * walk._BLOCK + 1):
@@ -400,7 +397,11 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
         want.append(list(x))
     assert want == [[1, 1]] * len(rows)
     assert walk._evolve(config, config.x0, 1).tolist() == want
-    assert walk._continues(config, np.array([[1, 1], *want]), 0)
+    # _replay rejoins at once and keeps the rows only if _follows confirms
+    # them: it must not fall back to _evolve
+    monkeypatch.setattr(walk, "_evolve", None)
+    assert walk._replay(config, np.array([[1, 1], *want]), 0,
+                        config.x0).tolist() == want
 
 
 def test_fixed_set_draws_only_the_templates_it_uses():

@@ -39,19 +39,13 @@ import numpy as np
 from . import __version__
 from .diffusion import PerturbMode, default_positions, run_avalanche, trial_summary
 from .errors import ConfigError, DegenerateInput, WalkhashError
-from .fractal import (
-    DimensionEstimate,
-    estimate_dimension,
-    estimate_point_dimension,
-    geometry,
-)
+from .fractal import estimate_point_dimension, geometry
 from .keygen import HashAlg, derive_key
 from .stats import ChiSquareMode, ChiSquareResult, chi_square_uniform
 from .walk import (
     MAX_POINTS,
     LatticePoint,
     MapMode,
-    Trajectory,
     WalkConfig,
     generate_walk,
     lattice_bound,
@@ -239,21 +233,29 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _atomic_write(path, text.encode())
+def _write_report(opts: dict[str, Any], name: str,
+                  config: WalkConfig | None, body: dict) -> None:
+    """Write body, the tool version and (unless config is None) the config
+    echo to the JSON report `name` if --format includes json."""
+    if "json" not in opts["format"]:
+        return
+    body = {**body, "tool_version": __version__}
+    if config is not None:
+        body["config"] = {**asdict(config), "map_mode": config.map_mode.value}
+    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    _atomic_write(opts["output_dir"] / name, text.encode())
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _write_csv(opts: dict[str, Any], name: str, header: Sequence[str],
+               rows) -> None:
+    """Write the CSV report `name` if --format includes csv."""
+    if "csv" not in opts["format"]:
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue().encode())
-
-
-def _config_echo(config: WalkConfig) -> dict:
-    return {**asdict(config), "map_mode": config.map_mode.value}
+    _atomic_write(opts["output_dir"] / name, buf.getvalue().encode())
 
 
 def _chi_dict(result: ChiSquareResult) -> dict:
@@ -275,34 +277,25 @@ def cmd_keygen(opts: dict[str, Any]) -> int:
     config = _walk_config(opts)
     alg = HashAlg.parse(opts["alg"], opts["out_len"])
     digest = derive_key(generate_walk(config), alg)
-    if "json" in opts["format"]:
-        _write_json(opts["output_dir"] / "key.json", {
-            "algorithm": alg.label,
-            "config": _config_echo(config),
-            "digest": digest.hex,
-            "digest_bits": digest.bits,
-            "tool_version": __version__,
-        })
+    _write_report(opts, "key.json", config, {
+        "algorithm": alg.label,
+        "digest": digest.hex,
+        "digest_bits": digest.bits,
+    })
     print(digest.hex)
     return 0
 
 
 def cmd_walk(opts: dict[str, Any]) -> int:
     config = _walk_config(opts)
-    outdir, formats = opts["output_dir"], opts["format"]
     trajectory = generate_walk(config)
     report = geometry(trajectory)
-    if "csv" in formats:
-        _write_csv(outdir / "trajectory.csv", ("index", "x", "y"),
-                   ((i, x, y)
-                    for i, (x, y) in enumerate(trajectory.xy.tolist())))
-    if "json" in formats:
-        _write_json(outdir / "geometry.json", {
-            "config": _config_echo(config),
-            "geometry": asdict(report),
-            "lattice_bound": lattice_bound(config),
-            "tool_version": __version__,
-        })
+    _write_csv(opts, "trajectory.csv", ("index", "x", "y"),
+               ((i, x, y) for i, (x, y) in enumerate(trajectory.xy.tolist())))
+    _write_report(opts, "geometry.json", config, {
+        "geometry": asdict(report),
+        "lattice_bound": lattice_bound(config),
+    })
     print(f"n={config.n} bbox={report.bbox_width}x{report.bbox_height} "
           f"unique={report.unique_points}")
     return 0
@@ -332,39 +325,15 @@ def _synthetic_points(spec: str) -> np.ndarray:
         f"synthetic must be point, line:N, or square:N; got {spec!r}")
 
 
-def _seed_estimates(config: WalkConfig, ns: Sequence[int],
-                    box_sizes: Sequence[int] | None,
-                    ) -> tuple[list[DimensionEstimate], WalkhashError | None]:
-    """The estimate of each n of ns in order under config's seed, up to the
-    first failure, and that failure (None if there is none).
-
-    Step i of a walk depends only on (seed, i), so the walk of length n is
-    the first n + 1 points of the seed's longest walk, which is walked
-    once. If that walk fails, each n is walked alone, so each fails as it
-    would alone.
-    """
-    try:
-        longest = generate_walk(replace(config, n=max(ns)))
-    except WalkhashError:
-        longest = None
-    estimates = []
-    for n in ns:
-        cfg = replace(config, n=n)
-        try:
-            estimates.append(estimate_dimension(
-                generate_walk(cfg) if longest is None or n < 1
-                else Trajectory(longest.xy[:n + 1], cfg), box_sizes))
-        except WalkhashError as exc:
-            return estimates, exc
-    return estimates, None
-
-
 def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
            box_sizes: Sequence[int] | None) -> dict[int, list[dict]]:
     """Each n's per-seed estimate entries, in seed order.
 
-    The sweep runs seed by seed, holding one walk at a time, but a failure
-    is the one the n-major loop (for n, for seed) would meet first.
+    Step i of a walk depends only on (seed, i), so each seed is walked once,
+    at its longest n, and each n is estimated from a view of that walk's
+    first n + 1 rows; the walk is dropped before the next seed's. If it
+    fails, each n is walked alone, so each fails as it would alone. A
+    failure is the one the n-major loop (for n, for seed) would meet first.
     """
     ns = list(dict.fromkeys(n_list))
     entries: dict[int, list[dict]] = {n: [] for n in ns}
@@ -374,30 +343,36 @@ def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
         todo = ns if failed is None else ns[:failed[0]]
         if not todo:
             break
-        seed = config.seed + offset
-        estimates, error = _seed_estimates(
-            replace(config, seed=seed), todo, box_sizes)
-        for n, est in zip(todo, estimates):
-            entries[n].append({"seed": seed, **asdict(est)})
-        if error is not None:
-            failed = (len(estimates), error)
+        seed_config = replace(config, seed=config.seed + offset)
+        longest = None  # frees the last seed's walk before this one's
+        try:
+            longest = generate_walk(replace(seed_config, n=max(todo)))
+        except WalkhashError:
+            pass
+        for i, n in enumerate(todo):
+            try:
+                estimate = estimate_point_dimension(
+                    generate_walk(replace(seed_config, n=n)).xy
+                    if longest is None or n < 1 else longest.xy[:n + 1],
+                    box_sizes)
+            except WalkhashError as exc:
+                failed = (i, exc)
+                break
+            entries[n].append({"seed": seed_config.seed, **asdict(estimate)})
     if failed is not None:
         raise failed[1]
     return entries
 
 
 def cmd_fractal(opts: dict[str, Any]) -> int:
-    outdir, formats = opts["output_dir"], opts["format"]
     box_sizes, synthetic = opts["box_sizes"], opts["synthetic"]
     if synthetic is not None:
         estimate = estimate_point_dimension(
             _synthetic_points(synthetic), box_sizes)
-        if "json" in formats:
-            _write_json(outdir / "fractal.json", {
-                "estimate": asdict(estimate),
-                "synthetic": synthetic,
-                "tool_version": __version__,
-            })
+        _write_report(opts, "fractal.json", None, {
+            "estimate": asdict(estimate),
+            "synthetic": synthetic,
+        })
         print(f"synthetic={synthetic} dimension={estimate.dimension:.4f}")
         return 0
     config = _walk_config(opts)
@@ -419,15 +394,12 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
         medians.append(med)
         results[str(n)] = {"median_dimension": med, "per_seed": entries[n]}
     trend_ok = all(b >= a for a, b in zip(medians, medians[1:]))
-    if "json" in formats:
-        _write_json(outdir / "fractal.json", {
-            "config": _config_echo(config),
-            "median_trend_non_decreasing": trend_ok,
-            "n_list": list(n_list),
-            "num_seeds": num_seeds,
-            "results": results,
-            "tool_version": __version__,
-        })
+    _write_report(opts, "fractal.json", config, {
+        "median_trend_non_decreasing": trend_ok,
+        "n_list": list(n_list),
+        "num_seeds": num_seeds,
+        "results": results,
+    })
     for n, med in zip(n_list, medians):
         print(f"n={n} median_dimension={med:.4f}")
     return 0
@@ -435,7 +407,6 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
 
 def cmd_avalanche(opts: dict[str, Any]) -> int:
     config = _walk_config(opts)
-    outdir, formats = opts["output_dir"], opts["format"]
     positions = opts["positions"]
     if positions is None:
         positions = default_positions(config.n)
@@ -444,14 +415,15 @@ def cmd_avalanche(opts: dict[str, Any]) -> int:
                             nudge)
     summary = {}
     for label, (records, matrix) in outcome.items():
-        if "csv" in formats:
-            _write_csv(
-                outdir / f"trials_{label}.csv",
-                ("trial_id", "position", "alg", "hamming", "bitflip_rate",
-                 "delta_entropy", "flip_vector"),
-                ((r.trial_id, r.position, label, r.hamming, r.bitflip_rate,
-                  r.delta_entropy, r.flip_vector.hex()) for r in records))
-        _atomic_write(outdir / f"bitmatrix_{label}.bin", matrix.to_bytes())
+        _write_csv(
+            opts, f"trials_{label}.csv",
+            ("trial_id", "position", "alg", "hamming", "bitflip_rate",
+             "delta_entropy", "flip_vector"),
+            ((r.trial_id, r.position, label, r.hamming, r.bitflip_rate,
+              r.delta_entropy, r.flip_vector.hex()) for r in records))
+        # the bit matrix is written whatever --format says
+        _atomic_write(opts["output_dir"] / f"bitmatrix_{label}.bin",
+                      matrix.to_bytes())
         block = trial_summary(records)
         chi = {}
         for m in ChiSquareMode:
@@ -469,18 +441,15 @@ def cmd_avalanche(opts: dict[str, Any]) -> int:
               f"{block['digest_bits']} "
               f"bitflip={block['mean_bitflip_rate']:.4f} "
               f"chi2_p={chi_text}")
-    if "json" in formats:
-        _write_json(outdir / "summary.json", {
-            "algorithms": summary,
-            "config": _config_echo(config),
-            "perturbation": {
-                "mode": mode.value,
-                "nudge": list(nudge),
-                "positions": list(positions),
-                "trials_per_position": trials,
-            },
-            "tool_version": __version__,
-        })
+    _write_report(opts, "summary.json", config, {
+        "algorithms": summary,
+        "perturbation": {
+            "mode": mode.value,
+            "nudge": list(nudge),
+            "positions": list(positions),
+            "trials_per_position": trials,
+        },
+    })
     return 0
 
 

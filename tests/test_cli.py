@@ -295,14 +295,11 @@ def test_fractal_sweep_walks_each_seed_once_holding_one_walk(
         return build
 
     monkeypatch.setattr(cli, "generate_walk", tracked("walk", generate_walk))
-    monkeypatch.setattr(cli, "Trajectory", tracked("prefix", cli.Trajectory))
     code, _, err = _run(capsys, "fractal", "--n-list", "64,300,128",
                         "--num-seeds", 50, "--output-dir", tmp_path)
     assert (code, err) == (0, "")
-    # one walk a seed, at the longest n, gone before the next seed's; each
-    # shorter walk is a prefix built while only that walk is alive
-    assert made == [("walk", 300, 0), ("prefix", 64, 1), ("prefix", 300, 1),
-                    ("prefix", 128, 1)] * 50
+    # one walk a seed, at the longest n, gone before the next seed's
+    assert made == [("walk", 300, 0)] * 50
 
 
 def test_synthetic_points_rows():
@@ -542,6 +539,47 @@ def test_bare_memory_error_gets_a_message(monkeypatch, tmp_path, capsys):
     code, out, err = _run(capsys, "keygen", "--output-dir", tmp_path)
     assert (code, out) == (3, "")
     assert err == "error: out of memory: an allocation failed\n"
+
+
+# command line -> the files written under --format csv and under json
+# (test_walk_format_filtering covers walk)
+_REPORTS = {
+    "keygen": (["keygen", "--n", 32], set(), {"key.json"}),
+    "fractal": (["fractal", "--n-list", "64,128", "--num-seeds", 2],
+                set(), {"fractal.json"}),
+    "fractal-synthetic": (["fractal", "--synthetic", "line:64"],
+                          set(), {"fractal.json"}),
+    "avalanche": (["avalanche", "--n", 60, "--positions", 20, "--trials", 1,
+                   "--algs", "sha3-512,blake3-256"],
+                  {"trials_sha3-512.csv", "trials_blake3-256.csv",
+                   "bitmatrix_sha3-512.bin", "bitmatrix_blake3-256.bin"},
+                  {"summary.json", "bitmatrix_sha3-512.bin",
+                   "bitmatrix_blake3-256.bin"}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_REPORTS))
+def test_format_selects_the_reports(command, fmt, tmp_path, capsys):
+    argv, csv_files, json_files = _REPORTS[command]
+    outdir = tmp_path / "out"
+    code, _, err = _run(capsys, *argv, "--format", fmt,
+                        "--output-dir", outdir)
+    assert (code, err) == (0, "")
+    written = {p.name for p in outdir.iterdir()} if outdir.exists() else set()
+    assert written == (csv_files if fmt == "csv" else json_files)
+
+
+def test_failed_report_write_leaves_nothing(monkeypatch, tmp_path, capsys):
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli.os, "replace", no_space)
+    code, out, err = _run(capsys, "keygen", "--n", 16,
+                          "--output-dir", tmp_path)
+    assert (code, out) == (3, "")
+    assert err == "error: [Errno 28] No space left on device\n"
+    # neither the report nor its temp file is left behind
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_command_is_a_one_line_error(capsys):

@@ -171,6 +171,8 @@ def test_alg_parse_roundtrips_labels():
 def test_alg_validation_errors():
     with pytest.raises(ConfigError):
         HashAlg.parse("md5")
+    with pytest.raises(ConfigError, match="alg must be one of"):
+        HashAlg("md5", 16)  # parse rejects the name before the constructor
     with pytest.raises(ConfigError):
         HashAlg("sha3-512", 32)
     with pytest.raises(ConfigError):

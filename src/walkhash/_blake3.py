@@ -10,34 +10,45 @@ chunks", BLAKE3 spec section 5.3), so independent work shares lanes:
 
 - Messages are grouped by length, because each length has its own tree
   shape. Within a group every chunk of every message is one lane,
-  chunk-major, so the final chunks of the group are its last lanes.
-- All chunks advance together one block at a time. The final (possibly
-  partial) chunk runs in the same 16-step loop with its own block_len and
-  flags, and drops out of the batch once its last block is done. A
-  one-chunk message stops before that block, which is its root node.
+  message-major, so the group's padded bytes are the lanes' message words
+  without a copy, and every nchunks-th lane is a final chunk.
+- The chunk stage advances all chunks together one block at a time. The
+  final (possibly partial) chunk runs in the same 16-block loop with its
+  own block_len and flags and keeps the chaining value of its last block.
+  A one-chunk message stops before that block, which is its root node.
 - Each parent level of a group is one compression, and the root output
   blocks of every message in the call are one more.
 
-A compression has two kernels with one output, picked by lane count:
+Each stage and each compression runs on one of two kernels with one
+output, picked by lane count:
 
-- Below _CROSSOVER lanes, the int kernel holds each of the 16 state words
-  and 16 message words as one Python int, lane j in bits 64j..64j+31
-  (SWAR, "SIMD within a register"). A G step is the same 30 int
-  operations at any lane count, with no numpy dispatch. One 32 KB
-  message is 32 chunk lanes, then 16, 8, 4, 2 and 1, so it runs here.
+- Below _CROSSOVER lanes, the int kernel holds each state and message
+  word as one Python int, lane j in bits 64j..64j+31 (SWAR, "SIMD within
+  a register"). A G step is the same 30 int operations at any lane
+  count, with no numpy dispatch. Words are packed once per stage: the
+  chunk stage packs the message words of all 16 blocks with one
+  transpose and one tobytes, keeps the chaining values packed from block
+  to block and unpacks them once at the end; each parent level and the
+  root output blocks pack their words once from the level below. One
+  32 KB message is 32 chunk lanes, then 16, 8, 4, 2 and 1, so it runs
+  here.
 - At or above it, the numpy kernel holds the state as four (4, L) rows
   a, b, c, d. A round is one G over whole rows (the column step) and one
   G over b, c and d rotated by 1, 2 and 3 lanes of the row (the diagonal
   step), updated in place. The message words of all seven rounds are
-  gathered once per call through a schedule computed at import.
+  gathered once per compression through a schedule computed at import.
 
 The int kernel's cost grows with the width of its ints, while the numpy
 kernel's is mostly dispatch and barely grows below a few hundred lanes.
-_CROSSOVER is where the two measured equal (88 lanes on a 2-core Xeon
-VM, Python 3.11, numpy 2.4).
+_CROSSOVER is where the int kernel's 7 rounds on packed words and one
+numpy compression measured equal (120 lanes on a 2-core Xeon VM,
+Python 3.11, numpy 2.4). The packing is left out of that comparison
+because the int stages pay it once, not once per block.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,6 +58,7 @@ _IV = np.array(
     dtype=np.uint32,
 )
 _PERM = [2, 6, 3, 10, 7, 0, 4, 13, 1, 11, 12, 5, 9, 14, 15, 8]
+_permute = itemgetter(*_PERM)
 
 _CHUNK_LEN = 1024
 _BLOCK_LEN = 64
@@ -72,8 +84,10 @@ def _schedule() -> np.ndarray:
 
 
 _SCHEDULE = _schedule()
+_IV_INTS = [int(x) for x in _IV]
+_PARENT_STATE = [*_IV_INTS, *_IV_INTS[0:4], 0, 0, _BLOCK_LEN, _PARENT]
 _ROT1, _ROT2, _ROT3 = ([(i + r) % 4 for i in range(4)] for r in (1, 2, 3))
-_CROSSOVER = 88  # lanes; see the module docstring
+_CROSSOVER = 120  # lanes; see the module docstring
 
 
 def _rotr(x, r: int, tmp) -> None:
@@ -128,67 +142,228 @@ def _compress_rows(h, m, counter, block_len, flags):
     return v
 
 
-def _gi(a, b, c, d, mx, my, M):
-    """G on lane-packed ints; M masks the low 32 bits of every 64-bit slot."""
-    a = (a + b + mx) & M
-    d ^= a
-    d = ((d >> 16) | (d << 16)) & M
-    c = (c + d) & M
-    b ^= c
-    b = ((b >> 12) | (b << 20)) & M
-    a = (a + b + my) & M
-    d ^= a
-    d = ((d >> 8) | (d << 24)) & M
-    c = (c + d) & M
-    b ^= c
-    b = ((b >> 7) | (b << 25)) & M
-    return a, b, c, d
+def _ones(lanes: int) -> int:
+    """1 in the low bit of each of lanes 64-bit slots: x * _ones(L) is x in
+    every lane."""
+    return int.from_bytes(b"\1\0\0\0\0\0\0\0" * lanes, "little")
 
 
-def _compress_ints(h, m, counter, block_len, flags):
-    """The int kernel: each state and message word is one Python int.
+def _pack(words) -> list[int]:
+    """Each row of a (R, L) array of 32-bit words as one lane-packed int."""
+    width = 8 * words.shape[1]
+    blob = words.astype("<u8").tobytes()
+    return [int.from_bytes(blob[i:i + width], "little")
+            for i in range(0, len(blob), width)]
 
-    Lane j of a word sits in bits 64j..64j+31, so a sum of three words
-    never carries into the next lane and a shift's spill lands in bits
-    that the mask M clears.
-    """
-    lanes = m.shape[1]
-    width = 8 * lanes
-    state = _start(h, counter, block_len, flags, lanes)
-    blob = np.concatenate([state, m]).astype("<u8").tobytes()
-    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15, \
-        *w = [int.from_bytes(blob[i:i + width], "little")
-              for i in range(0, 32 * width, width)]
-    hin = v0, v1, v2, v3, v4, v5, v6, v7
-    M = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * lanes, "little")
-    for _ in range(7):
-        v0, v4, v8, v12 = _gi(v0, v4, v8, v12, w[0], w[1], M)
-        v1, v5, v9, v13 = _gi(v1, v5, v9, v13, w[2], w[3], M)
-        v2, v6, v10, v14 = _gi(v2, v6, v10, v14, w[4], w[5], M)
-        v3, v7, v11, v15 = _gi(v3, v7, v11, v15, w[6], w[7], M)
-        v0, v5, v10, v15 = _gi(v0, v5, v10, v15, w[8], w[9], M)
-        v1, v6, v11, v12 = _gi(v1, v6, v11, v12, w[10], w[11], M)
-        v2, v7, v8, v13 = _gi(v2, v7, v8, v13, w[12], w[13], M)
-        v3, v4, v9, v14 = _gi(v3, v4, v9, v14, w[14], w[15], M)
-        w = [w[i] for i in _PERM]
-    low = v8, v9, v10, v11, v12, v13, v14, v15
-    out = [x ^ y for x, y in zip((v0, v1, v2, v3, v4, v5, v6, v7), low)]
-    out += [x ^ y for x, y in zip(low, hin)]
-    blob = b"".join(x.to_bytes(width, "little") for x in out)
-    return np.frombuffer(blob, dtype="<u8").reshape(16, lanes).astype(
+
+def _unpack(words, lanes: int):
+    """(len(words), lanes) uint32 from lane-packed ints; undoes _pack."""
+    blob = b"".join(x.to_bytes(8 * lanes, "little") for x in words)
+    return np.frombuffer(blob, dtype="<u8").reshape(-1, lanes).astype(
         np.uint32)
 
 
-def _compress(h, m, counter, block_len, flags):
-    """Full 16-word compression output for a batch of lanes.
+def _rounds(v, w, M):
+    """The 7 rounds of the int kernel on 16 state words v and 16 message
+    words w, all lane-packed; returns the 16 state words after them.
 
-    h: (8, L) or (8, 1) input chaining values; m: (16, L) message words;
-    counter: scalar or (L,) uint64; block_len, flags: scalar or (L,).
-    Returns (16, L) uint32 from the int kernel below _CROSSOVER lanes and
-    from the numpy kernel at or above it.
+    Lane j of a word sits in bits 64j..64j+31, so a sum of three words
+    never carries into the next lane and a shift's spill lands in bits
+    that the mask M clears. Each G step is written out, because 56 calls
+    of a G function cost about a tenth of a compression's time.
     """
-    kernel = _compress_ints if m.shape[1] < _CROSSOVER else _compress_rows
-    return kernel(h, m, counter, block_len, flags)
+    v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = v
+    for _ in range(7):
+        # columns
+        v0 = (v0 + v4 + w[0]) & M
+        v12 ^= v0
+        v12 = ((v12 >> 16) | (v12 << 16)) & M
+        v8 = (v8 + v12) & M
+        v4 ^= v8
+        v4 = ((v4 >> 12) | (v4 << 20)) & M
+        v0 = (v0 + v4 + w[1]) & M
+        v12 ^= v0
+        v12 = ((v12 >> 8) | (v12 << 24)) & M
+        v8 = (v8 + v12) & M
+        v4 ^= v8
+        v4 = ((v4 >> 7) | (v4 << 25)) & M
+        v1 = (v1 + v5 + w[2]) & M
+        v13 ^= v1
+        v13 = ((v13 >> 16) | (v13 << 16)) & M
+        v9 = (v9 + v13) & M
+        v5 ^= v9
+        v5 = ((v5 >> 12) | (v5 << 20)) & M
+        v1 = (v1 + v5 + w[3]) & M
+        v13 ^= v1
+        v13 = ((v13 >> 8) | (v13 << 24)) & M
+        v9 = (v9 + v13) & M
+        v5 ^= v9
+        v5 = ((v5 >> 7) | (v5 << 25)) & M
+        v2 = (v2 + v6 + w[4]) & M
+        v14 ^= v2
+        v14 = ((v14 >> 16) | (v14 << 16)) & M
+        v10 = (v10 + v14) & M
+        v6 ^= v10
+        v6 = ((v6 >> 12) | (v6 << 20)) & M
+        v2 = (v2 + v6 + w[5]) & M
+        v14 ^= v2
+        v14 = ((v14 >> 8) | (v14 << 24)) & M
+        v10 = (v10 + v14) & M
+        v6 ^= v10
+        v6 = ((v6 >> 7) | (v6 << 25)) & M
+        v3 = (v3 + v7 + w[6]) & M
+        v15 ^= v3
+        v15 = ((v15 >> 16) | (v15 << 16)) & M
+        v11 = (v11 + v15) & M
+        v7 ^= v11
+        v7 = ((v7 >> 12) | (v7 << 20)) & M
+        v3 = (v3 + v7 + w[7]) & M
+        v15 ^= v3
+        v15 = ((v15 >> 8) | (v15 << 24)) & M
+        v11 = (v11 + v15) & M
+        v7 ^= v11
+        v7 = ((v7 >> 7) | (v7 << 25)) & M
+        # diagonals
+        v0 = (v0 + v5 + w[8]) & M
+        v15 ^= v0
+        v15 = ((v15 >> 16) | (v15 << 16)) & M
+        v10 = (v10 + v15) & M
+        v5 ^= v10
+        v5 = ((v5 >> 12) | (v5 << 20)) & M
+        v0 = (v0 + v5 + w[9]) & M
+        v15 ^= v0
+        v15 = ((v15 >> 8) | (v15 << 24)) & M
+        v10 = (v10 + v15) & M
+        v5 ^= v10
+        v5 = ((v5 >> 7) | (v5 << 25)) & M
+        v1 = (v1 + v6 + w[10]) & M
+        v12 ^= v1
+        v12 = ((v12 >> 16) | (v12 << 16)) & M
+        v11 = (v11 + v12) & M
+        v6 ^= v11
+        v6 = ((v6 >> 12) | (v6 << 20)) & M
+        v1 = (v1 + v6 + w[11]) & M
+        v12 ^= v1
+        v12 = ((v12 >> 8) | (v12 << 24)) & M
+        v11 = (v11 + v12) & M
+        v6 ^= v11
+        v6 = ((v6 >> 7) | (v6 << 25)) & M
+        v2 = (v2 + v7 + w[12]) & M
+        v13 ^= v2
+        v13 = ((v13 >> 16) | (v13 << 16)) & M
+        v8 = (v8 + v13) & M
+        v7 ^= v8
+        v7 = ((v7 >> 12) | (v7 << 20)) & M
+        v2 = (v2 + v7 + w[13]) & M
+        v13 ^= v2
+        v13 = ((v13 >> 8) | (v13 << 24)) & M
+        v8 = (v8 + v13) & M
+        v7 ^= v8
+        v7 = ((v7 >> 7) | (v7 << 25)) & M
+        v3 = (v3 + v4 + w[14]) & M
+        v14 ^= v3
+        v14 = ((v14 >> 16) | (v14 << 16)) & M
+        v9 = (v9 + v14) & M
+        v4 ^= v9
+        v4 = ((v4 >> 12) | (v4 << 20)) & M
+        v3 = (v3 + v4 + w[15]) & M
+        v14 ^= v3
+        v14 = ((v14 >> 8) | (v14 << 24)) & M
+        v9 = (v9 + v14) & M
+        v4 ^= v9
+        v4 = ((v4 >> 7) | (v4 << 25)) & M
+        w = _permute(w)
+    return [v0, v1, v2, v3, v4, v5, v6, v7,
+            v8, v9, v10, v11, v12, v13, v14, v15]
+
+
+def _compress_ints(h, m, counter, block_len, flags):
+    """The int kernel with _compress_rows's inputs and output."""
+    lanes = m.shape[1]
+    words = _pack(np.concatenate(
+        [_start(h, counter, block_len, flags, lanes), m]))
+    v = _rounds(words[:16], words[16:], _ones(lanes) * 0xFFFFFFFF)
+    out = [v[i] ^ v[i + 8] for i in range(8)]
+    out += [v[i + 8] ^ words[i] for i in range(8)]
+    return _unpack(out, lanes)
+
+
+def _chunks_rows(m, counter, nchunks: int, tail: int):
+    """The numpy kernel's chunk stage, with _chunks_ints's inputs and
+    output."""
+    blocks, _, lanes = m.shape
+    last = max(0, (tail - 1) // _BLOCK_LEN)
+    final = slice(nchunks - 1, None, nchunks)
+    h = np.repeat(_IV[:, None], lanes, axis=1)
+    for b in range(blocks):
+        block_len = np.full(lanes, _BLOCK_LEN, dtype=np.uint32)
+        flags = np.full(lanes, _CHUNK_START if b == 0 else 0, dtype=np.uint32)
+        if b == 15:
+            flags |= _CHUNK_END
+        if b == last:
+            block_len[final] = tail - _BLOCK_LEN * b
+            flags[final] |= _CHUNK_END
+        # A contiguous copy first: the schedule gathers from it 7 times.
+        h = _compress_rows(h, np.ascontiguousarray(m[b]), counter,
+                           block_len, flags)[0:8]
+        if b == last:
+            kept = h[:, final]
+    if blocks > last + 1:
+        h[:, final] = kept
+    return h
+
+
+def _chunks_ints(m, counter, nchunks: int, tail: int):
+    """The int kernel's chunk stage: chaining values (8, L) after m's blocks.
+
+    m: (blocks, 16, L) message words; counter: (L,) uint64 chunk counters.
+    Lanes are message-major, nchunks to a message: lane j is a full chunk
+    unless j % nchunks == nchunks - 1, a final chunk, whose tail bytes end
+    in block (tail - 1) // 64. All words are packed once, the chaining
+    values stay packed from block to block, and all lanes run every block:
+    the final chunks get back the chaining value of their last block
+    through one mask splice at the end.
+    """
+    blocks, _, lanes = m.shape
+    last = max(0, (tail - 1) // _BLOCK_LEN)
+    ones = _ones(lanes)
+    M = ones * 0xFFFFFFFF
+    final = int.from_bytes(
+        (bytes(8 * nchunks - 8) + b"\1\0\0\0\0\0\0\0") * (lanes // nchunks),
+        "little")
+    lo, hi, *w = _pack(np.concatenate([
+        (counter & np.uint64(0xFFFFFFFF))[None],
+        (counter >> np.uint64(32))[None], m.reshape(16 * blocks, lanes)]))
+    h = [x * ones for x in _IV_INTS]
+    iv = h[0:4]
+    for b in range(blocks):
+        block_len = _BLOCK_LEN * ones
+        flags = ((_CHUNK_START if b == 0 else 0)
+                 | (_CHUNK_END if b == 15 else 0)) * ones
+        if b == last:
+            block_len -= (_BLOCK_LEN * (b + 1) - tail) * final
+            flags |= _CHUNK_END * final
+        v = _rounds(h + iv + [lo, hi, block_len, flags],
+                    w[16 * b:16 * b + 16], M)
+        h = [v[i] ^ v[i + 8] for i in range(8)]
+        if b == last:
+            kept = h
+    if blocks > last + 1:
+        F = final * 0xFFFFFFFF
+        h = [x ^ ((x ^ y) & F) for x, y in zip(h, kept)]
+    return _unpack(h, lanes)
+
+
+def _parent_cvs(m):
+    """Chaining values (8, L) of L parent nodes from their message words
+    (16, L), the two children's chaining values."""
+    lanes = m.shape[1]
+    if lanes >= _CROSSOVER:
+        return _compress_rows(_IV[:, None], m, 0, _BLOCK_LEN, _PARENT)[0:8]
+    ones = _ones(lanes)
+    v = _rounds([x * ones for x in _PARENT_STATE], _pack(m),
+                ones * 0xFFFFFFFF)
+    return _unpack([v[i] ^ v[i + 8] for i in range(8)], lanes)
 
 
 def _root_nodes(padded, n: int):
@@ -198,37 +373,32 @@ def _root_nodes(padded, n: int):
     padded. Returns h (8, k), m (16, k), block_len (k,) and flags (k,).
     """
     k, nchunks = padded.shape[0], padded.shape[1] // _CHUNK_LEN
+    lanes = nchunks * k
     tail = n - (nchunks - 1) * _CHUNK_LEN
     last_blocks = max(1, -(-tail // _BLOCK_LEN))
-    blocks = padded.view("<u4").reshape(k, nchunks, 16, 16)
-    final = slice((nchunks - 1) * k, None)
-    h = np.repeat(_IV[:, None], nchunks * k, axis=1)
-    counter = np.repeat(np.arange(nchunks, dtype=np.uint64), k)
-    for b in range(16 if nchunks > 1 else last_blocks):
-        lanes = nchunks * k if b < last_blocks else (nchunks - 1) * k
-        m = blocks[:, :, b].transpose(2, 1, 0).reshape(16, -1)[:, :lanes]
-        block_len = np.full(lanes, _BLOCK_LEN, dtype=np.uint32)
-        flags = np.full(lanes, _CHUNK_START if b == 0 else 0, dtype=np.uint32)
-        if b == 15:
-            flags |= _CHUNK_END
-        if b == last_blocks - 1:
-            block_len[final] = tail - _BLOCK_LEN * b
-            flags[final] |= _CHUNK_END
-            if nchunks == 1:
-                return h, m, block_len, flags | _ROOT
-        h[:, :lanes] = _compress(
-            h[:, :lanes], m, counter[:lanes], block_len, flags)[0:8]
+    # (block, word, lane) as a view, one lane per chunk, message-major.
+    m = padded.view("<u4").reshape(lanes, 16, 16).transpose(1, 2, 0)
+    counter = np.tile(np.arange(nchunks, dtype=np.uint64), k)
+    # A one-chunk message stops before its last block, its root node.
+    blocks = 16 if nchunks > 1 else last_blocks - 1
+    stage = _chunks_ints if lanes < _CROSSOVER else _chunks_rows
+    h = stage(m[:blocks], counter, nchunks, tail)
+    if nchunks == 1:
+        flags = (_CHUNK_START if blocks == 0 else 0) | _CHUNK_END | _ROOT
+        return (h, m[blocks],
+                np.full(k, tail - _BLOCK_LEN * blocks, dtype=np.uint32),
+                np.full(k, flags, dtype=np.uint32))
     # Pair chain values level by level; an odd one out is promoted
     # unchanged, which gives the reference's left-subtree tree shape.
-    cvs = h.reshape(8, nchunks, k)
-    while cvs.shape[1] > 2:
-        pairs = cvs.shape[1] // 2
-        m = np.concatenate(
-            [cvs[:, 0:2 * pairs:2], cvs[:, 1:2 * pairs:2]]).reshape(16, -1)
-        out = _compress(_IV[:, None], m, 0, _BLOCK_LEN, _PARENT)[0:8]
+    cvs = h.reshape(8, k, nchunks)
+    while cvs.shape[2] > 2:
+        pairs = cvs.shape[2] // 2
+        m = np.concatenate([cvs[:, :, 0:2 * pairs:2],
+                            cvs[:, :, 1:2 * pairs:2]]).reshape(16, -1)
         cvs = np.concatenate(
-            [out.reshape(8, pairs, k), cvs[:, 2 * pairs:]], axis=1)
-    m = cvs.transpose(1, 0, 2).reshape(16, k)
+            [_parent_cvs(m).reshape(8, k, pairs), cvs[:, :, 2 * pairs:]],
+            axis=2)
+    m = cvs.transpose(2, 0, 1).reshape(16, k)
     return (np.repeat(_IV[:, None], k, axis=1), m,
             np.full(k, _BLOCK_LEN, dtype=np.uint32),
             np.full(k, _PARENT | _ROOT, dtype=np.uint32))
@@ -257,7 +427,9 @@ def blake3_many(messages, out_len: int = 32) -> list[bytes]:
     h, m, block_len, flags = (np.concatenate(parts, axis=-1)
                               for parts in zip(*nodes))
     nblocks = -(-out_len // _BLOCK_LEN)
-    out = _compress(
+    kernel = _compress_ints if nblocks * len(order) < _CROSSOVER \
+        else _compress_rows
+    out = kernel(
         np.repeat(h, nblocks, axis=1), np.repeat(m, nblocks, axis=1),
         np.tile(np.arange(nblocks, dtype=np.uint64), len(order)),
         np.repeat(block_len, nblocks), np.repeat(flags, nblocks))

@@ -8,8 +8,10 @@ and odd chunk counts (unbalanced trees), and multi-output-block extension.
 
 import json
 import random
+from functools import cache
 from pathlib import Path
 
+import blake3_ref
 import numpy as np
 import pytest
 
@@ -120,11 +122,12 @@ def _lane_inputs(lanes, counters, per_lane_len_flags, seed):
     return h, m, counter, block_len, flags
 
 
-@pytest.mark.parametrize("lanes",
-                         [1, 2, 31, 32, 33, _C - 1, _C, _C + 1, 320])
+@pytest.mark.parametrize("lanes", [1, 2, 31, 32, 33, 87, 88, 89,
+                                   _C - 1, _C, _C + 1, 320])
 @pytest.mark.parametrize("counters", ["scalar", "scalar-high", "per-lane"])
 @pytest.mark.parametrize("per_lane_len_flags", [False, True])
-def test_int_kernel_equals_numpy_kernel(lanes, counters, per_lane_len_flags):
+def test_int_kernel_equals_numpy_kernel(monkeypatch, lanes, counters,
+                                       per_lane_len_flags):
     for seed in range(3):
         h, m, counter, block_len, flags = _lane_inputs(
             lanes, counters, per_lane_len_flags, seed)
@@ -138,6 +141,12 @@ def test_int_kernel_equals_numpy_kernel(lanes, counters, per_lane_len_flags):
         np.testing.assert_array_equal(
             _blake3._compress_ints(iv, m, counter, block_len, flags),
             _blake3._compress_rows(iv, m, counter, block_len, flags))
+        # A parent level on ints packs only its message words.
+        with monkeypatch.context() as patch:
+            patch.setattr(_blake3, "_CROSSOVER", 2**62)
+            np.testing.assert_array_equal(
+                _blake3._parent_cvs(m), _blake3._compress_rows(
+                    iv, m, 0, _blake3._BLOCK_LEN, _blake3._PARENT)[0:8])
 
 
 @pytest.mark.parametrize("crossover", [0, 2**62], ids=["numpy", "ints"])
@@ -150,20 +159,97 @@ def test_reference_vectors_with_one_kernel(monkeypatch, crossover, length):
 
 
 def test_avalanche_shaped_batch_runs_both_kernels(monkeypatch):
-    # Ten 32,016-byte messages: 320 chunk lanes (numpy), then parent
-    # levels of 160 down to 10 lanes and a root of 10 (ints below the
-    # crossover), as one avalanche call per algorithm makes.
+    # Ten 32,016-byte messages: a chunk stage of 320 lanes (numpy), then
+    # parent levels of 160 down to 20 lanes and a root of 10 (ints below
+    # the crossover), as one avalanche call per algorithm makes.
     rng = random.Random(32016)
     messages = [rng.randbytes(32016) for _ in range(10)]
     expected = [blake3_digest(msg) for msg in messages]
-    widths = {"ints": [], "rows": []}
-    for name in widths:
-        kernel = getattr(_blake3, f"_compress_{name}")
-
-        def spy(h, m, *rest, kernel=kernel, seen=widths[name]):
-            seen.append(m.shape[1])
-            return kernel(h, m, *rest)
-        monkeypatch.setattr(_blake3, f"_compress_{name}", spy)
+    seen = {name: [] for name in ("_chunks_rows", "_chunks_ints",
+                                  "_compress_rows", "_rounds")}
+    widths = {"_chunks_rows": lambda m, *rest: m.shape[2],
+              "_chunks_ints": lambda m, *rest: m.shape[2],
+              "_compress_rows": lambda h, m, *rest: m.shape[1],
+              # the mask holds 32 ones in each lane's 64-bit slot
+              "_rounds": lambda v, w, M: (M.bit_length() + 32) // 64}
+    for name, width in widths.items():
+        def spy(*args, f=getattr(_blake3, name), width=width,
+                seen=seen[name]):
+            seen.append(width(*args))
+            return f(*args)
+        monkeypatch.setattr(_blake3, name, spy)
     assert blake3_many(messages) == expected
-    assert 320 in widths["rows"] and max(widths["ints"]) < _C
-    assert 10 in widths["ints"] and min(widths["rows"]) >= _C
+    assert seen["_chunks_rows"] == [320] and seen["_chunks_ints"] == []
+    # Every compression of the chunk stage and the wide parent levels runs
+    # on numpy.
+    levels = [160, 80, 40, 20, 10]
+    assert set(seen["_compress_rows"]) == \
+        {320} | {w for w in levels if w >= _C}
+    assert sorted(set(seen["_rounds"])) == sorted(w for w in levels if w < _C)
+    assert 10 in seen["_rounds"] and 320 not in seen["_rounds"]
+
+
+@pytest.mark.parametrize("messages, nchunks, tail", [
+    (1, 1, 1), (1, 1, 1024), (1, 3, 65), (1, 32, 272), (3, 11, 640),
+    (8, 5, 64), (12, 1, 700), (7, 17, 1000), (11, 11, 129),
+])
+def test_chunk_stage_equals_numpy_after_every_block(messages, nchunks, tail):
+    # Per-lane counters, some with a nonzero high word, and final chunks
+    # whose last block is the first, a middle or the sixteenth, stopped
+    # after every block count: the int stage's packed chaining values must
+    # equal the numpy stage's at each one.
+    lanes = messages * nchunks
+    for seed in range(2):
+        rng = np.random.default_rng([lanes, nchunks, tail, seed])
+        m = rng.integers(0, 2**32, (16, 16, lanes), dtype=np.uint32)
+        counter = rng.integers(0, 2**64, lanes, dtype=np.uint64)
+        counter[::2] &= np.uint64(0xFFFFFFFF)  # some high words zero
+        for blocks in range(17):
+            ints = _blake3._chunks_ints(m[:blocks], counter, nchunks, tail)
+            rows = _blake3._chunks_rows(m[:blocks], counter, nchunks, tail)
+            assert ints.dtype == rows.dtype == np.uint32
+            assert ints.shape == rows.shape == (8, lanes)
+            np.testing.assert_array_equal(ints, rows)
+
+
+# ------------------------------------- the independent scalar oracle
+
+
+def test_oracle_matches_reference_vectors():
+    for length, outputs in _VECTORS.items():
+        if int(length) <= 32016:
+            long_out = blake3_ref.blake3(_pattern(int(length)), 131)
+            for out_len, expected in outputs.items():
+                assert long_out[:int(out_len)].hex() == expected
+
+
+@cache
+def _differential_cases():
+    """Seeded random messages with their oracle digests (131 bytes)."""
+    rng = random.Random(20201)
+    lengths = [0, 1, 63, 64, 65, 1023, 1024, 1025, 32016]
+    for blocks in range(1, 17):  # a final chunk of each block count
+        tail = 64 * (blocks - 1) + rng.randrange(1, 65)
+        lengths += [tail, 1024 * rng.randrange(1, 4) + tail]
+    lengths += [1024 * (c - 1) + rng.randrange(1, 1025) for c in (31, 32, 33)]
+    single = [rng.randbytes(n) for n in lengths]
+    # Groups of 132 and 130 lanes beside narrow ones of every shape.
+    wide = [rng.randbytes(n) for n in [32 * 1024 + 100] * 4 + [700] * 130]
+    wide += rng.sample(single, 12)
+    rng.shuffle(wide)
+    narrow = single + [rng.randbytes(n) for n in rng.sample(lengths, 20)]
+    rng.shuffle(narrow)
+    oracle = {msg: blake3_ref.blake3(msg, 131)
+              for msg in set(single + narrow + wide)}
+    return single, narrow, wide, oracle
+
+
+@pytest.mark.parametrize("crossover", [0, 2**62], ids=["numpy", "ints"])
+def test_differential_against_oracle(monkeypatch, crossover):
+    single, narrow, wide, oracle = _differential_cases()
+    monkeypatch.setattr(_blake3, "_CROSSOVER", crossover)
+    for i, msg in enumerate(single):
+        out_len = (32, 64, 131)[i % 3]
+        assert blake3_digest(msg, out_len) == oracle[msg][:out_len], len(msg)
+    assert blake3_many(narrow, 131) == [oracle[msg] for msg in narrow]
+    assert blake3_many(wide, 32) == [oracle[msg][:32] for msg in wide]

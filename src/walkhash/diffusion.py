@@ -32,7 +32,7 @@ from .errors import (
 )
 from .keygen import Digest, HashAlg, digest_many, serialize_trajectory
 # Not called here, but bound by name: perfbench's traced pass wraps
-# diffusion.digest_bytes.
+# diffusion.digest_bytes and diffusion.generate_walk.
 from .keygen import digest_bytes  # noqa: F401
 from .rng import stream_key
 from .walk import (
@@ -40,8 +40,11 @@ from .walk import (
     LatticePoint,
     Trajectory,
     WalkConfig,
+    _GROUP,
+    _LANE_MIN,
     _replay,
-    generate_walk,
+    _walk_group,
+    generate_walk,  # noqa: F401
 )
 
 # Substream id for per-trial seeds; 0..2 belong to the walk module.
@@ -87,13 +90,17 @@ def _check_nudge(nudge: tuple[int, int]) -> None:
             f"nudge components must be in [-2**53, 2**53], got {tuple(nudge)}")
 
 
-def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
+def perturb(t: Trajectory, spec: PerturbationSpec, *,
+            steps: np.ndarray | None = None) -> Trajectory:
     """Return the disturbed copy of t; the input is never modified.
 
     RE_EVOLVE replays the tail after the nudged point to t's last row with
     walk._replay: up to 16 scalar steps until the replay lands on a row of
     t, then t's own rows once they are confirmed to follow t.config's
     steps (a trajectory whose rows do not follow is replayed to the end).
+    steps, if given, are the maps of the last len(steps) steps of t's walk
+    as walk._walk_group returns them; the replay reads them instead of
+    drawing its steps again.
     """
     _check_position(spec.position, t.n)
     _check_nudge(spec.nudge)
@@ -106,8 +113,8 @@ def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
     xy = t.xy.copy()
     xy[spec.position] = moved
     if spec.mode is PerturbMode.RE_EVOLVE:
-        xy[spec.position + 1:] = _replay(t.config, t.xy, spec.position, moved)
-    return Trajectory(xy, t.config)
+        _replay(t.config, xy, spec.position, steps)
+    return Trajectory._adopt(xy, t.config)
 
 
 def shannon_entropy(digest: Digest | bytes) -> float:
@@ -233,11 +240,15 @@ def run_avalanche(
 
     Trials run in batches of about _BATCH_BYTES of serialized walks: the
     batch's walks are generated in (position, trial) order, then each
-    algorithm digests all of them in one digest_many call.
+    algorithm digests all of them in one digest_many call. Walks of
+    walk._LANE_MIN steps or more are generated in groups of walk._GROUP
+    (walk._walk_group: one step table and one set of lane passes for the
+    group), and each re-evolve tail reads its maps from its group's table.
 
     A WalkhashError raised while a trial builds or disturbs its walk keeps
     its class; its message gains the seed, position, trial and trial_seed
-    of that trial.
+    of that trial. Errors are raised in (position, trial) order, so a run
+    reports the trial that a run of one trial at a time would.
     """
     config.validate()
     if not algs:
@@ -261,25 +272,34 @@ def run_avalanche(
     _check_nudge(nudge)
     records: dict[str, list[TrialRecord]] = {lb: [] for lb in labels}
     batch = max(1, _BATCH_BYTES // (32 * (config.n + 1)))
+    # lanes gain from sharing a pass; shorter walks run the scalar loop
+    group = _GROUP if config.n >= _LANE_MIN else 1
     # lazy: itertools.product would first copy range(trials) into a tuple
     pending = ((p, t) for p in positions for t in range(trials_per_position))
     row = 0
     while chunk := list(islice(pending, batch)):
         messages: list[bytes] = []
-        for position, trial in chunk:
-            tseed = trial_seed(config.seed, position, trial)
-            try:
-                base = generate_walk(replace(config, seed=tseed))
-                disturbed = perturb(
-                    base, PerturbationSpec(position, mode, nudge))
-            except WalkhashError as exc:
-                # `keygen --seed trial_seed` with the same walk options
-                # replays the base walk
-                raise type(exc)(
-                    f"{exc} (seed={config.seed} position={position} "
-                    f"trial={trial} trial_seed={tseed})") from exc
-            messages += (serialize_trajectory(base),
-                         serialize_trajectory(disturbed))
+        for lo in range(0, len(chunk), group):
+            trials = chunk[lo:lo + group]
+            configs = [replace(config, seed=trial_seed(config.seed, *pair))
+                       for pair in trials]
+            walks, tails = _walk_group(configs)
+            for (position, trial), base, steps, tseed in zip(
+                    trials, walks, tails, [c.seed for c in configs]):
+                try:
+                    if isinstance(base, WalkhashError):
+                        raise base
+                    disturbed = perturb(
+                        base, PerturbationSpec(position, mode, nudge),
+                        steps=steps)
+                except WalkhashError as exc:
+                    # `keygen --seed trial_seed` with the same walk options
+                    # replays the base walk
+                    raise type(exc)(
+                        f"{exc} (seed={config.seed} position={position} "
+                        f"trial={trial} trial_seed={tseed})") from exc
+                messages += (serialize_trajectory(base),
+                             serialize_trajectory(disturbed))
         for alg, label in zip(algs, labels):
             digests = digest_many(messages, alg)
             for j, (position, _) in enumerate(chunk):

@@ -21,6 +21,8 @@ Stream.uniform and give the same values bit for bit.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -89,11 +91,15 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def stream_keys(seed: int, path: tuple[int, ...],
+def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
                 index: np.ndarray) -> np.ndarray:
-    """stream_key(seed, *path, i) for each i of a non-negative int array."""
+    """stream_key(seed, *path, i) for each seed of seeds and each i of a
+    non-negative int array: index is (m,), shared by every seed, or
+    (len(seeds), m), one row a seed; the keys are (len(seeds), m)."""
+    base = np.array([stream_key(seed, *path) for seed in seeds],
+                    dtype=np.uint64)
     parts = index.astype(np.uint64) * _GOLDEN_U64
-    return mix64_array(np.uint64(stream_key(seed, *path)) ^ parts)
+    return mix64_array(base[:, None] ^ parts)
 
 
 def u64_draws(keys: np.ndarray, k: int) -> np.ndarray:

@@ -142,7 +142,7 @@ def chi_square_uniform(matrix: "BitMatrix",
         statistic=stat,
         dof=dof,
         p_value=p,
-        per_bit_flip_counts=tuple(int(c) for c in counts),
+        per_bit_flip_counts=tuple(counts.tolist()),
         mode=mode,
     )
 

@@ -13,17 +13,22 @@ the stream (seed, 0, i), so any step can be regenerated without replaying
 the others. Draw order within a step is fixed and documented in
 sample_affine_step; it is part of the reproducibility contract.
 
-Because the streams are counter-based, a walk draws its steps as columns:
-_step_table computes every step of a block at once with numpy uint64
-arithmetic (rng.stream_keys and friends) and gives the same values as the
-per-step streams. The floor recurrence then runs the block's segments as
-numpy lanes, iterated to the fixed point where each lane starts where the
-one before it ends (see _lane_rows), and keeps them only if one numpy check
-(_follows) confirms every row; otherwise, and for short blocks, the scalar
-loop runs the block. The scalar functions (Stream, sample_affine_step,
-affine_step_for, map_templates, step) are the reference the tables and
-lanes are tested against, and they fill in the rare steps whose matrix
-draw is rejected.
+Because the streams are counter-based, walks draw their steps as columns:
+_step_table computes every step of a block at once, for a group of walks
+that differ only in seed, with numpy uint64 arithmetic (rng.stream_keys
+and friends) and gives the same values as the per-step streams. The floor
+recurrence then runs the block's segments as numpy lanes, the lanes of
+every walk of the group in one pass, iterated to the fixed point where
+each lane starts where the one before it ends (see _lane_rows). A walk
+keeps its lane rows only if one numpy check (_follows) confirms every row;
+otherwise, and for short blocks, the scalar loop runs that walk's block
+alone and raises that walk's BoundsExceeded. generate_walk is a group of
+one walk; diffusion.run_avalanche steps its trials in groups (_walk_group),
+and its re-evolve tails (_replay) read their maps from the group's table.
+The output bytes do not depend on the grouping. The scalar functions
+(Stream, sample_affine_step, affine_step_for, map_templates, step) are the
+reference the tables and lanes are tested against, and they fill in the
+rare steps whose matrix draw is rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +72,12 @@ _BLOCK = 2048
 _SEGMENT = 16
 _LANE_MIN = 512
 _PASSES = 4
+
+# Walks that diffusion.run_avalanche steps together (_walk_group). At
+# n=2000 a walk took 0.63-0.68 ms in groups of 6 to 12, 1.6-1.7 ms alone
+# and 0.72-0.76 ms in groups of 16, whose lanes fall out of cache; a
+# group's table holds 64 bytes a step a walk.
+_GROUP = 8
 
 # Steps in which a re-evolve replay (_replay) must rejoin its walk; at the
 # default config it does after a median of 2 (at most 11 in 200 trials).
@@ -194,6 +205,16 @@ class Trajectory:
         xy = xy.astype(np.int64, copy=False).reshape(-1, 2)
         xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)
+
+    @classmethod
+    def _adopt(cls, xy: np.ndarray, config: WalkConfig) -> Trajectory:
+        """A trajectory over xy itself, an (n+1, 2) int64 array its caller
+        made and no longer writes: unlike the constructor, no copy."""
+        xy.flags.writeable = False
+        t = object.__new__(cls)
+        object.__setattr__(t, "xy", xy)
+        object.__setattr__(t, "config", config)
+        return t
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
@@ -347,50 +368,58 @@ def lattice_bound(config: WalkConfig) -> int:
     return math.ceil(start + reach)
 
 
-def _map_columns(config: WalkConfig, keys: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _map_columns(config: WalkConfig, keys: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
     """_draw_map on every stream key at once.
 
-    Returns the (m, 6) rows a11 a12 a21 a22 b1 b2 and the mask of lanes
-    whose first matrix draw is rejected; _draw_map redraws those, which
-    moves every later draw, so their rows must be refilled by the caller.
+    Writes the rows a11 a12 a21 a22 b1 b2 into out[..., :6] and returns
+    the mask of lanes whose first matrix draw is rejected; _draw_map
+    redraws those, which moves every later draw, so their rows must be
+    refilled by the caller.
     """
-    e11, e12, e21, e22 = (uniform_draws(keys, k, -1.0, 1.0)
-                          for k in (1, 2, 3, 4))
-    sigma = _spectral_norms(e11, e12, e21, e22)
-    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max) / sigma
-    rows = np.column_stack((
-        e11 * scale, e12 * scale, e21 * scale, e22 * scale,
-        uniform_draws(keys, 6, config.b_min, config.b_max),
-        uniform_draws(keys, 7, config.b_min, config.b_max)))
-    return rows, sigma <= _SIGMA_FLOOR
+    for c in range(4):
+        out[..., c] = uniform_draws(keys, c + 1, -1.0, 1.0)
+    sigma = _spectral_norms(*(out[..., c] for c in range(4)))
+    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max)
+    out[..., :4] *= np.divide(scale, sigma, scale)[..., None]
+    out[..., 4] = uniform_draws(keys, 6, config.b_min, config.b_max)
+    out[..., 5] = uniform_draws(keys, 7, config.b_min, config.b_max)
+    return sigma <= _SIGMA_FLOOR
 
 
-def _step_table(config: WalkConfig, lo: int, hi: int) -> np.ndarray:
-    """The steps lo <= i < hi as (hi - lo, 8) float64 rows
-    a11 a12 a21 a22 b1 b2 d1 d2, equal to affine_step_for(config, i).
+def _step_table(configs: Sequence[WalkConfig], lo: int,
+                hi: int) -> np.ndarray:
+    """The steps lo <= i < hi of walks whose configs differ only in seed,
+    as (len(configs), hi - lo, 8) float64 rows a11 a12 a21 a22 b1 b2 d1
+    d2: row [g, k] equals affine_step_for(configs[g], lo + k).
 
     In FIXED_SET mode each step draws only the template it chooses, so the
-    cost follows the steps, not map_count.
+    cost follows the steps, not map_count. The table is a view of an
+    (8, G, hi - lo) array: each drawn column is written in one piece, and
+    _lane_rows reads step t of every lane of a column with one stride.
     """
+    config = configs[0]
+    seeds = [c.seed for c in configs]
     eps = config.epsilon
+    table = np.empty((8, len(seeds), hi - lo)).transpose(1, 2, 0)
     if config.map_mode is MapMode.PER_STEP_FRESH:
-        keys = stream_keys(config.seed, (_SUB_STEP,), np.arange(lo, hi))
-        rows, rejected = _map_columns(config, keys)
-        table = np.column_stack((rows, uniform_draws(keys, 8, -eps, eps),
-                                 uniform_draws(keys, 9, -eps, eps)))
-        for k in np.flatnonzero(rejected).tolist():
-            table[k] = affine_step_for(config, lo + k)
+        keys = stream_keys(seeds, (_SUB_STEP,), np.arange(lo, hi))
+        rejected = _map_columns(config, keys, table)
+        table[..., 6] = uniform_draws(keys, 8, -eps, eps)
+        table[..., 7] = uniform_draws(keys, 9, -eps, eps)
+        for g, k in np.argwhere(rejected).tolist():
+            table[g, k] = affine_step_for(configs[g], lo + k)
         return table
-    keys = stream_keys(config.seed, (_SUB_CHOICE,), np.arange(lo, hi))
+    keys = stream_keys(seeds, (_SUB_CHOICE,), np.arange(lo, hi))
     choice = u64_draws(keys, 1) % np.uint64(config.map_count)
-    rows, rejected = _map_columns(
-        config, stream_keys(config.seed, (_SUB_TEMPLATE,), choice))
-    for k in np.flatnonzero(rejected).tolist():
-        stream = Stream(config.seed, _SUB_TEMPLATE, int(choice[k]))
-        rows[k] = _draw_map(stream, config)
-    return np.column_stack((rows, uniform_draws(keys, 2, -eps, eps),
-                            uniform_draws(keys, 3, -eps, eps)))
+    rejected = _map_columns(
+        config, stream_keys(seeds, (_SUB_TEMPLATE,), choice), table)
+    for g, k in np.argwhere(rejected).tolist():
+        stream = Stream(seeds[g], _SUB_TEMPLATE, int(choice[g, k]))
+        table[g, k, :6] = _draw_map(stream, config)
+    table[..., 6] = uniform_draws(keys, 2, -eps, eps)
+    table[..., 7] = uniform_draws(keys, 3, -eps, eps)
+    return table
 
 
 def _floor_step(ax: np.ndarray, ay: np.ndarray, b: np.ndarray,
@@ -423,41 +452,48 @@ def _follows(table: np.ndarray, rows: np.ndarray, limit: int) -> bool:
     return bool(np.array_equal(want, rows[1:]))
 
 
-def _lane_rows(table: np.ndarray, x: LatticePoint) -> np.ndarray | None:
-    """The rows x, x_1..x_m reached by stepping from x through the m steps
-    of table (m a multiple of _SEGMENT), as (m + 1, 2) float64, or None
-    when the lanes reach no fixed point in _PASSES passes.
+def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rows each walk g reaches by stepping from x[g] through the m
+    steps of table[g] (m a multiple of _SEGMENT), as (G, m + 1, 2) float64
+    for a (G, m, 8) table and (G, 2) starts: its fixed point if the lanes
+    reach one in _PASSES passes, else the rows of the last pass.
 
-    Lane j holds steps j*_SEGMENT .. (j+1)*_SEGMENT - 1; a pass runs step t
-    of every lane in one _floor_step call. Lane 0 starts from x, the others
-    from x as a guess, and each pass restarts lane j+1 from the end lane j
-    reached in the pass before. The maps contract, so a restarted lane soon
-    lands on a point of its previous pass and follows it from there. At the
-    first step of a pass where every lane is back on its previous rows, the
-    rest of the pass would repeat the one before: each lane starts where
-    the one before it ends. _evolve still checks the rows with _follows.
+    Lane j of a walk holds steps j*_SEGMENT .. (j+1)*_SEGMENT - 1; a pass
+    runs step t of every lane of every walk in one _floor_step call. Lane
+    0 starts from its walk's x, the others from x as a guess, and each pass
+    restarts lane j+1 from the end lane j reached in the pass before. The
+    maps contract, so a restarted lane soon lands on a point of its
+    previous pass and follows it from there. At the first step of a pass
+    where every lane is back on its previous rows, the rest of the pass
+    would repeat the one before: each lane starts where the one before it
+    ends. _evolve still checks each walk's rows with _follows.
     """
-    m, seg = len(table), _SEGMENT
+    walks, m = table.shape[:2]
+    seg = _SEGMENT
     lanes = m // seg
-    rows = np.empty((m + 1, 2))
-    rows[:] = x  # the true start, and the guess the other lanes start from
-    # step t of every lane as _floor_step's (2, lanes) arguments: the
-    # column pairs (a11, a21), (a12, a22), (b1, b2) and (d1, d2) of its
-    # maps, the rows it starts from, and the rows it writes
-    maps = table.reshape(lanes, seg, 8).transpose(1, 2, 0)
-    before = rows[:-1].reshape(lanes, seg, 2).transpose(1, 2, 0)
-    after = rows[1:].reshape(lanes, seg, 2).transpose(1, 2, 0)
-    calls = [(c[0:4:2], c[1:4:2], c[4:6], c[6:8], *b, a)
-             for c, b, a in zip(maps, before, after)]
-    new, tmp = np.empty((2, 2, lanes))
-    for p in range(_PASSES):
-        for ax, ay, b, d, px, py, out in calls:
-            _floor_step(ax, ay, b, d, px, py, new, tmp)
-            # equal bits: every lane is back on its previous rows
-            if p and new.tobytes() == out.tobytes():
-                return rows
-            out[...] = new
-    return None
+    # step t of every lane as _floor_step's (2, walks, lanes) arguments:
+    # the column pairs (a11, a21), (a12, a22), (b1, b2) and (d1, d2) of its
+    # maps, the points it starts from (at[t]) and the points it reaches
+    # (at[t + 1]); a view when table is one from _step_table
+    maps = table.transpose(2, 0, 1).reshape(8, walks, lanes, seg)
+    at = np.empty((seg + 1, 2, walks, lanes))
+    at[:] = x.T[:, :, None]  # the true starts, and the guess lanes start from
+    calls = [(maps[0:4:2, ..., t], maps[1:4:2, ..., t], maps[4:6, ..., t],
+              maps[6:8, ..., t], *at[t], at[t + 1]) for t in range(seg)]
+    new, tmp = np.empty((2, 2, walks, lanes))
+    for k in range(_PASSES * seg):
+        ax, ay, b, d, px, py, out = calls[k % seg]
+        if k % seg == 0:  # a pass restarts lane j + 1 where lane j ended
+            at[0, ..., 1:] = at[seg, ..., :-1]
+        _floor_step(ax, ay, b, d, px, py, new, tmp)
+        # equal bits: every lane is back on its previous rows
+        if k >= seg and new.tobytes() == out.tobytes():
+            break
+        out[...] = new
+    rows = np.empty((walks, m + 1, 2))
+    rows[:, 0] = x
+    rows[:, 1:] = at[1:].transpose(2, 3, 0, 1).reshape(walks, m, 2)
+    return rows
 
 
 def _scalar_rows(table: np.ndarray, x: LatticePoint,
@@ -480,74 +516,112 @@ def _scalar_rows(table: np.ndarray, x: LatticePoint,
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
-def _evolve(config: WalkConfig, x: LatticePoint, first: int,
-            last: int | None = None) -> np.ndarray:
-    """The points x_first..x_last reached by stepping on from
-    x = x_(first-1), as an (last - first + 1, 2) int64 array; last defaults
-    to n.
+def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
+            ) -> tuple[list[BoundsExceeded | None], np.ndarray]:
+    """Step walks whose configs differ only in seed on from row 0 of xy, a
+    (G, k + 1, 2) int64 array holding each walk's x_(first-1): fills rows
+    1..k of xy[g] with x_first..x_(first+k-1) of walk g.
 
     Each step is step(x, affine_step_for(config, i), bound) with the maps
-    read from _step_table a block of _BLOCK steps at a time. A block of
-    _LANE_MIN steps or more runs as lanes (_lane_rows) and is kept only if
-    _follows confirms every row; any other block, or one whose lanes fail,
-    runs the scalar loop from the block's exact start, which also raises
-    the scalar BoundsExceeded.
+    read from _step_table a block of _BLOCK steps at a time, one table for
+    all walks. A block of _LANE_MIN steps or more runs every walk's lanes
+    in one _lane_rows call, and keeps a walk's rows only if _follows
+    confirms them; any other block, or a walk whose lanes fail, runs the
+    scalar loop from the walk's exact start. Returns the BoundsExceeded
+    that stopped each walk, or None, and the last block's table, the maps
+    of the last steps. A stopped walk's later rows repeat its last start.
     """
-    bound = lattice_bound(config)
+    bound = lattice_bound(configs[0])
     limit = min(bound, MAX_COORD)
-    end = config.n + 1 if last is None else last + 1
-    out = np.empty((max(end - first, 0), 2), dtype=np.int64)
+    end = first + xy.shape[1] - 1
+    errors: list[BoundsExceeded | None] = [None] * len(configs)
+    table = np.empty((len(configs), 0, 8))
     for lo in range(first, end, _BLOCK):
         m = min(_BLOCK, end - lo)
         lanes = m >= _LANE_MIN
         # lanes take whole segments: a short last one runs on past the block
         table = _step_table(
-            config, lo, lo + (-(-m // _SEGMENT) * _SEGMENT if lanes else m))
+            configs, lo, lo + (-(-m // _SEGMENT) * _SEGMENT if lanes else m))
+        x = xy[:, lo - first]
         rows = _lane_rows(table, x) if lanes else None
-        table = table[:m]
-        if rows is not None and _follows(table, rows[:m + 1], limit):
-            out[lo - first:lo - first + m] = rows[1:m + 1]
-        else:
-            out[lo - first:lo - first + m] = _scalar_rows(table, x, bound)
-        x = LatticePoint(*out[lo - first + m - 1].tolist())
-    return out
+        table = table[:, :m]
+        for g, out in enumerate(xy[:, lo - first + 1:lo - first + m + 1]):
+            if errors[g]:
+                out[...] = x[g]  # defined rows for the lanes that follow
+            elif rows is not None and _follows(table[g], rows[g, :m + 1],
+                                               limit):
+                out[...] = rows[g, 1:m + 1]
+            else:
+                try:
+                    out[...] = _scalar_rows(
+                        table[g], LatticePoint(*x[g].tolist()), bound)
+                except BoundsExceeded as exc:
+                    errors[g] = exc
+                    out[...] = x[g]
+    return errors, table
 
 
-def _replay(config: WalkConfig, base: np.ndarray, i: int,
-            x: LatticePoint) -> np.ndarray:
-    """_evolve(config, x, i + 1, len(base) - 1) for base the rows of a
-    walk under config: the rows from stepping on from x = x_i.
+def _walk_group(configs: Sequence[WalkConfig]
+                ) -> tuple[list[Trajectory | BoundsExceeded], np.ndarray]:
+    """The walks x_0..x_n of validated configs that differ only in seed,
+    stepped together by _evolve: each a Trajectory, or the BoundsExceeded
+    that stopped it. Also returns the maps of the walks' last steps as a
+    (G, k, 8) step table: row [g, k - j] is step n + 1 - j of walk g.
+    """
+    xy = np.empty((len(configs), configs[0].n + 1, 2), dtype=np.int64)
+    xy[:, 0] = configs[0].x0
+    errors, table = _evolve(configs, xy, 1)
+    return [exc or Trajectory._adopt(rows, config)
+            for exc, rows, config in zip(errors, xy, configs)], table
+
+
+def _replay(config: WalkConfig, xy: np.ndarray, i: int,
+            steps: np.ndarray | None = None) -> None:
+    """Rewrite rows i+1.. of xy, the rows of a walk under config in all
+    but row i, as the rows reached by stepping on from xy[i].
 
     The first _REJOIN steps run the scalar loop. Under contraction the
-    replay soon lands on a row of base and would retrace it from there, so
-    base's later rows are kept once _follows confirms them, a _BLOCK of
-    steps at a time. Without a rejoin, or if a row of base does not follow,
-    _evolve replays the whole tail.
+    replay soon lands on a row of the walk and would retrace it from
+    there, so the walk's later rows are kept once _follows confirms them,
+    a _BLOCK of steps at a time. Without a rejoin, or if a row does not
+    follow, _evolve replays the whole tail. steps, if given, are the maps
+    of the walk's last len(steps) steps (see _walk_group); when they cover
+    the tail, they are its first block's table.
     """
-    last = len(base) - 1
+    last = len(xy) - 1
     bound = lattice_bound(config)
     limit = min(bound, MAX_COORD)
-    hi = min(i + _BLOCK, last)
-    table = _step_table(config, i + 1, hi + 1)
-    head = _scalar_rows(table[:_REJOIN], x, bound)
-    met = np.flatnonzero((head == base[i + 1:i + 1 + len(head)]).all(axis=1))
+    if steps is not None and last - i <= len(steps):
+        table = steps[len(steps) - (last - i):]
+    else:
+        table = _step_table([config], i + 1, min(i + _BLOCK, last) + 1)[0]
+    hi = i + len(table)
+    head = _scalar_rows(table[:_REJOIN], LatticePoint(*xy[i].tolist()),
+                        bound)
+    met = np.flatnonzero((head == xy[i + 1:i + 1 + len(head)]).all(axis=1))
     if met.size:
-        j = i + 1 + int(met[0])  # the replay's row j is base[j]
-        kept = _follows(table[j - i:], base[j:hi + 1], limit)
+        j = i + 1 + int(met[0])  # the replay's row j is the walk's
+        kept = _follows(table[j - i:], xy[j:hi + 1], limit)
         for lo in range(hi, last, _BLOCK):
-            rows = base[lo:lo + _BLOCK + 1]
+            rows = xy[lo:lo + _BLOCK + 1]
             kept = kept and _follows(
-                _step_table(config, lo + 1, lo + len(rows)), rows, limit)
+                _step_table([config], lo + 1, lo + len(rows))[0], rows,
+                limit)
         if kept:
-            return np.concatenate((head[:j - i - 1], base[j:]))
-    return _evolve(config, x, i + 1, last)
+            xy[i + 1:j] = head[:j - i - 1]
+            return
+    (exc,), _ = _evolve([config], xy[None, i:], i + 1)
+    if exc:
+        raise exc
 
 
 def generate_walk(config: WalkConfig) -> Trajectory:
     """Generate the full trajectory x_0..x_n for a validated config."""
     config.validate()
-    return Trajectory(np.vstack((config.x0, _evolve(config, config.x0, 1))),
-                      config)
+    (walk,), _ = _walk_group([config])
+    if isinstance(walk, BoundsExceeded):
+        raise walk
+    return walk
 
 
 def walk_space_size(m: int, n: int) -> int:

@@ -390,15 +390,16 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
 
 
 # main(argv) in a child limited to 2 GB of address space (`ulimit -v
-# 2000000`), with every walk of a trial raising instead of running.
+# 2000000`), with every walk of a trial stopped by an error instead of
+# running.
 _NO_WALK = """\
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from walkhash import cli, diffusion
 from walkhash.errors import BoundsExceeded
-def no_walk(config):
-    raise BoundsExceeded("generate_walk called")
-diffusion.generate_walk = no_walk
+def no_walk(configs):
+    return [BoundsExceeded("generate_walk called")] * len(configs), configs
+diffusion._walk_group = no_walk
 sys.exit(cli.main(sys.argv[1:]))
 """
 

@@ -41,6 +41,16 @@ CASES = {
     "avalanche-nudge-3algs": [
         "avalanche", "--seed", "4", "--n", "80", "--positions", "20,60",
         "--trials", "2"],
+    # lane-size walks (n >= walk._LANE_MIN); 3 x 3 trials do not split
+    # into groups of equal size
+    "avalanche-reevolve-fixed-lanes": [
+        "avalanche", "--seed", "8", "--n", "600", "--map-mode", "fixed-set",
+        "--map-count", "6", "--mode", "re-evolve", "--nudge=1,1",
+        "--positions", "100,333,590", "--trials", "3",
+        "--algs", "sha3-512,shake256-512"],
+    "avalanche-nudge-lanes": [
+        "avalanche", "--seed", "9", "--n", "600", "--positions", "150,451",
+        "--trials", "3"],
     "fractal-sweep": [
         "fractal", "--seed", "1", "--n-list", "64,200", "--num-seeds", "2"],
     "fractal-square": [
@@ -87,6 +97,38 @@ PINS = {
             "1660349c2f889068a03a34e11a53001e9e88e3635159a82350ab1f795c12c39e",
         "trials_shake256-512.csv":
             "00152fd602191c4e9cf905f394084eeb4939fb460b5a06d704a2d1349473f350",
+    },
+    "avalanche-nudge-lanes": {
+        "bitmatrix_blake3-256.bin":
+            "d890e9ee9a23ab9f1b82324209e1671e13a233950c2681aac9a339325176c433",
+        "bitmatrix_sha3-512.bin":
+            "60c9b637a813c407e85ff775082acfb35283872191ce7bda319c3ffe72c16733",
+        "bitmatrix_shake256-512.bin":
+            "b394b1d9233ace6bc9973c2d53feff0fb44f2e8ba4f1912506725088cab52fa2",
+        "stdout":
+            "b78eb8dab7966a5369ae2ffd597a5a75dab9bfe77264f30fb460de544eeb86ab",
+        "summary.json":
+            "a830b11c3bdbb4f55736543f649b68c6c4db317932efe8b6f241ade7fc6f9d06",
+        "trials_blake3-256.csv":
+            "d5d18b88226d27fa8ba8c7a2fdf6510b9e28aef752885f14739a86724ac30cf8",
+        "trials_sha3-512.csv":
+            "37eaec4a8351c853742a6f6cb966638b4218b41aa51757d17278e8ac6d7aec02",
+        "trials_shake256-512.csv":
+            "4ca0598c7de5b1324653f61c33165ee65bc3ab468681c30036e3fca0d051b703",
+    },
+    "avalanche-reevolve-fixed-lanes": {
+        "bitmatrix_sha3-512.bin":
+            "aa4b613f7ce261978aa7fc1b9d8cb73795b3af48ae44291ac90524642821d19e",
+        "bitmatrix_shake256-512.bin":
+            "4af183c23289e194e0cba335d0e89813b8dd8e3a1da1995058b5155333e9d410",
+        "stdout":
+            "8fead09ddcf2dccb7e802825a3913b24d2c014fe59c566ae653973f8f829664c",
+        "summary.json":
+            "f9c2eda2d5468ae604f54b479fde64e6d964ef30ae8ce4a5003c85c61166cc13",
+        "trials_sha3-512.csv":
+            "736f2f3b57c1967e8de246417c8db2aa64f678f4e71947daaf48ecb8085ddb27",
+        "trials_shake256-512.csv":
+            "17ba11637c6785479e4b91a2df56ec88c306ec9d94d19123eae02076868d0eb0",
     },
     "fractal-box-sizes": {
         "fractal.json":

@@ -78,18 +78,23 @@ def test_below_range_and_spread():
 
 def test_array_draws_equal_scalar_streams():
     index = np.array([0, 1, 2, 41, 42, 2**40, 2**63 - 1])
-    for seed in (0, 1, 12345, 2**64 - 1):
-        for path in ((), (0,), (3, 7)):
-            keys = stream_keys(seed, path, index)
-            assert keys.dtype == np.uint64
-            for lane, i in enumerate(index.tolist()):
-                assert int(keys[lane]) == stream_key(seed, *path, i)
-                s = Stream(seed, *path, i)
-                assert int(u64_draws(keys, 1)[lane]) == s.next_u64()
-                assert uniform_draws(keys, 2, -2.5, 7.0)[lane] \
-                    == s.uniform(-2.5, 7.0)
-                assert uniform_draws(keys, 3, -0.0, 0.0)[lane] \
-                    == s.uniform(-0.0, 0.0)
+    seeds = (0, 1, 12345, 2**64 - 1)
+    for path in ((), (0,), (3, 7)):
+        # one index for every seed, then one row of indices a seed
+        for rows in (index, np.array([np.roll(index, g) for g in range(4)])):
+            keys = stream_keys(seeds, path, rows)
+            assert keys.dtype == np.uint64 and keys.shape == (4, 7)
+            u64, uniform, zero = (u64_draws(keys, 1),
+                                  uniform_draws(keys, 2, -2.5, 7.0),
+                                  uniform_draws(keys, 3, -0.0, 0.0))
+            for g, seed in enumerate(seeds):
+                row = rows if rows.ndim == 1 else rows[g]
+                for lane, i in enumerate(row.tolist()):
+                    assert int(keys[g, lane]) == stream_key(seed, *path, i)
+                    s = Stream(seed, *path, i)
+                    assert int(u64[g, lane]) == s.next_u64()
+                    assert uniform[g, lane] == s.uniform(-2.5, 7.0)
+                    assert zero[g, lane] == s.uniform(-0.0, 0.0)
     words = [0, 1, 2**63, 2**64 - 1, 0xDEADBEEF]
     assert mix64_array(np.array(words, dtype=np.uint64)).tolist() \
         == [mix64(z) for z in words]

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -83,7 +84,7 @@ def test_rho_distribution_one_million_samples():
     spots = random.Random(999).sample(range(count), 1000)
     norms = np.empty(count)
     for lo in range(0, count, block):
-        table = walk._step_table(config, lo, lo + block)
+        table = walk._step_table([config], lo, lo + block)[0]
         norms[lo:lo + block] = walk._spectral_norms(*table[:, :4].T)
         for i in spots:
             if lo <= i < lo + block:
@@ -316,15 +317,27 @@ def _random_config(rng, mode, n=None):
         map_count=rng.randint(1, 12) if mode is MapMode.FIXED_SET else None)
 
 
+def _table_walk(config, x, first, last=None):
+    """walk._evolve for one walk: the rows x_first..x_last (last defaults
+    to n) stepped on from x = x_(first-1); raises the walk's error."""
+    last = config.n if last is None else last
+    xy = np.empty((1, last - first + 2, 2), dtype=np.int64)
+    xy[0, 0] = x
+    (exc,), _ = walk._evolve([config], xy, first)
+    if exc:
+        raise exc
+    return xy[0, 1:]
+
+
 def _same_as_replay(config, x, first):
     """walk._evolve equals the scalar replay, also when that raises."""
     try:
         want = _replay(config, x, first)
     except BoundsExceeded as exc:
         with pytest.raises(BoundsExceeded, match=re.escape(str(exc))):
-            walk._evolve(config, x, first)
+            _table_walk(config, x, first)
         return None
-    got = walk._evolve(config, x, first)
+    got = _table_walk(config, x, first)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     return got
 
@@ -364,20 +377,23 @@ def test_step_table_crosses_block_boundaries(mode):
     for first in (walk._BLOCK, walk._BLOCK + 1, walk._BLOCK + 2):
         start = LatticePoint(*(t.xy[first - 1] + (1, -1)).tolist())
         tail = _replay(config, start, first)
-        assert np.array_equal(walk._evolve(config, start, first), tail)
+        assert np.array_equal(_table_walk(config, start, first), tail)
         for last in (first, walk._BLOCK + 1, 2 * walk._BLOCK + 1):
-            assert np.array_equal(walk._evolve(config, start, first, last),
+            assert np.array_equal(_table_walk(config, start, first, last),
                                   tail[:last - first + 1])
 
 
 def test_step_table_rows_equal_affine_step_for():
+    # one table for walks that differ only in seed: row [g, k] is walk g's
     config = WalkConfig(seed=99, map_mode=MapMode.FIXED_SET, map_count=6)
     for cfg in (replace(config, map_mode=MapMode.PER_STEP_FRESH,
                         map_count=None), config):
-        table = walk._step_table(cfg, 40, 90)
-        assert table.shape == (50, 8) and table.dtype == np.float64
-        for k, row in enumerate(table.tolist()):
-            assert tuple(row) == tuple(affine_step_for(cfg, 40 + k))
+        configs = [replace(cfg, seed=s) for s in (99, 0, 2**64 - 1, 99)]
+        table = walk._step_table(configs, 40, 90)
+        assert table.shape == (4, 50, 8) and table.dtype == np.float64
+        for c, rows in zip(configs, table.tolist()):
+            for k, row in enumerate(rows):
+                assert tuple(row) == tuple(affine_step_for(c, 40 + k))
 
 
 def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
@@ -388,20 +404,21 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
     rows = [(below, half, below, 0.0, -half, half, 0.0, -half),
             (below, 0.0, below, half, half, -half, -half, 0.0)] * 3
     monkeypatch.setattr(walk, "_step_table",
-                        lambda config, lo, hi:
-                        np.array(rows[lo - 1:hi - 1]))
+                        lambda configs, lo, hi:
+                        np.array([rows[lo - 1:hi - 1]] * len(configs)))
     config = WalkConfig(x0=LatticePoint(1, 1), n=len(rows))
     x, want = config.x0, []
     for row in rows:
         x = step(x, AffineStep(*row))
         want.append(list(x))
     assert want == [[1, 1]] * len(rows)
-    assert walk._evolve(config, config.x0, 1).tolist() == want
+    assert _table_walk(config, config.x0, 1).tolist() == want
     # _replay rejoins at once and keeps the rows only if _follows confirms
     # them: it must not fall back to _evolve
     monkeypatch.setattr(walk, "_evolve", None)
-    assert walk._replay(config, np.array([[1, 1], *want]), 0,
-                        config.x0).tolist() == want
+    xy = np.array([[1, 1], *want])
+    walk._replay(config, xy, 0)
+    assert xy[1:].tolist() == want
 
 
 def test_fixed_set_draws_only_the_templates_it_uses():
@@ -434,8 +451,8 @@ def test_rejected_matrix_draws_fall_back_to_scalar(mode, monkeypatch):
         sub, count = walk._SUB_TEMPLATE, config.map_count
     else:
         sub, count = walk._SUB_STEP, config.n
-    keys = stream_keys(config.seed, (sub,), np.arange(count))
-    _, rejected = walk._map_columns(config, keys)
+    keys = stream_keys([config.seed], (sub,), np.arange(count))
+    rejected = walk._map_columns(config, keys, np.empty((1, count, 8)))
     assert 0 < rejected.sum() < count
     if mode is MapMode.FIXED_SET:
         # the walk chooses some rejected template, so its refill is checked
@@ -453,7 +470,7 @@ def test_table_walk_raises_the_scalar_bounds_error(mode, monkeypatch):
         config = replace(config, x0=LatticePoint(0, 0), b_min=-100.0,
                          b_max=100.0)
         with pytest.raises(BoundsExceeded) as table_error:
-            walk._evolve(config, config.x0, 1)
+            _table_walk(config, config.x0, 1)
         with pytest.raises(BoundsExceeded) as scalar_error:
             _replay(config, config.x0, 1, bound=40)
         assert str(table_error.value) == str(scalar_error.value)
@@ -537,8 +554,8 @@ def test_lanes_stop_at_the_first_step_of_a_pass_at_their_fixed_point(
     steps = _count_calls(monkeypatch, "_floor_step")
     table = np.zeros((4 * walk._SEGMENT, 8))
     table[:, 4:6] = (3.25, -1.5)
-    rows = walk._lane_rows(table, LatticePoint(40, 7))
-    assert rows.tolist() == [[40, 7]] + [[3, -2]] * len(table)
+    rows = walk._lane_rows(table[None], np.array([[40, 7]]))
+    assert rows.tolist() == [[[40, 7]] + [[3, -2]] * len(table)]
     assert len(steps) == walk._SEGMENT + 1
 
 
@@ -549,30 +566,33 @@ def test_lanes_keep_the_evaluation_order_of_step(monkeypatch):
     rows = [(below, half, below, 0.0, -half, half, 0.0, -half),
             (below, 0.0, below, half, half, -half, -half, 0.0)]
     n = walk._LANE_MIN + 3
-    monkeypatch.setattr(walk, "_step_table", lambda config, lo, hi:
-                        np.array([rows[i % 2] for i in range(lo, hi)]))
+    monkeypatch.setattr(walk, "_step_table", lambda configs, lo, hi:
+                        np.array([[rows[i % 2] for i in range(lo, hi)]]
+                                 * len(configs)))
     scalar = _count_calls(monkeypatch, "_scalar_rows")
     config = WalkConfig(x0=LatticePoint(1, 1), n=n)
-    assert walk._evolve(config, config.x0, 1).tolist() == [[1, 1]] * n
+    assert _table_walk(config, config.x0, 1).tolist() == [[1, 1]] * n
     assert scalar == []
 
 
 def test_walks_that_never_coalesce_fall_back_to_the_scalar_loop(
         monkeypatch):
     # a translation keeps every lane's distance to the true walk, so the
-    # lanes have no fixed point within _PASSES passes
+    # lanes have no fixed point within _PASSES passes: both blocks run
+    # every pass, _follows rejects their rows, and the scalar loop runs
     n = walk._BLOCK + walk._LANE_MIN
-    monkeypatch.setattr(walk, "_step_table", lambda config, lo, hi:
+    monkeypatch.setattr(walk, "_step_table", lambda configs, lo, hi:
                         np.tile([1.0, 0.0, 0.0, 1.0, 1.5, 0.0, -0.25, 0.0],
-                                (hi - lo, 1)))
-    lanes = []
-    inner = walk._lane_rows
-    monkeypatch.setattr(walk, "_lane_rows", lambda table, x:
-                        lanes.append(inner(table, x)))
+                                (len(configs), hi - lo, 1)))
+    steps = _count_calls(monkeypatch, "_floor_step")
+    scalar = _count_calls(monkeypatch, "_scalar_rows")
     config = WalkConfig(x0=LatticePoint(-7, 3), n=n)
-    got = walk._evolve(config, config.x0, 1)
+    got = _table_walk(config, config.x0, 1)
     assert got.tolist() == [[-7 + i, 3] for i in range(1, n + 1)]
-    assert lanes == [None, None]
+    # per block: every step of every pass, then one _follows check
+    assert len(steps) == 2 * (walk._PASSES * walk._SEGMENT + 1)
+    assert [len(table) for table, *_ in scalar] == [walk._BLOCK,
+                                                    walk._LANE_MIN]
 
 
 def test_a_corrupted_lane_row_falls_back_to_the_exact_walk(monkeypatch):
@@ -584,14 +604,14 @@ def test_a_corrupted_lane_row_falls_back_to_the_exact_walk(monkeypatch):
 
         def corrupt(table, x, inner=inner):
             rows = inner(table, x)
-            if row < len(rows):
-                rows[row] += (0, 1)
+            if row < rows.shape[1]:
+                rows[0, row] += (0, 1)
             return rows
 
         with monkeypatch.context() as patch:
             patch.setattr(walk, "_lane_rows", corrupt)
             scalar = _count_calls(patch, "_scalar_rows")
-            assert np.array_equal(walk._evolve(config, config.x0, 1), want)
+            assert np.array_equal(_table_walk(config, config.x0, 1), want)
         assert len(scalar) >= 1
 
 
@@ -615,7 +635,7 @@ def test_lane_walk_raises_the_scalar_bounds_error_in_a_later_block(
     with pytest.raises(BoundsExceeded) as scalar_error:
         _replay(config, config.x0, 1, bound=early)
     with pytest.raises(BoundsExceeded) as lane_error:
-        walk._evolve(config, config.x0, 1)
+        _table_walk(config, config.x0, 1)
     assert str(lane_error.value) == str(scalar_error.value)
 
 
@@ -634,6 +654,108 @@ def test_far_start_raises_the_scalar_bounds_error(n):
                                        "the safe region [-854, 854]^2")):
         generate_walk(config)
     _same_as_replay(config, config.x0, 1)
+
+
+# ----------------------------------------------------------------- groups
+
+def _group(config, rng, size):
+    """config and size - 1 copies of it that differ only in seed."""
+    return [config] + [replace(config, seed=rng.randrange(2**64))
+                       for _ in range(size - 1)]
+
+
+def _check_group(configs, bound=None):
+    """Every walk of a _walk_group equals its scalar replay, or raises its
+    scalar BoundsExceeded, and the table it returns holds the maps of each
+    walk's last steps."""
+    walks, tails = walk._walk_group(configs)
+    assert len(walks) == len(tails) == len(configs)
+    for config, got, tail in zip(configs, walks, tails):
+        try:
+            want = _replay(config, config.x0, 1, bound)
+        except BoundsExceeded as exc:
+            assert isinstance(got, BoundsExceeded) and str(got) == str(exc)
+            continue
+        assert got.config == config and not got.xy.flags.writeable
+        assert got.xy[0].tolist() == list(config.x0)
+        assert np.array_equal(got.xy[1:], want)
+        k = len(tail)
+        assert 0 < k <= min(config.n, walk._BLOCK)
+        for r in {0, k // 2, k - 1}:
+            assert tuple(tail[r].tolist()) \
+                == tuple(affine_step_for(config, config.n - k + 1 + r))
+    return walks
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_group_walks_match_their_scalar_replays_at_every_edge(mode):
+    rng = random.Random(f"group-{mode.value}")
+    seg, low, block = walk._SEGMENT, walk._LANE_MIN, walk._BLOCK
+    for n in (1, seg - 1, seg, seg + 1, low - 1, low, low + 1, block + 1):
+        for size in (2, walk._GROUP):
+            _check_group(_group(_edge_config(rng, mode, n), rng, size))
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_group_walk_that_leaves_the_bound_stops_alone(mode, monkeypatch):
+    # with the bound lowered to the median reach of the group, some walks
+    # raise their scalar error in a lane block and the rest run to the end
+    rng = random.Random(f"group-bound-{mode.value}")
+    config = WalkConfig(n=walk._BLOCK + walk._LANE_MIN, seed=1, map_mode=mode,
+                        map_count=4 if mode is MapMode.FIXED_SET else None)
+    configs = _group(config, rng, walk._GROUP)
+    reach = sorted(int(np.abs(t.xy).max())
+                   for t in walk._walk_group(configs)[0])
+    bound = reach[len(reach) // 2]
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: bound)
+    walks = _check_group(configs, bound)
+    assert 0 < sum(isinstance(t, BoundsExceeded) for t in walks) < len(walks)
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_rejected_matrix_draws_in_a_group_are_redrawn_per_walk(mode,
+                                                               monkeypatch):
+    # at this floor some steps (templates too) of every walk are redrawn
+    # from that walk's own streams
+    monkeypatch.setattr(walk, "_SIGMA_FLOOR", 0.6)
+    config = WalkConfig(n=walk._LANE_MIN + 40, seed=8, map_mode=mode,
+                        map_count=60 if mode is MapMode.FIXED_SET else None)
+    _check_group(_group(config, random.Random(8), 3))
+
+
+def test_a_group_walk_whose_lanes_fail_falls_back_alone(monkeypatch):
+    # a corrupted lane row of walk 1 fails its _follows check in both lane
+    # blocks; the scalar loop runs those two blocks of walk 1 only, each
+    # from walk 1's exact start, and the other walks keep their lane rows
+    configs = [WalkConfig(n=walk._BLOCK + 700, seed=s) for s in (41, 5, 9)]
+    inner = walk._lane_rows
+
+    def corrupt(table, x):
+        rows = inner(table, x)
+        rows[1, 7] += (0, 1)
+        return rows
+
+    monkeypatch.setattr(walk, "_lane_rows", corrupt)
+    scalar = _count_calls(monkeypatch, "_scalar_rows")
+    walks = _check_group(configs)
+    xy = walks[1].xy
+    assert [(len(table), x) for table, x, _ in scalar] == [
+        (walk._BLOCK, LatticePoint(*xy[0].tolist())),
+        (700, LatticePoint(*xy[walk._BLOCK].tolist()))]
+
+
+def test_generate_walk_memory_stays_near_the_walk_size():
+    # the walk's rows are written once, into the array the trajectory
+    # keeps; a block's table and lanes add a few hundred KB
+    config = WalkConfig(seed=3, n=200_000)
+    generate_walk(replace(config, n=5000))  # imports and caches
+    tracemalloc.start()
+    try:
+        t = generate_walk(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.xy.nbytes
 
 
 # ------------------------------------------------------------- validation

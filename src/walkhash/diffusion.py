@@ -41,7 +41,6 @@ from .walk import (
     Trajectory,
     WalkConfig,
     _GROUP,
-    _LANE_MIN,
     _replay,
     _walk_group,
     generate_walk,  # noqa: F401
@@ -240,10 +239,11 @@ def run_avalanche(
 
     Trials run in batches of about _BATCH_BYTES of serialized walks: the
     batch's walks are generated in (position, trial) order, then each
-    algorithm digests all of them in one digest_many call. Walks of
-    walk._LANE_MIN steps or more are generated in groups of walk._GROUP
-    (walk._walk_group: one step table and one set of lane passes for the
-    group), and each re-evolve tail reads its maps from its group's table.
+    algorithm digests all of them in one digest_many call. Walks of any
+    length are generated in groups of walk._GROUP (walk._walk_group: one
+    step table for the group, and one set of lane passes once a block has
+    walk._LANE_MIN steps), and each re-evolve tail reads its maps from its
+    group's table.
 
     A WalkhashError raised while a trial builds or disturbs its walk keeps
     its class; its message gains the seed, position, trial and trial_seed
@@ -272,15 +272,13 @@ def run_avalanche(
     _check_nudge(nudge)
     records: dict[str, list[TrialRecord]] = {lb: [] for lb in labels}
     batch = max(1, _BATCH_BYTES // (32 * (config.n + 1)))
-    # lanes gain from sharing a pass; shorter walks run the scalar loop
-    group = _GROUP if config.n >= _LANE_MIN else 1
     # lazy: itertools.product would first copy range(trials) into a tuple
     pending = ((p, t) for p in positions for t in range(trials_per_position))
     row = 0
     while chunk := list(islice(pending, batch)):
         messages: list[bytes] = []
-        for lo in range(0, len(chunk), group):
-            trials = chunk[lo:lo + group]
+        for lo in range(0, len(chunk), _GROUP):
+            trials = chunk[lo:lo + _GROUP]
             configs = [replace(config, seed=trial_seed(config.seed, *pair))
                        for pair in trials]
             walks, tails = _walk_group(configs)

@@ -84,11 +84,17 @@ _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 of each word of a uint64 array (arithmetic wraps mod 2**64)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A_U64
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B_U64
-    return z ^ (z >> np.uint64(31))
+def mix64_array(z: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """mix64 of each word of a uint64 array (arithmetic wraps mod 2**64),
+    written into out if given (out may be z itself)."""
+    spare = z >> np.uint64(30)
+    out = np.bitwise_xor(z, spare, out=out)
+    out *= _MIX_A_U64
+    out ^= np.right_shift(out, np.uint64(27), out=spare)
+    out *= _MIX_B_U64
+    out ^= np.right_shift(out, np.uint64(31), out=spare)
+    return out
 
 
 def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
@@ -98,18 +104,29 @@ def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
     (len(seeds), m), one row a seed; the keys are (len(seeds), m)."""
     base = np.array([stream_key(seed, *path) for seed in seeds],
                     dtype=np.uint64)
-    parts = index.astype(np.uint64) * _GOLDEN_U64
-    return mix64_array(base[:, None] ^ parts)
+    keys = index.astype(np.uint64)
+    keys *= _GOLDEN_U64
+    keys = base[:, None] ^ keys
+    return mix64_array(keys, keys)
 
 
-def u64_draws(keys: np.ndarray, k: int) -> np.ndarray:
+def u64_draws(keys: np.ndarray, k: int, out: np.ndarray | None = None
+              ) -> np.ndarray:
     """Draw k (1-based) of the streams with these keys: next_u64 called k
-    times on each."""
-    return mix64_array(keys + np.uint64(k * _GOLDEN & _MASK64))
+    times on each; written into out if given."""
+    z = np.add(keys, np.uint64(k * _GOLDEN & _MASK64), out=out)
+    return mix64_array(z, z)
 
 
-def uniform_draws(keys: np.ndarray, k: int, lo: float, hi: float
-                  ) -> np.ndarray:
-    """Draw k of each stream as Stream.uniform(lo, hi) would make it."""
-    u = (u64_draws(keys, k) >> np.uint64(11)) * _INV53
-    return lo + (hi - lo) * u
+def uniform_draws(keys: np.ndarray, k: int, lo: float, hi: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Draw k of each stream as Stream.uniform(lo, hi) would make it;
+    written into out, a float64 array, if given. The draw's words and
+    its doubles share out's memory, so it needs no (keys.shape) temporary
+    beyond the one mix64_array takes."""
+    bits = u64_draws(keys, k, None if out is None else out.view(np.uint64))
+    bits >>= np.uint64(11)
+    u = np.multiply(bits, _INV53, out=out)
+    u *= hi - lo
+    u += lo
+    return u

@@ -25,7 +25,8 @@ otherwise, and for short blocks, the scalar loop runs that walk's block
 alone and raises that walk's BoundsExceeded. generate_walk is a group of
 one walk; diffusion.run_avalanche steps its trials in groups (_walk_group),
 and its re-evolve tails (_replay) read their maps from the group's table.
-The output bytes do not depend on the grouping. The scalar functions
+The output bytes depend neither on the grouping nor on the block size,
+which shrinks as a group grows (_block). The scalar functions
 (Stream, sample_affine_step, affine_step_for, map_templates, step) are the
 reference the tables and lanes are tested against, and they fill in the
 rare steps whose matrix draw is rejected.
@@ -64,11 +65,14 @@ MAX_COORD = 2**53
 # too big for the host fails as out of memory, not as a size error.
 MAX_POINTS = 2**58
 
-# _evolve's blocks and lanes, set by measurement: steps per block (its
-# table is 128 KB), steps per lane, the shortest block that runs faster as
-# lanes than as the scalar loop, and the passes after which a block falls
-# back to the scalar loop (bounding the cost when lanes do not coalesce).
-_BLOCK = 2048
+# _evolve's blocks and lanes, set by measurement: the steps a block holds
+# over all its walks (its table is 512 KB, 64 bytes a step), the fewest
+# steps a walk's block takes (see _block), steps per lane, the shortest
+# block that runs faster as lanes than as the scalar loop, and the passes
+# after which a block falls back to the scalar loop (bounding the cost
+# when lanes do not coalesce).
+_BLOCK = 8192
+_BLOCK_MIN = 2048
 _SEGMENT = 16
 _LANE_MIN = 512
 _PASSES = 4
@@ -244,11 +248,24 @@ def _spectral_norm(a11: float, a12: float, a21: float, a22: float) -> float:
 
 
 def _spectral_norms(a11: np.ndarray, a12: np.ndarray, a21: np.ndarray,
-                    a22: np.ndarray) -> np.ndarray:
-    """_spectral_norm of each lane, in the same expression order."""
-    t = a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22
-    d2 = 2.0 * np.abs(a11 * a22 - a12 * a21)
-    return 0.5 * (np.sqrt(t + d2) + np.sqrt(np.maximum(t - d2, 0.0)))
+                    a22: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """_spectral_norm of each lane, in the same expression order, written
+    into scratch[0] of a (3, *a11.shape) float64 scratch."""
+    sigma, d2, low = scratch
+    np.multiply(a11, a11, out=sigma)
+    sigma += np.multiply(a12, a12, out=d2)
+    sigma += np.multiply(a21, a21, out=d2)
+    sigma += np.multiply(a22, a22, out=d2)
+    np.multiply(a11, a22, out=d2)
+    d2 -= np.multiply(a12, a21, out=low)
+    np.abs(d2, out=d2)
+    d2 *= 2.0
+    np.subtract(sigma, d2, out=low)
+    np.sqrt(np.maximum(low, 0.0, out=low), out=low)
+    np.sqrt(np.add(sigma, d2, out=sigma), out=sigma)
+    sigma += low
+    sigma *= 0.5
+    return sigma
 
 
 def _draw_map(stream: Stream, config: WalkConfig) -> tuple[float, ...]:
@@ -375,16 +392,20 @@ def _map_columns(config: WalkConfig, keys: np.ndarray,
     Writes the rows a11 a12 a21 a22 b1 b2 into out[..., :6] and returns
     the mask of lanes whose first matrix draw is rejected; _draw_map
     redraws those, which moves every later draw, so their rows must be
-    refilled by the caller.
+    refilled by the caller. Every draw is made in its column of out, and
+    columns 4 to 7 hold the norms and scales until their own draws, so
+    the only temporaries are mix64_array's and the mask.
     """
+    cols = np.moveaxis(out, -1, 0)
     for c in range(4):
-        out[..., c] = uniform_draws(keys, c + 1, -1.0, 1.0)
-    sigma = _spectral_norms(*(out[..., c] for c in range(4)))
-    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max)
-    out[..., :4] *= np.divide(scale, sigma, scale)[..., None]
-    out[..., 4] = uniform_draws(keys, 6, config.b_min, config.b_max)
-    out[..., 5] = uniform_draws(keys, 7, config.b_min, config.b_max)
-    return sigma <= _SIGMA_FLOOR
+        uniform_draws(keys, c + 1, -1.0, 1.0, cols[c])
+    sigma = _spectral_norms(*cols[:4], cols[4:7])
+    rejected = sigma <= _SIGMA_FLOOR
+    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max, cols[7])
+    cols[:4] *= np.divide(scale, sigma, scale)
+    uniform_draws(keys, 6, config.b_min, config.b_max, cols[4])
+    uniform_draws(keys, 7, config.b_min, config.b_max, cols[5])
+    return rejected
 
 
 def _step_table(configs: Sequence[WalkConfig], lo: int,
@@ -395,8 +416,8 @@ def _step_table(configs: Sequence[WalkConfig], lo: int,
 
     In FIXED_SET mode each step draws only the template it chooses, so the
     cost follows the steps, not map_count. The table is a view of an
-    (8, G, hi - lo) array: each drawn column is written in one piece, and
-    _lane_rows reads step t of every lane of a column with one stride.
+    (8, G, hi - lo) array: each column is drawn in place, in one piece,
+    and _lane_rows reads step t of every lane of a column with one stride.
     """
     config = configs[0]
     seeds = [c.seed for c in configs]
@@ -405,20 +426,21 @@ def _step_table(configs: Sequence[WalkConfig], lo: int,
     if config.map_mode is MapMode.PER_STEP_FRESH:
         keys = stream_keys(seeds, (_SUB_STEP,), np.arange(lo, hi))
         rejected = _map_columns(config, keys, table)
-        table[..., 6] = uniform_draws(keys, 8, -eps, eps)
-        table[..., 7] = uniform_draws(keys, 9, -eps, eps)
+        uniform_draws(keys, 8, -eps, eps, table[..., 6])
+        uniform_draws(keys, 9, -eps, eps, table[..., 7])
         for g, k in np.argwhere(rejected).tolist():
             table[g, k] = affine_step_for(configs[g], lo + k)
         return table
     keys = stream_keys(seeds, (_SUB_CHOICE,), np.arange(lo, hi))
-    choice = u64_draws(keys, 1) % np.uint64(config.map_count)
+    choice = u64_draws(keys, 1)
+    choice %= np.uint64(config.map_count)
     rejected = _map_columns(
         config, stream_keys(seeds, (_SUB_TEMPLATE,), choice), table)
     for g, k in np.argwhere(rejected).tolist():
         stream = Stream(seeds[g], _SUB_TEMPLATE, int(choice[g, k]))
         table[g, k, :6] = _draw_map(stream, config)
-    table[..., 6] = uniform_draws(keys, 2, -eps, eps)
-    table[..., 7] = uniform_draws(keys, 3, -eps, eps)
+    uniform_draws(keys, 2, -eps, eps, table[..., 6])
+    uniform_draws(keys, 3, -eps, eps, table[..., 7])
     return table
 
 
@@ -444,12 +466,14 @@ def _follows(table: np.ndarray, rows: np.ndarray, limit: int) -> bool:
     """
     if not ((rows >= -limit) & (rows <= limit)).all():
         return False
-    shape = (len(table), 2)
-    # columns (a11, a21), (a12, a22), (b1, b2), (d1, d2) of every row
-    want = _floor_step(table[:, 0:4:2], table[:, 1:4:2], table[:, 4:6],
-                       table[:, 6:8], rows[:-1, :1], rows[:-1, 1:],
-                       np.empty(shape), np.empty(shape))
-    return bool(np.array_equal(want, rows[1:]))
+    shape = (2, len(table))
+    # columns (a11, a21), (a12, a22), (b1, b2), (d1, d2) of every row, as
+    # (2, m) operands: a _step_table column is one contiguous run, which
+    # numpy steps through without copying
+    want = _floor_step(table[:, 0:4:2].T, table[:, 1:4:2].T,
+                       table[:, 4:6].T, table[:, 6:8].T, rows[:-1, 0],
+                       rows[:-1, 1], np.empty(shape), np.empty(shape))
+    return bool(np.array_equal(want, rows[1:].T))
 
 
 def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -492,7 +516,9 @@ def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[...] = new
     rows = np.empty((walks, m + 1, 2))
     rows[:, 0] = x
-    rows[:, 1:] = at[1:].transpose(2, 3, 0, 1).reshape(walks, m, 2)
+    # a view of rows 1..m: row 1 + j * seg + t is at[1 + t, :, g, j]
+    rows[:, 1:].reshape(walks, lanes, seg, 2)[...] = \
+        at[1:].transpose(2, 3, 0, 1)
     return rows
 
 
@@ -516,6 +542,16 @@ def _scalar_rows(table: np.ndarray, x: LatticePoint,
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
+def _block(walks: int) -> int:
+    """Steps per block of _evolve for a group of this many walks: _BLOCK
+    shared among them, a multiple of _SEGMENT, but at least _BLOCK_MIN.
+    A lone walk takes 8192 steps a block, so a fractal sweep's n=5000
+    walk pays the fixed cost of one table, one set of lane passes and one
+    _follows check; a group of 4 or more keeps 2048 steps a walk, the
+    size its lanes are timed at (see _GROUP), and so its memory."""
+    return max(_BLOCK // walks // _SEGMENT * _SEGMENT, _BLOCK_MIN)
+
+
 def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
             ) -> tuple[list[BoundsExceeded | None], np.ndarray]:
     """Step walks whose configs differ only in seed on from row 0 of xy, a
@@ -523,22 +559,26 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
     1..k of xy[g] with x_first..x_(first+k-1) of walk g.
 
     Each step is step(x, affine_step_for(config, i), bound) with the maps
-    read from _step_table a block of _BLOCK steps at a time, one table for
-    all walks. A block of _LANE_MIN steps or more runs every walk's lanes
-    in one _lane_rows call, and keeps a walk's rows only if _follows
-    confirms them; any other block, or a walk whose lanes fail, runs the
-    scalar loop from the walk's exact start. Returns the BoundsExceeded
-    that stopped each walk, or None, and the last block's table, the maps
-    of the last steps. A stopped walk's later rows repeat its last start.
+    read from _step_table a block of _block(G) steps at a time, one table
+    for all walks; a block's table and lane rows are dropped before the
+    next block's are made. A block of _LANE_MIN steps or more runs every
+    walk's lanes in one _lane_rows call, and keeps a walk's rows only if
+    _follows confirms them; any other block, or a walk whose lanes fail,
+    runs the scalar loop from the walk's exact start. Returns the
+    BoundsExceeded that stopped each walk, or None, and the last block's
+    table, the maps of the last steps. A stopped walk's later rows repeat
+    its last start.
     """
     bound = lattice_bound(configs[0])
     limit = min(bound, MAX_COORD)
     end = first + xy.shape[1] - 1
+    block = _block(len(configs))
     errors: list[BoundsExceeded | None] = [None] * len(configs)
     table = np.empty((len(configs), 0, 8))
-    for lo in range(first, end, _BLOCK):
-        m = min(_BLOCK, end - lo)
+    for lo in range(first, end, block):
+        m = min(block, end - lo)
         lanes = m >= _LANE_MIN
+        table = rows = None  # the last block's, freed before this one's
         # lanes take whole segments: a short last one runs on past the block
         table = _step_table(
             configs, lo, lo + (-(-m // _SEGMENT) * _SEGMENT if lanes else m))
@@ -583,18 +623,20 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
     The first _REJOIN steps run the scalar loop. Under contraction the
     replay soon lands on a row of the walk and would retrace it from
     there, so the walk's later rows are kept once _follows confirms them,
-    a _BLOCK of steps at a time. Without a rejoin, or if a row does not
-    follow, _evolve replays the whole tail. steps, if given, are the maps
-    of the walk's last len(steps) steps (see _walk_group); when they cover
-    the tail, they are its first block's table.
+    a lone walk's block of _block(1) steps at a time, one table alive at
+    once. Without a rejoin, or if a row does not follow, _evolve replays
+    the whole tail. steps, if given, are the maps of the walk's last
+    len(steps) steps (see _walk_group); when they cover the tail, they
+    are its first block's table.
     """
     last = len(xy) - 1
     bound = lattice_bound(config)
     limit = min(bound, MAX_COORD)
+    block = _block(1)
     if steps is not None and last - i <= len(steps):
         table = steps[len(steps) - (last - i):]
     else:
-        table = _step_table([config], i + 1, min(i + _BLOCK, last) + 1)[0]
+        table = _step_table([config], i + 1, min(i + block, last) + 1)[0]
     hi = i + len(table)
     head = _scalar_rows(table[:_REJOIN], LatticePoint(*xy[i].tolist()),
                         bound)
@@ -602,8 +644,9 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
     if met.size:
         j = i + 1 + int(met[0])  # the replay's row j is the walk's
         kept = _follows(table[j - i:], xy[j:hi + 1], limit)
-        for lo in range(hi, last, _BLOCK):
-            rows = xy[lo:lo + _BLOCK + 1]
+        table = None  # freed before the next block's is drawn
+        for lo in range(hi, last, block):
+            rows = xy[lo:lo + block + 1]
             kept = kept and _follows(
                 _step_table([config], lo + 1, lo + len(rows))[0], rows,
                 limit)

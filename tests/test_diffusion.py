@@ -100,8 +100,10 @@ def _full_replay(t, spec):
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_equals_full_replay(mode):
     rng = random.Random(f"rejoin-{mode.value}")
-    # 60 short walks, then 12 whose tails reach or cross a _BLOCK boundary
-    for n in [None] * 60 + [2049, 4113, 5000] * 4:
+    # 60 short walks, then 12 whose tails reach or cross the boundary of a
+    # lone walk's block, as the replay draws them
+    block = walk._block(1)
+    for n in [None] * 60 + [block + 1, 2 * block + 17, 2 * block + 904] * 4:
         b = rng.choice([1.0, 100.0, 1e6])  # wide maps rejoin late
         config = WalkConfig(
             seed=rng.randrange(2**64),
@@ -111,8 +113,7 @@ def test_re_evolve_equals_full_replay(mode):
             map_count=rng.randint(1, 6) if mode is MapMode.FIXED_SET
             else None)
         t = generate_walk(config)
-        high = config.n - 1 if n is None \
-            else max(1, config.n - 1 - walk._BLOCK)
+        high = config.n - 1 if n is None else max(1, config.n - 1 - block)
         spec = PerturbationSpec(
             rng.randint(1, high), PerturbMode.RE_EVOLVE,
             (rng.randint(-4, 4), rng.randint(-4, 4)))
@@ -123,10 +124,11 @@ def test_re_evolve_replays_a_trajectory_that_is_not_its_walk():
     spec = PerturbationSpec(50, PerturbMode.RE_EVOLVE, (1, 0))
     # the last row of the replay's first block of steps, the row after it,
     # a row inside the second block, and the last row, which ends it
-    edge = spec.position + walk._BLOCK
+    block = walk._block(1)
+    edge = spec.position + block
     for n, rows in ((200, (60, 120, 200)),
-                    (edge + walk._BLOCK, (edge, edge + 1, 3000,
-                                          edge + walk._BLOCK))):
+                    (edge + block, (edge, edge + 1, edge + block // 2,
+                                    edge + block))):
         config = WalkConfig(seed=21, n=n)
         t = generate_walk(config)
         for row in rows:
@@ -167,6 +169,23 @@ def test_re_evolve_memory_stays_near_the_walk_size():
         tracemalloc.stop()
     assert np.array_equal(out.xy, _full_replay(t, spec))
     assert peak < 1.5 * t.xy.nbytes
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_re_evolve_holds_one_block_table_at_a_time(mode):
+    # the replay drops its first block's table before it draws the next
+    # one: 1.27x the walk's bytes, against 1.43x with two tables alive
+    config = WalkConfig(seed=3, n=200_000, map_mode=mode,
+                        map_count=5 if mode is MapMode.FIXED_SET else None)
+    t = generate_walk(config)
+    spec = PerturbationSpec(10, PerturbMode.RE_EVOLVE)
+    tracemalloc.start()
+    try:
+        perturb(t, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * t.xy.nbytes
 
 
 def test_re_evolve_raises_the_replay_bounds_error(monkeypatch):
@@ -424,6 +443,51 @@ def test_grouped_avalanche_equals_per_trial_rebuild(monkeypatch, mode,
                               nudge)
 
 
+@pytest.mark.parametrize("n", [1, 15, 16, 80, walk._LANE_MIN - 1])
+def test_avalanche_groups_walks_of_every_length(monkeypatch, n):
+    # walks shorter than _LANE_MIN share their group's step table too,
+    # and their blocks run the scalar loop: a run in groups of _GROUP
+    # equals a run of one trial at a time, its results and its errors
+    groups = []
+    real_group = diffusion._walk_group
+    monkeypatch.setattr(diffusion, "_walk_group",
+                        lambda configs: groups.append(len(configs))
+                        or real_group(configs))
+    config = WalkConfig(seed=31, n=n)
+    if n == 1:  # positions lie in [1, n - 1], so no trial can run
+        configs = [replace(config, seed=s) for s in range(walk._GROUP)]
+        assert walk._walk_group(configs)[0] \
+            == [generate_walk(c) for c in configs]
+        with pytest.raises(InvalidPosition):
+            run_avalanche(config, [_ALG], (1,), 3)
+        return
+    # far-start trials (see test_grouped_avalanche_raises_the_first_trials
+    # _error): at seed 17, trials (5, 1), (10, 1), (10, 2) and (10, 5) leave
+    # the bound on their first step, and the first group of 8 holds the
+    # first two, after a walk that does not
+    far = WalkConfig(x0=LatticePoint(-825, -680),
+                     rho_min=0.8340528309020399, rho_max=0.95, b_min=0.0,
+                     b_max=0.0, epsilon=0.0, n=n, seed=17)
+    positions = tuple(sorted({1, n // 2, n - 1}))
+    for mode in PerturbMode:
+        _, message = _first_trial_error(far, (5, 10), 6, mode, (1, 0))
+        assert "position=5 trial=1 " in message
+        outs = []
+        for size in (walk._GROUP, 1):
+            monkeypatch.setattr(diffusion, "_GROUP", size)
+            del groups[:]
+            outs.append(run_avalanche(config, [_ALG], positions, 3, mode,
+                                      (1, -1)))
+            assert groups == ([8, 1] if size > 1 else [1] * 9)
+            with pytest.raises(BoundsExceeded) as raised:
+                run_avalanche(far, [_ALG], (5, 10), 6, mode)
+            assert str(raised.value) == message
+        (records, matrix), (one_records, one_matrix) = (
+            out[_ALG.label] for out in outs)
+        assert records == one_records
+        assert np.array_equal(matrix.bits, one_matrix.bits)
+
+
 def _first_trial_error(config, positions, trials, mode, nudge):
     """The message run_avalanche gives the first WalkhashError of its
     (position, trial) loop, walking and disturbing one trial at a time."""
@@ -472,7 +536,7 @@ def test_re_evolve_with_the_group_table_equals_a_full_replay(mode,
     # a tail inside the table's steps replays its first steps from that
     # table; one that starts before them draws its own
     rng = random.Random(f"group-tail-{mode.value}")
-    for n in (walk._LANE_MIN, 2000, walk._BLOCK + 700):
+    for n in (walk._LANE_MIN, 2000, walk._block(3) + 700):
         config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
                             map_count=6 if mode is MapMode.FIXED_SET
                             else None)

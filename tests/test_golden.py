@@ -51,6 +51,19 @@ CASES = {
     "avalanche-nudge-lanes": [
         "avalanche", "--seed", "9", "--n", "600", "--positions", "150,451",
         "--trials", "3"],
+    # walks longer than one step-table block, whatever its size
+    "walk-long": [
+        "walk", "--seed", "11", "--n", "20000"],
+    "walk-long-fixed": [
+        "walk", "--seed", "12", "--n", "20000", "--map-mode", "fixed-set",
+        "--map-count", "7"],
+    "fractal-long": [
+        "fractal", "--seed", "13", "--n-list", "500,5000,20000",
+        "--num-seeds", "2"],
+    "avalanche-reevolve-long": [
+        "avalanche", "--seed", "14", "--n", "9000", "--mode", "re-evolve",
+        "--nudge=1,0", "--positions", "10,2100,8500", "--trials", "2",
+        "--algs", "sha3-512"],
     "fractal-sweep": [
         "fractal", "--seed", "1", "--n-list", "64,200", "--num-seeds", "2"],
     "fractal-square": [
@@ -130,6 +143,22 @@ PINS = {
         "trials_shake256-512.csv":
             "17ba11637c6785479e4b91a2df56ec88c306ec9d94d19123eae02076868d0eb0",
     },
+    "avalanche-reevolve-long": {
+        "bitmatrix_sha3-512.bin":
+            "2a18eae9293ddacf10ce4c9c54d8e2cff99dbe216a35cb40bd5b739d75e89a5f",
+        "stdout":
+            "03ade5e0c673be3b7414b9c2592628f6af7dea71716dae50263a285d4df462ad",
+        "summary.json":
+            "69814b0672100a43fbfed085771929973c2952b75728cb0f9c507c35ff421d65",
+        "trials_sha3-512.csv":
+            "ce17229b7bb0afc4b69b27beb8f426a463e107c0f29f09275a614c7f1a02dec4",
+    },
+    "fractal-long": {
+        "fractal.json":
+            "082c393e317e7924cdf233979a6afca92bb7602595cab3f7849f46262d436d6b",
+        "stdout":
+            "e8edb5861fafff6963ecaba2e2a23e8f1588255f2912dc9252ba00c90e35c2a9",
+    },
     "fractal-box-sizes": {
         "fractal.json":
             "601fffafa0b1a2462d6335b7227fb2d10ace8bf95aa57f90f65f963e4771d53e",
@@ -171,6 +200,22 @@ PINS = {
             "c42007b40e727dba83b872a56b4f98d1ab11e271b7869312701370ea0104b160",
         "stdout":
             "d74e6394c956f3babed5c4c92b1e6619ba215d46b8d405c56259846881b8f122",
+    },
+    "walk-long": {
+        "geometry.json":
+            "7b5ddde72cfd83abd06cbae50fd045259cdf03c4bc5d73d61de1f295580be087",
+        "stdout":
+            "6f16109a92f343db426b94c2cbf0d4fc44b10a57fc0f6eb0a4afd797d3cc280a",
+        "trajectory.csv":
+            "5bb638ab9e96ef96c073381a1627a90f9446eae9da8fa8c8db96e7bd03818ece",
+    },
+    "walk-long-fixed": {
+        "geometry.json":
+            "b713f6e05a4af367af5439d13887616762cac8b0b532df6bced94e7fb229ca8b",
+        "stdout":
+            "8d002bbdb8ab8cff2f280973df192f9b625a71ec991f68a7bcdc16b1a9023b11",
+        "trajectory.csv":
+            "7c8cd61655e2febbbe2019cc1108189b09c37a876bf5e1b85a2bb739263c8311",
     },
     "walk-fixed-x0": {
         "geometry.json":

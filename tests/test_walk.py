@@ -49,6 +49,18 @@ def test_spectral_norm_known_matrices():
     assert walk._spectral_norm(1, 1, 1, 1) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_spectral_norms_equal_the_scalar_norm_on_rotations():
+    # equal singular values: T - 2|D| rounds below 0 at some angles, where
+    # both forms must clamp it before the square root
+    angles = np.linspace(0.0, 3.0, 1001)
+    c, s = np.cos(angles), np.sin(angles)
+    assert (c * c + s * s + s * s + c * c
+            < 2.0 * np.abs(c * c + s * s)).any()
+    got = walk._spectral_norms(c, -s, s, c, np.empty((3, len(angles))))
+    assert got.tolist() == [walk._spectral_norm(*m) for m in zip(
+        c.tolist(), (-s).tolist(), s.tolist(), c.tolist())]
+
+
 def test_rescaling_forces_requested_norm():
     config = WalkConfig(rho_min=0.5, rho_max=0.5)
     for seed in range(20):
@@ -85,7 +97,8 @@ def test_rho_distribution_one_million_samples():
     norms = np.empty(count)
     for lo in range(0, count, block):
         table = walk._step_table([config], lo, lo + block)[0]
-        norms[lo:lo + block] = walk._spectral_norms(*table[:, :4].T)
+        norms[lo:lo + block] = walk._spectral_norms(*table[:, :4].T,
+                                                    np.empty((3, block)))
         for i in spots:
             if lo <= i < lo + block:
                 s = sample_affine_step(Stream(999, 0, i), config)
@@ -371,14 +384,15 @@ def test_step_table_walk_matches_scalar_replay(mode):
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_step_table_crosses_block_boundaries(mode):
     rng = random.Random(f"blocks-{mode.value}")
-    config = _random_config(rng, mode, n=2 * walk._BLOCK + 5)
+    block = walk._block(1)
+    config = _random_config(rng, mode, n=2 * block + 5)
     _check_evolve(config, rng)
     t = generate_walk(config)
-    for first in (walk._BLOCK, walk._BLOCK + 1, walk._BLOCK + 2):
+    for first in (block, block + 1, block + 2):
         start = LatticePoint(*(t.xy[first - 1] + (1, -1)).tolist())
         tail = _replay(config, start, first)
         assert np.array_equal(_table_walk(config, start, first), tail)
-        for last in (first, walk._BLOCK + 1, 2 * walk._BLOCK + 1):
+        for last in (first, block + 1, 2 * block + 1):
             assert np.array_equal(_table_walk(config, start, first, last),
                                   tail[:last - first + 1])
 
@@ -465,7 +479,7 @@ def test_rejected_matrix_draws_fall_back_to_scalar(mode, monkeypatch):
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_table_walk_raises_the_scalar_bounds_error(mode, monkeypatch):
     monkeypatch.setattr(walk, "lattice_bound", lambda config: 40)
-    for n in (300, 2 * walk._BLOCK + 5):  # the scalar loop, then lanes
+    for n in (300, 2 * walk._block(1) + 5):  # the scalar loop, then lanes
         config = _random_config(random.Random(5), mode, n=n)
         config = replace(config, x0=LatticePoint(0, 0), b_min=-100.0,
                          b_max=100.0)
@@ -480,9 +494,10 @@ def test_table_walk_raises_the_scalar_bounds_error(mode, monkeypatch):
 # ------------------------------------------------------------------ lanes
 
 def _lane_lengths():
-    """Walk lengths at every edge of _evolve's lanes: a segment, the
-    shortest lane block, a block, and a partial last segment and block."""
-    seg, low, block = walk._SEGMENT, walk._LANE_MIN, walk._BLOCK
+    """Walk lengths at every edge of _evolve's lanes for a lone walk: a
+    segment, the shortest lane block, a block, and a partial last segment
+    and block."""
+    seg, low, block = walk._SEGMENT, walk._LANE_MIN, walk._block(1)
     return [seg - 1, seg, seg + 1, low - 1, low, low + 1, block - 1, block,
             block + 1, block + low + 1, 5000]
 
@@ -538,7 +553,8 @@ def test_lanes_reach_their_fixed_point_on_contracting_walks(mode,
     # kept from the lanes, never replayed by the scalar loop
     scalar = _count_calls(monkeypatch, "_scalar_rows")
     rng = random.Random(f"accepted-{mode.value}")
-    for n in (walk._LANE_MIN, 2000, walk._BLOCK + walk._LANE_MIN + 3, 5000):
+    for n in (walk._LANE_MIN, 2000, walk._block(1) + walk._LANE_MIN + 3,
+              5000):
         config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
                             map_count=5 if mode is MapMode.FIXED_SET
                             else None)
@@ -579,26 +595,29 @@ def test_walks_that_never_coalesce_fall_back_to_the_scalar_loop(
         monkeypatch):
     # a translation keeps every lane's distance to the true walk, so the
     # lanes have no fixed point within _PASSES passes: both blocks run
-    # every pass, _follows rejects their rows, and the scalar loop runs
-    n = walk._BLOCK + walk._LANE_MIN
+    # every pass, _follows rejects their rows, and the scalar loop runs;
+    # the walk starts n // 2 left of the origin, so it ends as far right,
+    # inside its lattice_bound of n // 2 + 2871
+    block = walk._block(1)
+    n = block + walk._LANE_MIN
     monkeypatch.setattr(walk, "_step_table", lambda configs, lo, hi:
                         np.tile([1.0, 0.0, 0.0, 1.0, 1.5, 0.0, -0.25, 0.0],
                                 (len(configs), hi - lo, 1)))
     steps = _count_calls(monkeypatch, "_floor_step")
     scalar = _count_calls(monkeypatch, "_scalar_rows")
-    config = WalkConfig(x0=LatticePoint(-7, 3), n=n)
+    x = -(n // 2)
+    config = WalkConfig(x0=LatticePoint(x, 3), n=n)
     got = _table_walk(config, config.x0, 1)
-    assert got.tolist() == [[-7 + i, 3] for i in range(1, n + 1)]
+    assert got.tolist() == [[x + i, 3] for i in range(1, n + 1)]
     # per block: every step of every pass, then one _follows check
     assert len(steps) == 2 * (walk._PASSES * walk._SEGMENT + 1)
-    assert [len(table) for table, *_ in scalar] == [walk._BLOCK,
-                                                    walk._LANE_MIN]
+    assert [len(table) for table, *_ in scalar] == [block, walk._LANE_MIN]
 
 
 def test_a_corrupted_lane_row_falls_back_to_the_exact_walk(monkeypatch):
-    config = WalkConfig(n=walk._BLOCK + 700, seed=41)
+    config = WalkConfig(n=walk._block(1) + 700, seed=41)
     want = _replay(config, config.x0, 1)
-    for row in (1, walk._SEGMENT, walk._SEGMENT + 1, 700, walk._BLOCK):
+    for row in (1, walk._SEGMENT, walk._SEGMENT + 1, 700, walk._block(1)):
         inner = walk._lane_rows
         scalar = []
 
@@ -620,13 +639,14 @@ def test_lane_walk_raises_the_scalar_bounds_error_in_a_later_block(
         mode, monkeypatch):
     # the bound holds for the first block and fails in a later one
     rng = random.Random(f"late-bound-{mode.value}")
-    n = 3 * walk._BLOCK
+    block = walk._block(1)
+    n = 3 * block
     for _ in range(20):
         config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
                             map_count=4 if mode is MapMode.FIXED_SET
                             else None)
         xy = generate_walk(config).xy
-        early = int(np.abs(xy[:walk._BLOCK + 1]).max())
+        early = int(np.abs(xy[:block + 1]).max())
         if np.abs(xy).max() > early:
             break
     else:
@@ -639,7 +659,7 @@ def test_lane_walk_raises_the_scalar_bounds_error_in_a_later_block(
     assert str(lane_error.value) == str(scalar_error.value)
 
 
-@pytest.mark.parametrize("n", [1, 2 * walk._BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2 * walk._block(1) + 1])
 def test_far_start_raises_the_scalar_bounds_error(n):
     # lattice_bound adds the start's sup norm, so this faithful walk leaves
     # the bound on its first step (see ROADMAP item 3); lanes or not, the
@@ -680,7 +700,7 @@ def _check_group(configs, bound=None):
         assert got.xy[0].tolist() == list(config.x0)
         assert np.array_equal(got.xy[1:], want)
         k = len(tail)
-        assert 0 < k <= min(config.n, walk._BLOCK)
+        assert 0 < k <= min(config.n, walk._block(len(configs)))
         for r in {0, k // 2, k - 1}:
             assert tuple(tail[r].tolist()) \
                 == tuple(affine_step_for(config, config.n - k + 1 + r))
@@ -690,9 +710,10 @@ def _check_group(configs, bound=None):
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_group_walks_match_their_scalar_replays_at_every_edge(mode):
     rng = random.Random(f"group-{mode.value}")
-    seg, low, block = walk._SEGMENT, walk._LANE_MIN, walk._BLOCK
-    for n in (1, seg - 1, seg, seg + 1, low - 1, low, low + 1, block + 1):
-        for size in (2, walk._GROUP):
+    seg, low = walk._SEGMENT, walk._LANE_MIN
+    for size in (2, walk._GROUP):
+        block = walk._block(size)
+        for n in (1, seg - 1, seg, seg + 1, low - 1, low, low + 1, block + 1):
             _check_group(_group(_edge_config(rng, mode, n), rng, size))
 
 
@@ -701,7 +722,8 @@ def test_group_walk_that_leaves_the_bound_stops_alone(mode, monkeypatch):
     # with the bound lowered to the median reach of the group, some walks
     # raise their scalar error in a lane block and the rest run to the end
     rng = random.Random(f"group-bound-{mode.value}")
-    config = WalkConfig(n=walk._BLOCK + walk._LANE_MIN, seed=1, map_mode=mode,
+    config = WalkConfig(n=walk._block(walk._GROUP) + walk._LANE_MIN, seed=1,
+                        map_mode=mode,
                         map_count=4 if mode is MapMode.FIXED_SET else None)
     configs = _group(config, rng, walk._GROUP)
     reach = sorted(int(np.abs(t.xy).max())
@@ -727,7 +749,8 @@ def test_a_group_walk_whose_lanes_fail_falls_back_alone(monkeypatch):
     # a corrupted lane row of walk 1 fails its _follows check in both lane
     # blocks; the scalar loop runs those two blocks of walk 1 only, each
     # from walk 1's exact start, and the other walks keep their lane rows
-    configs = [WalkConfig(n=walk._BLOCK + 700, seed=s) for s in (41, 5, 9)]
+    block = walk._block(3)
+    configs = [WalkConfig(n=block + 700, seed=s) for s in (41, 5, 9)]
     inner = walk._lane_rows
 
     def corrupt(table, x):
@@ -740,8 +763,35 @@ def test_a_group_walk_whose_lanes_fail_falls_back_alone(monkeypatch):
     walks = _check_group(configs)
     xy = walks[1].xy
     assert [(len(table), x) for table, x, _ in scalar] == [
-        (walk._BLOCK, LatticePoint(*xy[0].tolist())),
-        (700, LatticePoint(*xy[walk._BLOCK].tolist()))]
+        (block, LatticePoint(*xy[0].tolist())),
+        (700, LatticePoint(*xy[block].tolist()))]
+
+
+def test_block_lengths_follow_the_group_size(monkeypatch):
+    # a lone walk takes 8192 steps a block, 2 walks 4096 and 3 walks 2720
+    # (a multiple of _SEGMENT); 4 walks or more keep 2048 a walk. A last
+    # lane block is drawn to a whole segment (808 -> 816, 840 -> 848).
+    want = {1: [8192, 816], 2: [4096, 4096, 816],
+            3: [2720, 2720, 2720, 848], 5: [2048] * 4 + [816],
+            8: [2048] * 4 + [816]}
+    rng = random.Random("block-lengths")
+    for size, lengths in want.items():
+        assert walk._block(size) == lengths[0]
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, "_step_table")
+            walks, _ = walk._walk_group(_group(WalkConfig(n=9000, seed=7),
+                                               rng, size))
+        assert [hi - lo for _, lo, hi in calls] == lengths
+        assert all(isinstance(t, Trajectory) for t in walks)
+    # a re-evolve replay checks a lone walk's rows a lone walk's block at
+    # a time: rows 11..8202, 8203..16394, then the last 3606
+    config = WalkConfig(n=20000, seed=7)
+    xy = generate_walk(config).xy.copy()
+    xy[10] += (1, 0)
+    with monkeypatch.context() as patch:
+        calls = _count_calls(patch, "_step_table")
+        walk._replay(config, xy, 10)
+    assert [hi - lo for _, lo, hi in calls] == [8192, 8192, 3606]
 
 
 def test_generate_walk_memory_stays_near_the_walk_size():
@@ -756,6 +806,41 @@ def test_generate_walk_memory_stays_near_the_walk_size():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * t.xy.nbytes
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_generate_walk_memory_holds_one_block_at_a_time(mode):
+    # one 8192-step block's table (512 KB), its lane rows and its _follows
+    # check, drawn in place after the last block's are dropped: 1.29x the
+    # walk's bytes in either map mode
+    config = WalkConfig(seed=3, n=200_000, map_mode=mode,
+                        map_count=5 if mode is MapMode.FIXED_SET else None)
+    generate_walk(replace(config, n=5000))  # imports and caches
+    tracemalloc.start()
+    try:
+        t = generate_walk(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * t.xy.nbytes
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_group_memory_holds_one_block_at_a_time(mode):
+    # 8 walks of three 2048-step blocks: 5.0x the walks' bytes (5.3x in
+    # FIXED_SET mode) while two blocks' tables lived at once and the draws
+    # made their own arrays, 3.1x with one table drawn in place
+    config = WalkConfig(n=3 * 2048, map_mode=mode,
+                        map_count=5 if mode is MapMode.FIXED_SET else None)
+    configs = _group(config, random.Random(3), 8)
+    walk._walk_group(configs)  # imports and caches
+    tracemalloc.start()
+    try:
+        walks, _ = walk._walk_group(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * sum(t.xy.nbytes for t in walks)
 
 
 # ------------------------------------------------------------- validation

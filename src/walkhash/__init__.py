@@ -33,7 +33,6 @@ from .fractal import (
     GeometryReport,
     box_count,
     default_box_sizes,
-    estimate_dimension,
     estimate_point_dimension,
     geometry,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "default_positions",
     "derive_key",
     "digest_bytes",
-    "estimate_dimension",
     "estimate_point_dimension",
     "generate_walk",
     "geometry",

@@ -439,8 +439,3 @@ def blake3_many(messages, out_len: int = 32) -> list[bytes]:
     for row, i in enumerate(order):
         digests[i] = blob[row * stride:row * stride + out_len]
     return digests
-
-
-def blake3_digest(data: bytes, out_len: int = 32) -> bytes:
-    """BLAKE3 hash of data, extended to out_len bytes."""
-    return blake3_many([data], out_len)[0]

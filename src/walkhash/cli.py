@@ -280,7 +280,7 @@ def cmd_keygen(opts: dict[str, Any]) -> int:
     _write_report(opts, "key.json", config, {
         "algorithm": alg.label,
         "digest": digest.hex,
-        "digest_bits": digest.bits,
+        "digest_bits": alg.bits,
     })
     print(digest.hex)
     return 0
@@ -379,8 +379,9 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
     n_list, num_seeds = opts["n_list"], opts["num_seeds"]
     if not n_list:
         raise ConfigError("n-list must not be empty")
-    if num_seeds < 1:
-        raise ConfigError(f"num-seeds must be >= 1, got {num_seeds!r}")
+    if not 1 <= num_seeds < 2**32:  # the bound avalanche puts on its rows
+        raise ConfigError(f"num-seeds must satisfy 1 <= num-seeds < 2**32, "
+                          f"got {num_seeds!r}")
     # the sweep's last seed must be valid too, before any walk runs
     try:
         replace(config, seed=config.seed + num_seeds - 1).validate()

@@ -40,9 +40,8 @@ from .walk import (
     LatticePoint,
     Trajectory,
     WalkConfig,
-    _GROUP,
     _replay,
-    _walk_group,
+    _walks,
     generate_walk,  # noqa: F401
 )
 
@@ -98,7 +97,7 @@ def perturb(t: Trajectory, spec: PerturbationSpec, *,
     t, then t's own rows once they are confirmed to follow t.config's
     steps (a trajectory whose rows do not follow is replayed to the end).
     steps, if given, are the maps of the last len(steps) steps of t's walk
-    as walk._walk_group returns them; the replay reads them instead of
+    as walk._walks yields them; the replay reads them instead of
     drawing its steps again.
     """
     _check_position(spec.position, t.n)
@@ -238,12 +237,10 @@ def run_avalanche(
     rows ordered by position then trial.
 
     Trials run in batches of about _BATCH_BYTES of serialized walks: the
-    batch's walks are generated in (position, trial) order, then each
-    algorithm digests all of them in one digest_many call. Walks of any
-    length are generated in groups of walk._GROUP (walk._walk_group: one
-    step table for the group, and one set of lane passes once a block has
-    walk._LANE_MIN steps), and each re-evolve tail reads its maps from its
-    group's table.
+    batch's walks come from walk._walks in (position, trial) order, which
+    steps them in groups that share a step table and lane passes, then
+    each algorithm digests all of them in one digest_many call. Each
+    re-evolve tail reads its maps from its group's table.
 
     A WalkhashError raised while a trial builds or disturbs its walk keeps
     its class; its message gains the seed, position, trial and trial_seed
@@ -277,27 +274,24 @@ def run_avalanche(
     row = 0
     while chunk := list(islice(pending, batch)):
         messages: list[bytes] = []
-        for lo in range(0, len(chunk), _GROUP):
-            trials = chunk[lo:lo + _GROUP]
-            configs = [replace(config, seed=trial_seed(config.seed, *pair))
-                       for pair in trials]
-            walks, tails = _walk_group(configs)
-            for (position, trial), base, steps, tseed in zip(
-                    trials, walks, tails, [c.seed for c in configs]):
-                try:
-                    if isinstance(base, WalkhashError):
-                        raise base
-                    disturbed = perturb(
-                        base, PerturbationSpec(position, mode, nudge),
-                        steps=steps)
-                except WalkhashError as exc:
-                    # `keygen --seed trial_seed` with the same walk options
-                    # replays the base walk
-                    raise type(exc)(
-                        f"{exc} (seed={config.seed} position={position} "
-                        f"trial={trial} trial_seed={tseed})") from exc
-                messages += (serialize_trajectory(base),
-                             serialize_trajectory(disturbed))
+        walks = _walks(replace(config, seed=trial_seed(config.seed, *pair))
+                       for pair in chunk)
+        for (position, trial), (base, steps) in zip(chunk, walks):
+            try:
+                if isinstance(base, WalkhashError):
+                    raise base
+                disturbed = perturb(
+                    base, PerturbationSpec(position, mode, nudge),
+                    steps=steps)
+            except WalkhashError as exc:
+                # `keygen --seed trial_seed` with the same walk options
+                # replays the base walk
+                raise type(exc)(
+                    f"{exc} (seed={config.seed} position={position} "
+                    f"trial={trial} trial_seed="
+                    f"{trial_seed(config.seed, position, trial)})") from exc
+            messages += (serialize_trajectory(base),
+                         serialize_trajectory(disturbed))
         for alg, label in zip(algs, labels):
             digests = digest_many(messages, alg)
             for j, (position, _) in enumerate(chunk):

@@ -147,10 +147,3 @@ def estimate_point_dimension(points: Iterable[LatticePoint] | np.ndarray,
         [math.log2(s) for s in sizes],
         [math.log2(c) for c in counts])
     return DimensionEstimate(sizes, counts, -slope, r_squared)
-
-
-def estimate_dimension(t: Trajectory,
-                       box_sizes: Sequence[int] | None = None,
-                       ) -> DimensionEstimate:
-    """Box-counting dimension of a trajectory's point set."""
-    return estimate_point_dimension(t.xy, box_sizes)

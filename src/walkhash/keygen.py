@@ -129,10 +129,6 @@ class Digest:
     def hex(self) -> str:
         return self.data.hex()
 
-    @property
-    def bits(self) -> int:
-        return len(self.data) * 8
-
 
 def serialize_trajectory(t: Trajectory) -> bytes:
     """The normative byte form described in the module docstring."""

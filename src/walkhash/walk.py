@@ -21,15 +21,17 @@ recurrence then runs the block's segments as numpy lanes, the lanes of
 every walk of the group in one pass, iterated to the fixed point where
 each lane starts where the one before it ends (see _lane_rows). A walk
 keeps its lane rows only if one numpy check (_follows) confirms every row;
-otherwise, and for short blocks, the scalar loop runs that walk's block
-alone and raises that walk's BoundsExceeded. generate_walk is a group of
-one walk; diffusion.run_avalanche steps its trials in groups (_walk_group),
-and its re-evolve tails (_replay) read their maps from the group's table.
-The output bytes depend neither on the grouping nor on the block size,
-which shrinks as a group grows (_block). The scalar functions
-(Stream, sample_affine_step, affine_step_for, map_templates, step) are the
-reference the tables and lanes are tested against, and they fill in the
-rare steps whose matrix draw is rejected.
+otherwise, and for blocks of fewer than _LANE_MIN steps over the group,
+the scalar loop runs that walk's block alone and raises that walk's
+BoundsExceeded. _walks yields walks stepped _GROUP at a time, each with
+the maps of its last steps: generate_walk takes the first of one, and
+diffusion.run_avalanche walks its trials through it, its re-evolve tails
+(_replay) reading their maps from their group's table. The output bytes
+depend neither on the grouping nor on the block size, which shrinks as a
+group grows (_block). The scalar functions (Stream, sample_affine_step,
+affine_step_for, map_templates, step) are the reference the tables and
+lanes are tested against, and they fill in the rare steps whose matrix
+draw is rejected.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,20 +70,20 @@ MAX_POINTS = 2**58
 
 # _evolve's blocks and lanes, set by measurement: the steps a block holds
 # over all its walks (its table is 512 KB, 64 bytes a step), the fewest
-# steps a walk's block takes (see _block), steps per lane, the shortest
-# block that runs faster as lanes than as the scalar loop, and the passes
-# after which a block falls back to the scalar loop (bounding the cost
-# when lanes do not coalesce).
+# steps a walk's block takes (see _block), steps per lane, the fewest
+# steps over all its walks at which a block runs faster as lanes than as
+# the scalar loop, and the passes after which a block falls back to the
+# scalar loop (bounding the cost when lanes do not coalesce).
 _BLOCK = 8192
 _BLOCK_MIN = 2048
 _SEGMENT = 16
 _LANE_MIN = 512
 _PASSES = 4
 
-# Walks that diffusion.run_avalanche steps together (_walk_group). At
-# n=2000 a walk took 0.63-0.68 ms in groups of 6 to 12, 1.6-1.7 ms alone
-# and 0.72-0.76 ms in groups of 16, whose lanes fall out of cache; a
-# group's table holds 64 bytes a step a walk.
+# Walks that _walks steps together. At n=2000 a walk took 0.63-0.68 ms in
+# groups of 6 to 12, 1.6-1.7 ms alone and 0.72-0.76 ms in groups of 16,
+# whose lanes fall out of cache; a group's table holds 64 bytes a step a
+# walk.
 _GROUP = 8
 
 # Steps in which a re-evolve replay (_replay) must rejoin its walk; at the
@@ -561,13 +564,13 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
     Each step is step(x, affine_step_for(config, i), bound) with the maps
     read from _step_table a block of _block(G) steps at a time, one table
     for all walks; a block's table and lane rows are dropped before the
-    next block's are made. A block of _LANE_MIN steps or more runs every
-    walk's lanes in one _lane_rows call, and keeps a walk's rows only if
-    _follows confirms them; any other block, or a walk whose lanes fail,
-    runs the scalar loop from the walk's exact start. Returns the
-    BoundsExceeded that stopped each walk, or None, and the last block's
-    table, the maps of the last steps. A stopped walk's later rows repeat
-    its last start.
+    next block's are made. A block of _LANE_MIN steps or more over all
+    its walks runs every walk's lanes in one _lane_rows call, and keeps a
+    walk's rows only if _follows confirms them; any other block, or a walk
+    whose lanes fail, runs the scalar loop from the walk's exact start.
+    Returns the BoundsExceeded that stopped each walk, or None, and the
+    last block's table, the maps of the last steps. A stopped walk's later
+    rows repeat its last start.
     """
     bound = lattice_bound(configs[0])
     limit = min(bound, MAX_COORD)
@@ -577,7 +580,7 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
     table = np.empty((len(configs), 0, 8))
     for lo in range(first, end, block):
         m = min(block, end - lo)
-        lanes = m >= _LANE_MIN
+        lanes = len(configs) * m >= _LANE_MIN
         table = rows = None  # the last block's, freed before this one's
         # lanes take whole segments: a short last one runs on past the block
         table = _step_table(
@@ -601,18 +604,21 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
     return errors, table
 
 
-def _walk_group(configs: Sequence[WalkConfig]
-                ) -> tuple[list[Trajectory | BoundsExceeded], np.ndarray]:
+def _walks(configs: Iterable[WalkConfig]
+           ) -> Iterator[tuple[Trajectory | BoundsExceeded, np.ndarray]]:
     """The walks x_0..x_n of validated configs that differ only in seed,
-    stepped together by _evolve: each a Trajectory, or the BoundsExceeded
-    that stopped it. Also returns the maps of the walks' last steps as a
-    (G, k, 8) step table: row [g, k - j] is step n + 1 - j of walk g.
+    in order, stepped by _evolve _GROUP at a time: each a Trajectory, or
+    the BoundsExceeded that stopped it, with the maps of its last steps as
+    a (k, 8) step table whose row k - j is step n + 1 - j. A group's
+    configs, rows and table are made only when its first walk is due.
     """
-    xy = np.empty((len(configs), configs[0].n + 1, 2), dtype=np.int64)
-    xy[:, 0] = configs[0].x0
-    errors, table = _evolve(configs, xy, 1)
-    return [exc or Trajectory._adopt(rows, config)
-            for exc, rows, config in zip(errors, xy, configs)], table
+    configs = iter(configs)
+    while group := list(islice(configs, _GROUP)):
+        xy = np.empty((len(group), group[0].n + 1, 2), dtype=np.int64)
+        xy[:, 0] = group[0].x0
+        errors, table = _evolve(group, xy, 1)
+        for exc, rows, config, steps in zip(errors, xy, group, table):
+            yield exc or Trajectory._adopt(rows, config), steps
 
 
 def _replay(config: WalkConfig, xy: np.ndarray, i: int,
@@ -626,7 +632,7 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
     a lone walk's block of _block(1) steps at a time, one table alive at
     once. Without a rejoin, or if a row does not follow, _evolve replays
     the whole tail. steps, if given, are the maps of the walk's last
-    len(steps) steps (see _walk_group); when they cover the tail, they
+    len(steps) steps (see _walks); when they cover the tail, they
     are its first block's table.
     """
     last = len(xy) - 1
@@ -661,7 +667,7 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
 def generate_walk(config: WalkConfig) -> Trajectory:
     """Generate the full trajectory x_0..x_n for a validated config."""
     config.validate()
-    (walk,), _ = _walk_group([config])
+    walk, _ = next(_walks([config]))
     if isinstance(walk, BoundsExceeded):
         raise walk
     return walk

@@ -25,7 +25,7 @@ from walkhash import (
     box_count,
     chi_square_uniform,
     digest_bytes,
-    estimate_dimension,
+    estimate_point_dimension,
     generate_walk,
     lattice_bound,
     lower_regularized_gamma,
@@ -121,8 +121,8 @@ def test_criterion_5_dimension_growth():
     start = time.perf_counter()
     medians = []
     for n in lengths:
-        dims = [estimate_dimension(
-            generate_walk(WalkConfig(seed=seed, n=n))).dimension
+        dims = [estimate_point_dimension(
+            generate_walk(WalkConfig(seed=seed, n=n)).xy).dimension
             for seed in range(20)]
         medians.append(median(dims))
     elapsed = time.perf_counter() - start

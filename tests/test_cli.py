@@ -30,7 +30,7 @@ from walkhash import (
     WalkConfig,
     WalkhashError,
     derive_key,
-    estimate_dimension,
+    estimate_point_dimension,
     generate_walk,
     perturb,
     run_avalanche,
@@ -205,7 +205,7 @@ def _n_major_sweep(config, n_list, num_seeds, box_sizes=None):
         per_seed = []
         for offset in range(num_seeds):
             cfg = replace(config, n=n, seed=config.seed + offset)
-            est = estimate_dimension(generate_walk(cfg), box_sizes)
+            est = estimate_point_dimension(generate_walk(cfg).xy, box_sizes)
             per_seed.append({"seed": cfg.seed, **asdict(est)})
         med = median(e["dimension"] for e in per_seed)
         medians.append(med)
@@ -395,11 +395,11 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
 _NO_WALK = """\
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from walkhash import cli, diffusion
+from walkhash import cli, walk
 from walkhash.errors import BoundsExceeded
-def no_walk(configs):
-    return [BoundsExceeded("generate_walk called")] * len(configs), configs
-diffusion._walk_group = no_walk
+def no_walk(configs, xy, first):
+    return [BoundsExceeded("generate_walk called")] * len(configs), xy
+walk._evolve = no_walk
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -508,6 +508,8 @@ def test_avalanche_failure_names_its_trial(mode, bound, seed, monkeypatch,
     ["avalanche", "--n", "4611686018427387904", "--trials", "1"],
     ["fractal", "--synthetic", "line:4611686018427387904"],
     ["fractal", "--synthetic", "square:4294967296"],
+    ["fractal", "--n-list", "8", "--num-seeds", "4294967296"],
+    ["fractal", "--n-list", "8", "--num-seeds", "18446744073709551616"],
 ])
 def test_out_of_domain_inputs_exit_2(argv, tmp_path, capsys):
     code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)

@@ -420,6 +420,39 @@ def _assert_per_trial_rebuild(out, config, algs, positions, trials, mode,
             BitMatrix.from_flip_vectors([r.flip_vector for r in expected]).bits)
 
 
+def _group_sizes(monkeypatch):
+    """The size of every group of walks walk._walks steps from here on: its
+    _evolve calls from step 1 (a re-evolve replay starts later)."""
+    sizes = []
+    inner = walk._evolve
+
+    def counted(configs, xy, first):
+        if first == 1:
+            sizes.append(len(configs))
+        return inner(configs, xy, first)
+
+    monkeypatch.setattr(walk, "_evolve", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("mode", list(PerturbMode))
+def test_avalanche_steps_its_trials_in_groups(monkeypatch, mode):
+    # 2 x 10 trials are 20 walks: groups of _GROUP, then the rest; a batch
+    # of 6 trials starts its own groups
+    groups = _group_sizes(monkeypatch)
+    config = WalkConfig(seed=4, n=600)
+    records, matrix = run_avalanche(config, [_ALG], (100, 300), 10,
+                                    mode)[_ALG.label]
+    assert groups == [walk._GROUP, walk._GROUP, 4]
+    del groups[:]
+    monkeypatch.setattr(diffusion, "_BATCH_BYTES", 6 * 32 * (config.n + 1))
+    batched, batched_matrix = run_avalanche(config, [_ALG], (100, 300), 10,
+                                            mode)[_ALG.label]
+    assert groups == [6, 6, 6, 2]
+    assert batched == records
+    assert np.array_equal(batched_matrix.bits, matrix.bits)
+
+
 @pytest.mark.parametrize("mode", list(PerturbMode))
 @pytest.mark.parametrize("map_mode", list(MapMode))
 def test_grouped_avalanche_equals_per_trial_rebuild(monkeypatch, mode,
@@ -429,12 +462,8 @@ def test_grouped_avalanche_equals_per_trial_rebuild(monkeypatch, mode,
     config = WalkConfig(seed=23, n=walk._LANE_MIN + 88, map_mode=map_mode,
                         map_count=5 if map_mode is MapMode.FIXED_SET
                         else None)
-    monkeypatch.setattr(diffusion, "_GROUP", 4)
-    groups = []
-    real_group = diffusion._walk_group
-    monkeypatch.setattr(diffusion, "_walk_group",
-                        lambda configs: groups.append(len(configs))
-                        or real_group(configs))
+    monkeypatch.setattr(walk, "_GROUP", 4)
+    groups = _group_sizes(monkeypatch)
     positions, trials, nudge = (3, 300, config.n - 1), 3, (2, -1)
     algs = [HashAlg.sha3_512(), HashAlg.blake3(32)]
     out = run_avalanche(config, algs, positions, trials, mode, nudge)
@@ -445,18 +474,16 @@ def test_grouped_avalanche_equals_per_trial_rebuild(monkeypatch, mode,
 
 @pytest.mark.parametrize("n", [1, 15, 16, 80, walk._LANE_MIN - 1])
 def test_avalanche_groups_walks_of_every_length(monkeypatch, n):
-    # walks shorter than _LANE_MIN share their group's step table too,
-    # and their blocks run the scalar loop: a run in groups of _GROUP
-    # equals a run of one trial at a time, its results and its errors
-    groups = []
-    real_group = diffusion._walk_group
-    monkeypatch.setattr(diffusion, "_walk_group",
-                        lambda configs: groups.append(len(configs))
-                        or real_group(configs))
+    # walks shorter than _LANE_MIN share their group's step table too: a
+    # group of 8 runs lanes from 64 steps a walk (n=80 and 511 here) and
+    # the scalar loop below, a lone walk the scalar loop. A run in groups
+    # of _GROUP equals a run of one trial at a time, its results and its
+    # errors
+    groups = _group_sizes(monkeypatch)
     config = WalkConfig(seed=31, n=n)
     if n == 1:  # positions lie in [1, n - 1], so no trial can run
         configs = [replace(config, seed=s) for s in range(walk._GROUP)]
-        assert walk._walk_group(configs)[0] \
+        assert [t for t, _ in walk._walks(configs)] \
             == [generate_walk(c) for c in configs]
         with pytest.raises(InvalidPosition):
             run_avalanche(config, [_ALG], (1,), 3)
@@ -474,7 +501,7 @@ def test_avalanche_groups_walks_of_every_length(monkeypatch, n):
         assert "position=5 trial=1 " in message
         outs = []
         for size in (walk._GROUP, 1):
-            monkeypatch.setattr(diffusion, "_GROUP", size)
+            monkeypatch.setattr(walk, "_GROUP", size)
             del groups[:]
             outs.append(run_avalanche(config, [_ALG], positions, 3, mode,
                                       (1, -1)))
@@ -542,8 +569,7 @@ def test_re_evolve_with_the_group_table_equals_a_full_replay(mode,
                             else None)
         configs = [replace(config, seed=rng.randrange(2**64))
                    for _ in range(3)]
-        walks, tails = walk._walk_group(configs)
-        for t, tail in zip(walks, tails):
+        for t, tail in walk._walks(configs):
             for position in (1, rng.randint(2, n - 2), n - len(tail),
                              n - len(tail) + 1, n - 1):
                 if position < 1:

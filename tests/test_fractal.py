@@ -14,7 +14,6 @@ from walkhash import (
     WalkConfig,
     box_count,
     default_box_sizes,
-    estimate_dimension,
     estimate_point_dimension,
     generate_walk,
     geometry,
@@ -164,16 +163,11 @@ def test_filled_square_dimension_is_two():
 def test_walk_counts_monotone_and_fit_sane():
     for seed in range(12):
         t = generate_walk(WalkConfig(seed=seed, n=300))
-        est = estimate_dimension(t)
+        est = estimate_point_dimension(t.xy)
         assert len(est.box_sizes) >= 4
         assert all(a >= b for a, b in zip(est.counts, est.counts[1:]))
         assert 0.0 <= est.r_squared <= 1.0 + 1e-12
         assert est.dimension >= 0.0
-
-
-def test_estimate_dimension_delegates_to_point_form():
-    t = generate_walk(WalkConfig(seed=3, n=200))
-    assert estimate_dimension(t) == estimate_point_dimension(t.points)
 
 
 def test_non_nested_schedule_rejected():

@@ -19,7 +19,7 @@ from walkhash import (
     generate_walk,
     serialize_trajectory,
 )
-from walkhash._blake3 import blake3_digest
+from walkhash._blake3 import blake3_many
 from walkhash.keygen import _MAX_OUT
 
 # known-answer: SHA3-512 of 16 zero bytes, confirmed by the from-scratch
@@ -101,7 +101,7 @@ def test_derive_key_shake_matches_oracle():
 def test_derive_key_blake3_matches_module():
     t = generate_walk(WalkConfig(seed=6, n=40))
     assert derive_key(t, HashAlg.blake3()).data \
-        == blake3_digest(serialize_trajectory(t), 32)
+        == blake3_many([serialize_trajectory(t)], 32)[0]
 
 
 # -------------------------------------------------------------- behavior

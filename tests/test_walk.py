@@ -662,7 +662,7 @@ def test_lane_walk_raises_the_scalar_bounds_error_in_a_later_block(
 @pytest.mark.parametrize("n", [1, 2 * walk._block(1) + 1])
 def test_far_start_raises_the_scalar_bounds_error(n):
     # lattice_bound adds the start's sup norm, so this faithful walk leaves
-    # the bound on its first step (see ROADMAP item 3); lanes or not, the
+    # the bound on its first step (see ROADMAP item 2); lanes or not, the
     # error is the scalar one
     config = WalkConfig(x0=LatticePoint(-825, -680),
                         rho_min=0.8340528309020399, rho_max=0.95,
@@ -676,6 +676,22 @@ def test_far_start_raises_the_scalar_bounds_error(n):
     _same_as_replay(config, config.x0, 1)
 
 
+@pytest.mark.xfail(raises=BoundsExceeded, strict=True, reason=(
+    "CHANGES.md FOUND: lattice_bound adds the start point's sup norm, but "
+    "a contraction only bounds the Euclidean norm, so a faithful walk from "
+    "a far-off x0 can cross the bound on its first step and exit 3"))
+def test_far_start_walk_is_faithful():
+    # the walk of test_far_start_raises_the_scalar_bounds_error: its first
+    # point lies 903 from the origin, nearer than x0 (1069), as a
+    # contraction with no translation or noise keeps it up to the floor's
+    # sqrt(2), but outside lattice_bound's square of 854
+    config = WalkConfig(x0=LatticePoint(-825, -680),
+                        rho_min=0.8340528309020399, rho_max=0.95,
+                        b_min=0.0, b_max=0.0, epsilon=0.0, n=1,
+                        seed=9818071680104426896)
+    assert generate_walk(config).xy[1].tolist() == [-896, 114]
+
+
 # ----------------------------------------------------------------- groups
 
 def _group(config, rng, size):
@@ -685,12 +701,13 @@ def _group(config, rng, size):
 
 
 def _check_group(configs, bound=None):
-    """Every walk of a _walk_group equals its scalar replay, or raises its
-    scalar BoundsExceeded, and the table it returns holds the maps of each
-    walk's last steps."""
-    walks, tails = walk._walk_group(configs)
-    assert len(walks) == len(tails) == len(configs)
-    for config, got, tail in zip(configs, walks, tails):
+    """Every walk _walks yields equals its scalar replay, or is its scalar
+    BoundsExceeded, in the order of configs, and the table yielded with it
+    holds the maps of its last steps."""
+    pairs = list(walk._walks(configs))
+    assert len(pairs) == len(configs)
+    walks = [got for got, _ in pairs]
+    for i, (config, (got, tail)) in enumerate(zip(configs, pairs)):
         try:
             want = _replay(config, config.x0, 1, bound)
         except BoundsExceeded as exc:
@@ -700,7 +717,8 @@ def _check_group(configs, bound=None):
         assert got.xy[0].tolist() == list(config.x0)
         assert np.array_equal(got.xy[1:], want)
         k = len(tail)
-        assert 0 < k <= min(config.n, walk._block(len(configs)))
+        size = min(walk._GROUP, len(configs) - i // walk._GROUP * walk._GROUP)
+        assert 0 < k <= min(config.n, walk._block(size))
         for r in {0, k // 2, k - 1}:
             assert tuple(tail[r].tolist()) \
                 == tuple(affine_step_for(config, config.n - k + 1 + r))
@@ -708,13 +726,46 @@ def _check_group(configs, bound=None):
 
 
 @pytest.mark.parametrize("mode", list(MapMode))
-def test_group_walks_match_their_scalar_replays_at_every_edge(mode):
+def test_group_walks_match_their_scalar_replays_at_every_edge(mode,
+                                                              monkeypatch):
+    # a group's first block runs lanes once it holds _LANE_MIN steps over
+    # all the group's walks
     rng = random.Random(f"group-{mode.value}")
     seg, low = walk._SEGMENT, walk._LANE_MIN
     for size in (2, walk._GROUP):
         block = walk._block(size)
-        for n in (1, seg - 1, seg, seg + 1, low - 1, low, low + 1, block + 1):
-            _check_group(_group(_edge_config(rng, mode, n), rng, size))
+        edge = -(-low // size)
+        for n in (1, seg - 1, seg, seg + 1, edge - 1, edge, edge + 1,
+                  low - 1, low, low + 1, block + 1):
+            with monkeypatch.context() as patch:
+                lanes = _count_calls(patch, "_lane_rows")
+                _check_group(_group(_edge_config(rng, mode, n), rng, size))
+            assert bool(lanes) == (n >= edge)
+
+
+@pytest.mark.parametrize("count", [1, 8, 9, 17])
+def test_walks_yields_each_walk_as_generate_walk_does(count, monkeypatch):
+    # 17 walks are stepped as groups of 8, 8 and 1: the groups of 8 run
+    # lanes and the lone walk the scalar loop. With the bound lowered below
+    # the median reach, the walks that leave it yield their error in place.
+    rng = random.Random(f"walks-{count}")
+    configs = _group(WalkConfig(n=300, seed=count), rng, count)
+    alone = [generate_walk(config) for config in configs]
+    assert [got for got, _ in walk._walks(configs)] == alone
+    _check_group(configs)  # and the tails
+    reach = sorted(int(np.abs(t.xy).max()) for t in alone)
+    bound = reach[len(reach) // 2] - 1
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: bound)
+    stopped = 0
+    for config, (got, _) in zip(configs, walk._walks(configs)):
+        try:
+            want = generate_walk(config)
+        except BoundsExceeded as exc:
+            assert isinstance(got, BoundsExceeded) and str(got) == str(exc)
+            stopped += 1
+        else:
+            assert got == want
+    assert stopped == 1 if count == 1 else 0 < stopped < count
 
 
 @pytest.mark.parametrize("mode", list(MapMode))
@@ -726,8 +777,7 @@ def test_group_walk_that_leaves_the_bound_stops_alone(mode, monkeypatch):
                         map_mode=mode,
                         map_count=4 if mode is MapMode.FIXED_SET else None)
     configs = _group(config, rng, walk._GROUP)
-    reach = sorted(int(np.abs(t.xy).max())
-                   for t in walk._walk_group(configs)[0])
+    reach = sorted(int(np.abs(t.xy).max()) for t, _ in walk._walks(configs))
     bound = reach[len(reach) // 2]
     monkeypatch.setattr(walk, "lattice_bound", lambda config: bound)
     walks = _check_group(configs, bound)
@@ -779,8 +829,8 @@ def test_block_lengths_follow_the_group_size(monkeypatch):
         assert walk._block(size) == lengths[0]
         with monkeypatch.context() as patch:
             calls = _count_calls(patch, "_step_table")
-            walks, _ = walk._walk_group(_group(WalkConfig(n=9000, seed=7),
-                                               rng, size))
+            walks = [t for t, _ in walk._walks(
+                _group(WalkConfig(n=9000, seed=7), rng, size))]
         assert [hi - lo for _, lo, hi in calls] == lengths
         assert all(isinstance(t, Trajectory) for t in walks)
     # a re-evolve replay checks a lone walk's rows a lone walk's block at
@@ -833,10 +883,10 @@ def test_group_memory_holds_one_block_at_a_time(mode):
     config = WalkConfig(n=3 * 2048, map_mode=mode,
                         map_count=5 if mode is MapMode.FIXED_SET else None)
     configs = _group(config, random.Random(3), 8)
-    walk._walk_group(configs)  # imports and caches
+    list(walk._walks(configs))  # imports and caches
     tracemalloc.start()
     try:
-        walks, _ = walk._walk_group(configs)
+        walks = [t for t, _ in walk._walks(configs)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

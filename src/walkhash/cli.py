@@ -37,7 +37,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .diffusion import PerturbMode, default_positions, run_avalanche, trial_summary
+from .diffusion import (_MAX_ROWS, PerturbMode, TrialRecord,
+                        default_positions, run_avalanche, trial_summary)
 from .errors import ConfigError, DegenerateInput, WalkhashError
 from .fractal import estimate_point_dimension, geometry
 from .keygen import HashAlg, derive_key
@@ -379,7 +380,7 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
     n_list, num_seeds = opts["n_list"], opts["num_seeds"]
     if not n_list:
         raise ConfigError("n-list must not be empty")
-    if not 1 <= num_seeds < 2**32:  # the bound avalanche puts on its rows
+    if not 1 <= num_seeds < _MAX_ROWS:  # the bound avalanche puts on its rows
         raise ConfigError(f"num-seeds must satisfy 1 <= num-seeds < 2**32, "
                           f"got {num_seeds!r}")
     # the sweep's last seed must be valid too, before any walk runs
@@ -418,8 +419,7 @@ def cmd_avalanche(opts: dict[str, Any]) -> int:
     for label, (records, matrix) in outcome.items():
         _write_csv(
             opts, f"trials_{label}.csv",
-            ("trial_id", "position", "alg", "hamming", "bitflip_rate",
-             "delta_entropy", "flip_vector"),
+            [f.name for f in fields(TrialRecord)],
             ((r.trial_id, r.position, label, r.hamming, r.bitflip_rate,
               r.delta_entropy, r.flip_vector.hex()) for r in records))
         # the bit matrix is written whatever --format says

@@ -104,9 +104,10 @@ def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
     (len(seeds), m), one row a seed; the keys are (len(seeds), m)."""
     base = np.array([stream_key(seed, *path) for seed in seeds],
                     dtype=np.uint64)
-    keys = index.astype(np.uint64)
+    keys = np.empty((len(seeds), index.shape[-1]), dtype=np.uint64)
+    keys[...] = index
     keys *= _GOLDEN_U64
-    keys = base[:, None] ^ keys
+    keys ^= base[:, None]
     return mix64_array(keys, keys)
 
 

@@ -332,15 +332,16 @@ def affine_step_for(
 ) -> AffineStep:
     """The step taken at index i (1-based), regenerated from the seed alone.
 
-    Passing the result of map_templates avoids recomputing templates in
-    FIXED_SET mode; it is ignored otherwise.
+    In FIXED_SET mode only the chosen template is drawn, or read from
+    templates (map_templates's result) if given.
     """
     if config.map_mode is MapMode.PER_STEP_FRESH:
         return sample_affine_step(Stream(config.seed, _SUB_STEP, i), config)
-    if templates is None:
-        templates = map_templates(config)
     stream = Stream(config.seed, _SUB_CHOICE, i)
-    a11, a12, a21, a22, b1, b2 = templates[stream.below(config.map_count)]
+    j = stream.below(config.map_count)
+    a11, a12, a21, a22, b1, b2 = (
+        _draw_map(Stream(config.seed, _SUB_TEMPLATE, j), config)
+        if templates is None else templates[j])
     eps = config.epsilon
     d1 = stream.uniform(-eps, eps)
     d2 = stream.uniform(-eps, eps)
@@ -429,21 +430,19 @@ def _step_table(configs: Sequence[WalkConfig], lo: int,
     if config.map_mode is MapMode.PER_STEP_FRESH:
         keys = stream_keys(seeds, (_SUB_STEP,), np.arange(lo, hi))
         rejected = _map_columns(config, keys, table)
-        uniform_draws(keys, 8, -eps, eps, table[..., 6])
-        uniform_draws(keys, 9, -eps, eps, table[..., 7])
-        for g, k in np.argwhere(rejected).tolist():
-            table[g, k] = affine_step_for(configs[g], lo + k)
-        return table
-    keys = stream_keys(seeds, (_SUB_CHOICE,), np.arange(lo, hi))
-    choice = u64_draws(keys, 1)
-    choice %= np.uint64(config.map_count)
-    rejected = _map_columns(
-        config, stream_keys(seeds, (_SUB_TEMPLATE,), choice), table)
+        d1_draw = 8
+    else:
+        keys = stream_keys(seeds, (_SUB_CHOICE,), np.arange(lo, hi))
+        choice = u64_draws(keys, 1)
+        choice %= np.uint64(config.map_count)
+        template_keys = stream_keys(seeds, (_SUB_TEMPLATE,), choice)
+        del choice  # before _map_columns draws the templates
+        rejected = _map_columns(config, template_keys, table)
+        d1_draw = 2
+    uniform_draws(keys, d1_draw, -eps, eps, table[..., 6])
+    uniform_draws(keys, d1_draw + 1, -eps, eps, table[..., 7])
     for g, k in np.argwhere(rejected).tolist():
-        stream = Stream(seeds[g], _SUB_TEMPLATE, int(choice[g, k]))
-        table[g, k, :6] = _draw_map(stream, config)
-    uniform_draws(keys, 2, -eps, eps, table[..., 6])
-    uniform_draws(keys, 3, -eps, eps, table[..., 7])
+        table[g, k] = affine_step_for(configs[g], lo + k)
     return table
 
 

@@ -100,7 +100,25 @@ def test_many_accepts_any_byte_buffer():
 _C = _blake3._CROSSOVER
 
 
+# Carry edges: every state, message and counter word 0xFFFFFFFF, and lanes
+# alternating all-ones and zero, so a carry or spill into the next lane
+# shows.
+_EDGES = ("all-ones", "alternating")
+
+
 def _lane_inputs(lanes, counters, per_lane_len_flags, seed):
+    """Compression inputs for lanes lanes: random words for an int seed,
+    or the words of one of _EDGES."""
+    if seed in _EDGES:
+        ones = np.full(lanes, 0xFFFFFFFF, dtype=np.uint32)
+        if seed == "alternating":
+            ones[1::2] = 0
+        counter = ones.astype(np.uint64) * np.uint64(0x100000001)
+        if counters != "per-lane":
+            counter = int(counter[0])
+        word = ones if per_lane_len_flags else int(ones[0])
+        return (np.tile(ones, (8, 1)), np.tile(ones, (16, 1)), counter,
+                word, word)
     rng = np.random.default_rng([lanes, seed])
     h = rng.integers(0, 2**32, (8, lanes), dtype=np.uint32)
     m = rng.integers(0, 2**32, (16, lanes), dtype=np.uint32)
@@ -126,7 +144,7 @@ def _lane_inputs(lanes, counters, per_lane_len_flags, seed):
 @pytest.mark.parametrize("per_lane_len_flags", [False, True])
 def test_int_kernel_equals_numpy_kernel(monkeypatch, lanes, counters,
                                        per_lane_len_flags):
-    for seed in range(3):
+    for seed in (0, 1, 2, *_EDGES):
         h, m, counter, block_len, flags = _lane_inputs(
             lanes, counters, per_lane_len_flags, seed)
         rows = _blake3._compress_rows(h, m, counter, block_len, flags)
@@ -134,6 +152,10 @@ def test_int_kernel_equals_numpy_kernel(monkeypatch, lanes, counters,
         assert ints.dtype == rows.dtype == np.uint32
         assert ints.shape == rows.shape == (16, lanes)
         np.testing.assert_array_equal(ints, rows)
+        # Lane 0 against the scalar oracle.
+        first = [int(np.ravel(x)[0]) for x in (counter, block_len, flags)]
+        assert ints[:, 0].tolist() == blake3_ref.compress(
+            h[:, 0].tolist(), m[:, 0].astype("<u4").tobytes(), *first)
         # Parent levels pass one shared (8, 1) chaining value.
         iv = _blake3._IV[:, None]
         np.testing.assert_array_equal(

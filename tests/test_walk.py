@@ -436,8 +436,9 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
 
 
 def test_fixed_set_draws_only_the_templates_it_uses():
-    # map_templates would draw 2**64 - 1 templates; each step draws only
-    # the one it chooses, equal to the scalar template of that index
+    # map_templates would draw 2**64 - 1 templates; each step, of the table
+    # or of affine_step_for without templates, draws only the one it
+    # chooses, equal to the scalar template of that index
     config = WalkConfig(seed=12, n=300, map_mode=MapMode.FIXED_SET,
                         map_count=2**64 - 1)
 
@@ -448,7 +449,9 @@ def test_fixed_set_draws_only_the_templates_it_uses():
 
     x, want = config.x0, []
     for i in range(1, config.n + 1):
-        x = step(x, affine_step_for(config, i, Templates()))
+        s = affine_step_for(config, i, Templates())
+        assert affine_step_for(config, i) == s
+        x = step(x, s)
         want.append(list(x))
     assert generate_walk(config).xy[1:].tolist() == want
 

@@ -82,6 +82,12 @@ def _choice(enum: type[Enum]) -> Callable[[str], Enum]:
     return parse
 
 
+def _directory(text: str) -> Path:
+    if "\0" in text:  # no file system path may hold one
+        raise ValueError(f"must not contain a NUL byte, got {text!r}")
+    return Path(text)
+
+
 def _formats(text: str) -> frozenset[str]:
     formats = frozenset(p.strip() for p in text.split(",") if p.strip())
     if not formats or formats - {"csv", "json"}:
@@ -130,7 +136,7 @@ _WALK_ROWS = {
 }
 
 _COMMON = (
-    Option("output-dir", Path, ".", "where report files go", "DIR"),
+    Option("output-dir", _directory, ".", "where report files go", "DIR"),
     Option("format", _formats, "csv,json", "comma subset of csv,json",
            "LIST"),
     *(Option(f.name.replace("_", "-"), parse, _text(f.default), help, meta)
@@ -177,7 +183,7 @@ def _load_config_file(path: str, allowed: frozenset[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -213,9 +219,7 @@ def _read_options(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _walk_config(opts: dict[str, Any]) -> WalkConfig:
-    config = WalkConfig(**{f.name: opts[f.name] for f in fields(WalkConfig)})
-    config.validate()
-    return config
+    return WalkConfig(**{f.name: opts[f.name] for f in fields(WalkConfig)})
 
 
 # ---------------------------------------------------------------- output
@@ -383,9 +387,9 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
     if not 1 <= num_seeds < _MAX_ROWS:  # the bound avalanche puts on its rows
         raise ConfigError(f"num-seeds must satisfy 1 <= num-seeds < 2**32, "
                           f"got {num_seeds!r}")
-    # the sweep's last seed must be valid too, before any walk runs
+    # replace checks that the sweep's last seed is valid before any walk runs
     try:
-        replace(config, seed=config.seed + num_seeds - 1).validate()
+        replace(config, seed=config.seed + num_seeds - 1)
     except ConfigError as exc:
         raise ConfigError(f"seed + num-seeds - 1: {exc}") from None
     entries = _sweep(config, n_list, num_seeds, box_sizes)

@@ -67,12 +67,17 @@ class PerturbationSpec:
     """Where and how to disturb a trajectory.
 
     position indexes the point to shift and must be interior: 1..n-1.
-    nudge is the integer offset applied to that point.
+    nudge is the integer offset applied to that point, checked when made.
     """
 
     position: int
     mode: PerturbMode = PerturbMode.POINT_NUDGE
     nudge: tuple[int, int] = (1, 0)
+
+    def __post_init__(self) -> None:
+        if any(abs(d) > MAX_COORD for d in self.nudge):
+            raise ConfigError(f"nudge components must be in [-2**53, 2**53], "
+                              f"got {tuple(self.nudge)}")
 
 
 def _check_position(position: int, n: int) -> None:
@@ -80,12 +85,6 @@ def _check_position(position: int, n: int) -> None:
         raise InvalidPosition(
             f"positions must be in [1, {n - 1}] for an n={n} walk, "
             f"got {position}")
-
-
-def _check_nudge(nudge: tuple[int, int]) -> None:
-    if any(abs(d) > MAX_COORD for d in nudge):
-        raise ConfigError(
-            f"nudge components must be in [-2**53, 2**53], got {tuple(nudge)}")
 
 
 def perturb(t: Trajectory, spec: PerturbationSpec, *,
@@ -101,7 +100,6 @@ def perturb(t: Trajectory, spec: PerturbationSpec, *,
     drawing its steps again.
     """
     _check_position(spec.position, t.n)
-    _check_nudge(spec.nudge)
     x, y = t.xy[spec.position].tolist()
     moved = LatticePoint(x + spec.nudge[0], y + spec.nudge[1])
     if not all(-2**63 <= c < 2**63 for c in moved):
@@ -247,7 +245,6 @@ def run_avalanche(
     of that trial. Errors are raised in (position, trial) order, so a run
     reports the trial that a run of one trial at a time would.
     """
-    config.validate()
     if not algs:
         raise ConfigError("need at least one hash algorithm")
     labels = [alg.label for alg in algs]
@@ -266,7 +263,8 @@ def run_avalanche(
         raise ConfigError(
             f"positions x trials must be < 2**32 rows, got "
             f"{len(positions)} x {trials_per_position}")
-    _check_nudge(nudge)
+    # checks the nudge before any walk runs
+    specs = {p: PerturbationSpec(p, mode, nudge) for p in positions}
     records: dict[str, list[TrialRecord]] = {lb: [] for lb in labels}
     batch = max(1, _BATCH_BYTES // (32 * (config.n + 1)))
     # lazy: itertools.product would first copy range(trials) into a tuple
@@ -280,9 +278,7 @@ def run_avalanche(
             try:
                 if isinstance(base, WalkhashError):
                     raise base
-                disturbed = perturb(
-                    base, PerturbationSpec(position, mode, nudge),
-                    steps=steps)
+                disturbed = perturb(base, specs[position], steps=steps)
             except WalkhashError as exc:
                 # `keygen --seed trial_seed` with the same walk options
                 # replays the base walk

@@ -93,7 +93,7 @@ class HashAlg:
         suffix_len = None
         if name not in _DEFAULT_OUT and "-" in name:
             base, _, bits = name.rpartition("-")
-            if base in _DEFAULT_OUT and bits.isdigit():
+            if base in _DEFAULT_OUT and bits.isdecimal():  # int('²') fails
                 if int(bits) % 8:
                     raise ConfigError(
                         f"alg {text!r}: bit count must be a multiple of 8")

@@ -133,7 +133,8 @@ class WalkConfig:
     b_min/b_max bound both translation components, epsilon bounds each
     noise component, n is the number of steps, and seed, in [0, 2**64),
     keys every random stream. map_count is required in FIXED_SET mode and
-    must be absent otherwise.
+    must be absent otherwise. A config is checked when it is made, also by
+    dataclasses.replace, so one that exists is valid (ConfigError if not).
     """
 
     x0: LatticePoint = LatticePoint(0, 0)
@@ -147,7 +148,7 @@ class WalkConfig:
     map_mode: MapMode = MapMode.PER_STEP_FRESH
     map_count: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.n, int) or not 1 <= self.n < MAX_POINTS:
             raise ConfigError(
                 f"n must be an integer with 1 <= n < 2**58, got {self.n!r}")
@@ -325,23 +326,17 @@ def map_templates(config: WalkConfig) -> tuple[tuple[float, ...], ...] | None:
         for j in range(config.map_count))
 
 
-def affine_step_for(
-    config: WalkConfig,
-    i: int,
-    templates: tuple[tuple[float, ...], ...] | None = None,
-) -> AffineStep:
+def affine_step_for(config: WalkConfig, i: int) -> AffineStep:
     """The step taken at index i (1-based), regenerated from the seed alone.
 
-    In FIXED_SET mode only the chosen template is drawn, or read from
-    templates (map_templates's result) if given.
+    In FIXED_SET mode only the chosen template is drawn.
     """
     if config.map_mode is MapMode.PER_STEP_FRESH:
         return sample_affine_step(Stream(config.seed, _SUB_STEP, i), config)
     stream = Stream(config.seed, _SUB_CHOICE, i)
     j = stream.below(config.map_count)
-    a11, a12, a21, a22, b1, b2 = (
-        _draw_map(Stream(config.seed, _SUB_TEMPLATE, j), config)
-        if templates is None else templates[j])
+    a11, a12, a21, a22, b1, b2 = _draw_map(
+        Stream(config.seed, _SUB_TEMPLATE, j), config)
     eps = config.epsilon
     d1 = stream.uniform(-eps, eps)
     d2 = stream.uniform(-eps, eps)
@@ -461,12 +456,12 @@ def _floor_step(ax: np.ndarray, ay: np.ndarray, b: np.ndarray,
     return np.floor(out, out)
 
 
-def _follows(table: np.ndarray, rows: np.ndarray, limit: int) -> bool:
-    """Whether every row lies in [-limit, limit] and each row after the
+def _follows(table: np.ndarray, rows: np.ndarray, bound: int) -> bool:
+    """Whether every row lies in [-bound, bound] and each row after the
     first is where the step in the table row before it takes the row
     before it: rows is (m + 1, 2) for an (m, 8) table, int64 or float64.
     """
-    if not ((rows >= -limit) & (rows <= limit)).all():
+    if not ((rows >= -bound) & (rows <= bound)).all():
         return False
     shape = (2, len(table))
     # columns (a11, a21), (a12, a22), (b1, b2), (d1, d2) of every row, as
@@ -572,7 +567,6 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
     rows repeat its last start.
     """
     bound = lattice_bound(configs[0])
-    limit = min(bound, MAX_COORD)
     end = first + xy.shape[1] - 1
     block = _block(len(configs))
     errors: list[BoundsExceeded | None] = [None] * len(configs)
@@ -591,7 +585,7 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
             if errors[g]:
                 out[...] = x[g]  # defined rows for the lanes that follow
             elif rows is not None and _follows(table[g], rows[g, :m + 1],
-                                               limit):
+                                               bound):
                 out[...] = rows[g, 1:m + 1]
             else:
                 try:
@@ -605,10 +599,10 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
 
 def _walks(configs: Iterable[WalkConfig]
            ) -> Iterator[tuple[Trajectory | BoundsExceeded, np.ndarray]]:
-    """The walks x_0..x_n of validated configs that differ only in seed,
-    in order, stepped by _evolve _GROUP at a time: each a Trajectory, or
-    the BoundsExceeded that stopped it, with the maps of its last steps as
-    a (k, 8) step table whose row k - j is step n + 1 - j. A group's
+    """The walks x_0..x_n of configs that differ only in seed, in order,
+    stepped by _evolve _GROUP at a time: each a Trajectory, or the
+    BoundsExceeded that stopped it, with the maps of its last steps as a
+    (k, 8) step table whose row k - j is step n + 1 - j. A group's
     configs, rows and table are made only when its first walk is due.
     """
     configs = iter(configs)
@@ -636,7 +630,6 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
     """
     last = len(xy) - 1
     bound = lattice_bound(config)
-    limit = min(bound, MAX_COORD)
     block = _block(1)
     if steps is not None and last - i <= len(steps):
         table = steps[len(steps) - (last - i):]
@@ -648,13 +641,12 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
     met = np.flatnonzero((head == xy[i + 1:i + 1 + len(head)]).all(axis=1))
     if met.size:
         j = i + 1 + int(met[0])  # the replay's row j is the walk's
-        kept = _follows(table[j - i:], xy[j:hi + 1], limit)
+        kept = _follows(table[j - i:], xy[j:hi + 1], bound)
         table = None  # freed before the next block's is drawn
         for lo in range(hi, last, block):
             rows = xy[lo:lo + block + 1]
             kept = kept and _follows(
-                _step_table([config], lo + 1, lo + len(rows))[0], rows,
-                limit)
+                _step_table([config], lo + 1, lo + len(rows))[0], rows, bound)
         if kept:
             xy[i + 1:j] = head[:j - i - 1]
             return
@@ -664,8 +656,7 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
 
 
 def generate_walk(config: WalkConfig) -> Trajectory:
-    """Generate the full trajectory x_0..x_n for a validated config."""
-    config.validate()
+    """Generate the full trajectory x_0..x_n of config."""
     walk, _ = next(_walks([config]))
     if isinstance(walk, BoundsExceeded):
         raise walk

@@ -629,7 +629,7 @@ _FUZZ_BASE = {
 # No large positive integers: a valid --n, --trials or --map-count that
 # size would run for hours, which is not a crash.
 _FUZZ_VALUES = ["", ",", "x", "nan", "-inf", "1e999", "0", "-1", "-1,0",
-                "1,2,3"]
+                "1,2,3", "blake3-\u00b2", "a\x00b"]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -714,6 +714,16 @@ def test_config_file_missing(tmp_path, capsys):
                         "--output-dir", tmp_path)
     assert code == 2
     assert "cannot read" in err
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n = 5\xff\n")
+    code, _, err = _run(capsys, "keygen", "--config", cfg,
+                        "--output-dir", tmp_path)
+    assert code == 2
+    assert err.startswith("error: cannot read config file") \
+        and err.count("\n") == 1
 
 
 def test_command_scoped_keys(tmp_path, capsys):

@@ -30,7 +30,6 @@ from walkhash import (
     digest_bytes,
     generate_walk,
     lattice_bound,
-    map_templates,
     perturb,
     run_avalanche,
     serialize_trajectory,
@@ -72,11 +71,10 @@ def test_re_evolve_matches_replay_oracle():
     assert out.points[:pos] == t.points[:pos]
     # replay the tail independently from the shifted point
     bound = lattice_bound(config)
-    templates = map_templates(config)
     x = LatticePoint(t.points[pos].x + nudge[0], t.points[pos].y + nudge[1])
     assert out.points[pos] == x
     for i in range(pos + 1, config.n + 1):
-        x = step(x, affine_step_for(config, i, templates), bound=bound)
+        x = step(x, affine_step_for(config, i), bound=bound)
         assert out.points[i] == x
 
 

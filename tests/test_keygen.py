@@ -181,6 +181,8 @@ def test_alg_validation_errors():
         HashAlg.shake256(_MAX_OUT + 1)
     with pytest.raises(ConfigError):
         HashAlg.parse("shake256-20")  # bits not a multiple of 8
+    with pytest.raises(ConfigError, match="unknown alg"):
+        HashAlg.parse("blake3-²")  # a digit, but not a decimal one
     with pytest.raises(ConfigError):
         HashAlg.parse("shake256-256", out_len=64)  # contradictory
     assert HashAlg.parse("shake256-256", out_len=32).out_len == 32

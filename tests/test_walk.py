@@ -282,15 +282,12 @@ def test_fixed_set_steps_use_templates():
     assert templates is not None and len(templates) == 4
     seen = set()
     for i in range(1, config.n + 1):
-        s = affine_step_for(config, i, templates)
+        s = affine_step_for(config, i)
         body = (s.a11, s.a12, s.a21, s.a22, s.b1, s.b2)
         assert body in templates
         seen.add(templates.index(body))
         assert -config.epsilon <= s.d1 <= config.epsilon
     assert len(seen) > 1  # the seeded choice actually varies
-    # templates argument is an optimization only
-    assert affine_step_for(config, 17) == affine_step_for(
-        config, 17, templates)
 
 
 def test_fixed_set_walk_deterministic():
@@ -308,10 +305,9 @@ def test_per_step_fresh_has_no_templates():
 def _replay(config, x, first, bound=None):
     """The scalar reference for walk._evolve: one step at a time."""
     bound = lattice_bound(config) if bound is None else bound
-    templates = map_templates(config)
     points = []
     for i in range(first, config.n + 1):
-        x = step(x, affine_step_for(config, i, templates), bound)
+        x = step(x, affine_step_for(config, i), bound)
         points.append(x)
     return np.array(points, dtype=np.int64).reshape(-1, 2)
 
@@ -358,7 +354,6 @@ def _same_as_replay(config, x, first):
 def _check_evolve(config, rng):
     """The whole walk equals the scalar replay, and so does a tail started
     at a moved point, as a re-evolve perturbation does."""
-    config.validate()
     points = _same_as_replay(config, config.x0, 1)
     if points is None:
         return
@@ -378,7 +373,7 @@ def test_step_table_walk_matches_scalar_replay(mode):
                 b_max=1e12, x0=LatticePoint(-10**6, -37), n=150)
     if mode is MapMode.FIXED_SET:
         edge["map_count"] = 5
-    _check_evolve(replace(WalkConfig(map_mode=mode), **edge), rng)
+    _check_evolve(WalkConfig(map_mode=mode, **edge), rng)
 
 
 @pytest.mark.parametrize("mode", list(MapMode))
@@ -437,20 +432,16 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
 
 def test_fixed_set_draws_only_the_templates_it_uses():
     # map_templates would draw 2**64 - 1 templates; each step, of the table
-    # or of affine_step_for without templates, draws only the one it
-    # chooses, equal to the scalar template of that index
+    # or of affine_step_for, draws only the one it chooses, equal to the
+    # scalar template of that index
     config = WalkConfig(seed=12, n=300, map_mode=MapMode.FIXED_SET,
                         map_count=2**64 - 1)
-
-    class Templates:
-        def __getitem__(self, j):
-            return walk._draw_map(Stream(config.seed, walk._SUB_TEMPLATE, j),
-                                  config)
-
     x, want = config.x0, []
     for i in range(1, config.n + 1):
-        s = affine_step_for(config, i, Templates())
-        assert affine_step_for(config, i) == s
+        s = affine_step_for(config, i)
+        j = Stream(config.seed, walk._SUB_CHOICE, i).below(config.map_count)
+        assert s[:6] == walk._draw_map(
+            Stream(config.seed, walk._SUB_TEMPLATE, j), config)
         x = step(x, s)
         want.append(list(x))
     assert generate_walk(config).xy[1:].tolist() == want
@@ -506,25 +497,24 @@ def _lane_lengths():
 
 
 def _edge_config(rng, mode, n):
-    """A config that validate accepts, biased to the edges of the domain."""
+    """A valid config, biased to the edges of the domain."""
     while True:
         rho_max = rng.choice([0.5, 0.95, 0.999, 1 - 1e-6, 1 - 1e-9])
         b = rng.choice([0.0, 0.0, 100.0, 1e9, 1e12])
         b_min, b_max = sorted((rng.uniform(-b, b), rng.uniform(-b, b)))
         far = rng.choice([0, 500, 10**6, 10**12])
-        config = WalkConfig(
-            x0=LatticePoint(rng.randint(-far, far), rng.randint(-far, far)),
-            rho_min=rng.uniform(rho_max / 2, rho_max), rho_max=rho_max,
-            b_min=b_min, b_max=b_max,
-            epsilon=rng.choice([0.0, 0.0, 0.5, 7.25]),
-            n=n, seed=rng.randrange(2**64), map_mode=mode,
-            map_count=rng.randint(1, 12) if mode is MapMode.FIXED_SET
-            else None)
         try:
-            config.validate()
+            return WalkConfig(
+                x0=LatticePoint(rng.randint(-far, far),
+                                rng.randint(-far, far)),
+                rho_min=rng.uniform(rho_max / 2, rho_max), rho_max=rho_max,
+                b_min=b_min, b_max=b_max,
+                epsilon=rng.choice([0.0, 0.0, 0.5, 7.25]),
+                n=n, seed=rng.randrange(2**64), map_mode=mode,
+                map_count=rng.randint(1, 12) if mode is MapMode.FIXED_SET
+                else None)
         except ConfigError:  # lattice_bound past 2**53
             continue
-        return config
 
 
 def _count_calls(monkeypatch, name):
@@ -671,7 +661,6 @@ def test_far_start_raises_the_scalar_bounds_error(n):
                         rho_min=0.8340528309020399, rho_max=0.95,
                         b_min=0.0, b_max=0.0, epsilon=0.0, n=n,
                         seed=9818071680104426896)
-    config.validate()
     with pytest.raises(BoundsExceeded,
                        match=re.escape("walk reached (-896, 114), outside "
                                        "the safe region [-854, 854]^2")):
@@ -921,9 +910,8 @@ def test_group_memory_holds_one_block_at_a_time(mode):
     (dict(map_mode=MapMode.FIXED_SET, map_count=2**64), "map_count"),
 ])
 def test_config_validation_names_field(bad, message_part):
-    config = replace(WalkConfig(), **bad)
     with pytest.raises(ConfigError, match=message_part):
-        config.validate()
+        replace(WalkConfig(), **bad)
 
 
 def test_generate_walk_validates():

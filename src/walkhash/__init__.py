@@ -36,7 +36,7 @@ from .fractal import (
     estimate_point_dimension,
     geometry,
 )
-from .keygen import Digest, HashAlg, derive_key, digest_bytes, serialize_trajectory
+from .keygen import HashAlg, derive_key, digest_bytes, serialize_trajectory
 from .stats import (
     ChiSquareMode,
     ChiSquareResult,
@@ -70,7 +70,6 @@ __all__ = [
     "ChiSquareResult",
     "ConfigError",
     "DegenerateInput",
-    "Digest",
     "DimensionEstimate",
     "GeneratorFailure",
     "GeometryReport",

@@ -48,6 +48,7 @@ from .walk import (
     LatticePoint,
     MapMode,
     WalkConfig,
+    _integer,
     generate_walk,
     lattice_bound,
 )
@@ -149,8 +150,6 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
     "keygen": _COMMON + (
         Option("alg", str, "sha3-512",
                "sha3-512, shake256[-BITS] or blake3[-BITS]", "ALG"),
-        Option("out-len", int, None,
-               "digest length for extendable algorithms", "BYTES"),
     ),
     "walk": _COMMON,
     "fractal": _COMMON + (
@@ -280,14 +279,14 @@ def _chi_dict(result: ChiSquareResult) -> dict:
 
 def cmd_keygen(opts: dict[str, Any]) -> int:
     config = _walk_config(opts)
-    alg = HashAlg.parse(opts["alg"], opts["out_len"])
-    digest = derive_key(generate_walk(config), alg)
+    alg = HashAlg.parse(opts["alg"])
+    digest = derive_key(generate_walk(config), alg).hex()
     _write_report(opts, "key.json", config, {
         "algorithm": alg.label,
-        "digest": digest.hex,
+        "digest": digest,
         "digest_bits": alg.bits,
     })
-    print(digest.hex)
+    print(digest)
     return 0
 
 
@@ -309,8 +308,8 @@ def cmd_walk(opts: dict[str, Any]) -> int:
 def _synthetic_points(spec: str) -> np.ndarray:
     kind, _, arg = spec.partition(":")
     if kind == "point" and not arg:
-        return np.zeros((1, 2), dtype=np.int64)
-    if kind in ("line", "square"):
+        shape = (1, 1)
+    elif kind in ("line", "square"):
         try:
             size = int(arg)
         except ValueError:
@@ -318,16 +317,14 @@ def _synthetic_points(spec: str) -> np.ndarray:
         if size < 1:
             raise ConfigError(
                 f"synthetic {kind} needs a positive size, e.g. {kind}:64")
-        if (size if kind == "line" else size * size) > MAX_POINTS:
-            raise ConfigError(
-                f"synthetic {spec} has more than 2**58 points")
-        if kind == "line":
-            return np.column_stack((np.arange(size, dtype=np.int64),
-                                    np.zeros(size, dtype=np.int64)))
-        # rows (i, j) with i the slow index
-        return np.indices((size, size), dtype=np.int64).reshape(2, -1).T
-    raise ConfigError(
-        f"synthetic must be point, line:N, or square:N; got {spec!r}")
+        shape = (size, 1 if kind == "line" else size)
+        if shape[0] * shape[1] > MAX_POINTS:
+            raise ConfigError(f"synthetic {spec} has more than 2**58 points")
+    else:
+        raise ConfigError(
+            f"synthetic must be point, line:N, or square:N; got {spec!r}")
+    # rows (i, j) with i the slow index
+    return np.indices(shape, dtype=np.int64).reshape(2, -1).T
 
 
 def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
@@ -384,9 +381,8 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
     n_list, num_seeds = opts["n_list"], opts["num_seeds"]
     if not n_list:
         raise ConfigError("n-list must not be empty")
-    if not 1 <= num_seeds < _MAX_ROWS:  # the bound avalanche puts on its rows
-        raise ConfigError(f"num-seeds must satisfy 1 <= num-seeds < 2**32, "
-                          f"got {num_seeds!r}")
+    # the bound avalanche puts on its rows
+    _integer("num-seeds", num_seeds, 1, _MAX_ROWS)
     # replace checks that the sweep's last seed is valid before any walk runs
     try:
         replace(config, seed=config.seed + num_seeds - 1)

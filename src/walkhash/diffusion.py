@@ -30,7 +30,7 @@ from .errors import (
     InvalidPosition,
     WalkhashError,
 )
-from .keygen import Digest, HashAlg, digest_many, serialize_trajectory
+from .keygen import HashAlg, digest_many, serialize_trajectory
 # Not called here, but bound by name: perfbench's traced pass wraps
 # diffusion.digest_bytes and diffusion.generate_walk.
 from .keygen import digest_bytes  # noqa: F401
@@ -40,6 +40,8 @@ from .walk import (
     LatticePoint,
     Trajectory,
     WalkConfig,
+    _int_pair,
+    _integer,
     _replay,
     _walks,
     generate_walk,  # noqa: F401
@@ -67,7 +69,8 @@ class PerturbationSpec:
     """Where and how to disturb a trajectory.
 
     position indexes the point to shift and must be interior: 1..n-1.
-    nudge is the integer offset applied to that point, checked when made.
+    nudge is the integer offset applied to that point. Both are checked
+    when made and held as Python ints (ConfigError if not integers).
     """
 
     position: int
@@ -75,6 +78,9 @@ class PerturbationSpec:
     nudge: tuple[int, int] = (1, 0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "position",
+                           _integer("position", self.position))
+        object.__setattr__(self, "nudge", _int_pair("nudge", self.nudge))
         if any(abs(d) > MAX_COORD for d in self.nudge):
             raise ConfigError(f"nudge components must be in [-2**53, 2**53], "
                               f"got {tuple(self.nudge)}")
@@ -113,7 +119,7 @@ def perturb(t: Trajectory, spec: PerturbationSpec, *,
     return Trajectory._adopt(xy, t.config)
 
 
-def shannon_entropy(digest: Digest | bytes) -> float:
+def shannon_entropy(digest: bytes) -> float:
     """Shannon entropy of the digest's byte histogram, in bits per byte.
 
     Note the estimator is capped by the sample size: an L-byte digest can
@@ -121,11 +127,10 @@ def shannon_entropy(digest: Digest | bytes) -> float:
     64-byte digests top out near 6, not 8. Comparisons between digests of
     equal length are unaffected.
     """
-    data = digest.data if isinstance(digest, Digest) else bytes(digest)
-    if not data:
+    if not digest:
         raise DegenerateInput("cannot take the entropy of an empty digest")
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    probs = counts[counts > 0] / len(data)
+    counts = np.bincount(np.frombuffer(digest, dtype=np.uint8), minlength=256)
+    probs = counts[counts > 0] / len(digest)
     return float(-(probs * np.log2(probs)).sum())
 
 
@@ -250,11 +255,11 @@ def run_avalanche(
     labels = [alg.label for alg in algs]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate algorithms in {labels}")
-    if trials_per_position < 1:
+    if _integer("trials_per_position", trials_per_position) < 1:
         raise ConfigError(
             f"trials_per_position must be >= 1, got {trials_per_position!r}")
     positions = default_positions(config.n) if positions is None \
-        else tuple(int(p) for p in positions)
+        else tuple(_integer("position", p) for p in positions)
     if not positions:
         raise ConfigError("positions must not be empty")
     for p in positions:
@@ -292,8 +297,7 @@ def run_avalanche(
             digests = digest_many(messages, alg)
             for j, (position, _) in enumerate(chunk):
                 d0, d1 = digests[2 * j], digests[2 * j + 1]
-                flipped = int.from_bytes(d0.data, "big") \
-                    ^ int.from_bytes(d1.data, "big")
+                flipped = int.from_bytes(d0, "big") ^ int.from_bytes(d1, "big")
                 hamming = flipped.bit_count()
                 records[label].append(TrialRecord(
                     trial_id=row + j,

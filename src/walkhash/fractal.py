@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientData
 from .stats import linear_fit
-from .walk import LatticePoint, Trajectory
+from .walk import LatticePoint, Trajectory, _checked_xy, _integer
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,6 @@ class DimensionEstimate:
     degenerate: bool = False
 
 
-def _as_xy(points: Iterable[LatticePoint] | np.ndarray) -> np.ndarray:
-    if not isinstance(points, np.ndarray):
-        points = list(points)
-    return np.asarray(points, dtype=np.int64).reshape(-1, 2)
-
-
 def _extent(xy: np.ndarray) -> list[int]:
     """Bounding-box width and height, counted in lattice cells."""
     return (xy.max(axis=0) - xy.min(axis=0) + 1).tolist()
@@ -80,17 +74,16 @@ def geometry(t: Trajectory) -> GeometryReport:
     )
 
 
-def box_count(points: Iterable[LatticePoint] | np.ndarray,
+def box_count(points: Sequence[LatticePoint] | np.ndarray,
               box_size: int) -> int:
     """Number of size x size cells containing at least one point.
 
-    points is any iterable of points or an (m, 2) integer array.
+    points is a sequence of integer points or an (m, 2) integer array,
+    checked and read in place by walk._checked_xy.
     """
     # numpy divides by the size as an int64
-    if not 1 <= box_size < 2**63:
-        raise ConfigError(
-            f"box_size must satisfy 1 <= box_size < 2**63, got {box_size!r}")
-    cx, cy = _as_xy(points).T // box_size
+    box_size = _integer("box_size", box_size, 1, 2**63)
+    cx, cy = _checked_xy(points).T // box_size
     if not len(cx):
         return 0
     lx, ly = int(cx.min()), int(cy.min())
@@ -119,17 +112,17 @@ def default_box_sizes(width: int, height: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def estimate_point_dimension(points: Iterable[LatticePoint] | np.ndarray,
+def estimate_point_dimension(points: Sequence[LatticePoint] | np.ndarray,
                              box_sizes: Sequence[int] | None = None,
                              ) -> DimensionEstimate:
     """Box-counting dimension of a point set (points as for box_count)."""
-    xy = _as_xy(points)
+    xy = _checked_xy(points)
     if not len(xy):
         raise InsufficientData("no points to analyze")
     if box_sizes is None:
         sizes = default_box_sizes(*_extent(xy))
     else:
-        sizes = tuple(sorted(set(int(s) for s in box_sizes)))
+        sizes = tuple(sorted({_integer("box_sizes", s) for s in box_sizes}))
         if len(sizes) < 3:
             raise ConfigError(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ._blake3 import blake3_many
 from .errors import ConfigError
-from .walk import Trajectory
+from .walk import Trajectory, _integer
 
 _SHA3_512 = "sha3-512"
 _SHAKE256 = "shake256"
@@ -34,10 +34,11 @@ _MAX_OUT = 1024  # 8192 bits, ample for a key
 class HashAlg:
     """A hash algorithm choice plus its output length in bytes.
 
-    out_len is an int (not a bool). sha3-512 is fixed at 64 bytes;
-    shake256 and blake3 are extendable and accept any out_len from 16 to
-    1024 bytes. Labels render the digest size in bits, e.g. "shake256-512"
-    or "blake3-256", except sha3-512 whose name already carries it.
+    out_len is an integer (not a bool), held as a Python int. sha3-512 is
+    fixed at 64 bytes; shake256 and blake3 are extendable and accept any
+    out_len from 16 to 1024 bytes. Labels render the digest size in bits,
+    e.g. "shake256-512" or "blake3-256", except sha3-512 whose name
+    already carries it. parse reads a label back.
     """
 
     name: str
@@ -48,17 +49,10 @@ class HashAlg:
             raise ConfigError(
                 f"alg must be one of {sorted(_DEFAULT_OUT)}, "
                 f"got {self.name!r}")
-        if not isinstance(self.out_len, int) \
-                or isinstance(self.out_len, bool):
-            raise ConfigError(
-                f"out_len must be an int number of bytes, "
-                f"got {self.out_len!r}")
+        object.__setattr__(self, "out_len", _integer(
+            "out_len", self.out_len, _MIN_OUT, _MAX_OUT + 1))
         if self.name == _SHA3_512 and self.out_len != 64:
             raise ConfigError("sha3-512 output length is fixed at 64 bytes")
-        if not _MIN_OUT <= self.out_len <= _MAX_OUT:
-            raise ConfigError(
-                f"out_len must be in [{_MIN_OUT}, {_MAX_OUT}] bytes, "
-                f"got {self.out_len!r}")
 
     @property
     def bits(self) -> int:
@@ -71,63 +65,23 @@ class HashAlg:
         return f"{self.name}-{self.bits}"
 
     @classmethod
-    def sha3_512(cls) -> "HashAlg":
-        return cls(_SHA3_512, 64)
+    def parse(cls, text: str) -> "HashAlg":
+        """Parse "sha3-512", "blake3", "shake256-384" style names.
 
-    @classmethod
-    def shake256(cls, out_len: int = 64) -> "HashAlg":
-        return cls(_SHAKE256, out_len)
-
-    @classmethod
-    def blake3(cls, out_len: int = 32) -> "HashAlg":
-        return cls(_BLAKE3, out_len)
-
-    @classmethod
-    def parse(cls, text: str, out_len: int | None = None) -> "HashAlg":
-        """Parse "sha3-512", "blake3", "shake256-512" style names.
-
-        A bit-count suffix must be a multiple of 8; an explicit out_len
-        argument (bytes) may not contradict it.
+        A -BITS suffix, a multiple of 8, gives the output length; without
+        one, sha3-512 and shake256 give 64 bytes and blake3 32.
         """
         name = text.strip().lower()
-        suffix_len = None
-        if name not in _DEFAULT_OUT and "-" in name:
-            base, _, bits = name.rpartition("-")
-            if base in _DEFAULT_OUT and bits.isdecimal():  # int('²') fails
-                if int(bits) % 8:
-                    raise ConfigError(
-                        f"alg {text!r}: bit count must be a multiple of 8")
-                name = base
-                suffix_len = int(bits) // 8
-        if name not in _DEFAULT_OUT:
+        if name in _DEFAULT_OUT:
+            return cls(name, _DEFAULT_OUT[name])
+        base, _, bits = name.rpartition("-")
+        if base not in _DEFAULT_OUT or not bits.isdecimal():  # int('²') fails
             raise ConfigError(
                 f"unknown alg {text!r}; expected one of {sorted(_DEFAULT_OUT)}")
-        if out_len is not None and suffix_len is not None \
-                and out_len != suffix_len:
+        if int(bits) % 8:
             raise ConfigError(
-                f"alg {text!r} conflicts with out_len={out_len}")
-        chosen = out_len if out_len is not None else suffix_len
-        if chosen is None:
-            chosen = _DEFAULT_OUT[name]
-        return cls(name, chosen)
-
-
-@dataclass(frozen=True)
-class Digest:
-    """A derived key: algorithm plus raw digest bytes."""
-
-    alg: HashAlg
-    data: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.data) != self.alg.out_len:
-            raise ValueError(
-                f"digest length {len(self.data)} does not match "
-                f"{self.alg.label}")
-
-    @property
-    def hex(self) -> str:
-        return self.data.hex()
+                f"alg {text!r}: bit count must be a multiple of 8")
+        return cls(base, int(bits) // 8)
 
 
 def serialize_trajectory(t: Trajectory) -> bytes:
@@ -135,24 +89,22 @@ def serialize_trajectory(t: Trajectory) -> bytes:
     return t.xy.astype("<i8").tobytes()
 
 
-def digest_many(messages: Sequence[bytes], alg: HashAlg) -> list[Digest]:
+def digest_many(messages: Sequence[bytes], alg: HashAlg) -> list[bytes]:
     """Hash each message under alg, in order."""
     if alg.name == _SHA3_512:
-        outs = [hashlib.sha3_512(m).digest() for m in messages]
-    elif alg.name == _SHAKE256:
-        outs = [hashlib.shake_256(m).digest(alg.out_len) for m in messages]
-    else:
-        outs = blake3_many(messages, alg.out_len)
-    return [Digest(alg, out) for out in outs]
+        return [hashlib.sha3_512(m).digest() for m in messages]
+    if alg.name == _SHAKE256:
+        return [hashlib.shake_256(m).digest(alg.out_len) for m in messages]
+    return blake3_many(messages, alg.out_len)
 
 
-def digest_bytes(data: bytes, alg: HashAlg) -> Digest:
+def digest_bytes(data: bytes, alg: HashAlg) -> bytes:
     """Hash raw bytes under alg. Building block for derive_key and tests."""
     return digest_many([data], alg)[0]
 
 
-def derive_key(t: Trajectory, alg: HashAlg | None = None) -> Digest:
-    """Serialize the trajectory and hash it into a fixed-length key."""
-    if alg is None:
-        alg = HashAlg.sha3_512()
+def derive_key(t: Trajectory,
+               alg: HashAlg = HashAlg(_SHA3_512, 64)) -> bytes:
+    """Serialize the trajectory and hash it into a fixed-length key of
+    alg.out_len bytes (sha3-512 by default)."""
     return digest_bytes(serialize_trajectory(t), alg)

@@ -37,6 +37,7 @@ draw is rejected.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -98,6 +99,44 @@ class LatticePoint(NamedTuple):
     y: int
 
 
+def _integer(name: str, value, lo: int | None = None,
+             hi: int | None = None) -> int:
+    """value as a Python int, with lo <= value < hi if lo is given;
+    ConfigError naming name otherwise, also for a bool or a float."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if lo is not None and not lo <= value < hi:
+        top = f"2**{hi.bit_length() - 1}" if hi & (hi - 1) == 0 else hi
+        raise ConfigError(
+            f"{name} must satisfy {lo} <= {name} < {top}, got {value!r}")
+    return value
+
+
+def _int_pair(name: str, value) -> tuple[int, int]:
+    """value, a pair of integers, as two Python ints."""
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{name} must be a pair of integers, got {value!r}") from None
+    return _integer(name, x), _integer(name, y)
+
+
+def _checked_xy(points) -> np.ndarray:
+    """Integer (x, y) pairs as an (m, 2) int64 array, points itself if it
+    is one: TypeError for floats, bools or integers past int64, ValueError
+    for another shape; an empty input is (0, 2)."""
+    xy = np.asarray(points)
+    if not xy.size:
+        return np.empty((0, 2), dtype=np.int64)
+    if xy.dtype == np.bool_ or not np.can_cast(xy.dtype, np.int64):
+        raise TypeError(f"points must be int64 integers, got {xy.dtype}")
+    if xy.shape[1:] != (2,):
+        raise ValueError(f"points must have shape (m, 2), got {xy.shape}")
+    return xy.astype(np.int64, copy=False)
+
+
 class AffineStep(NamedTuple):
     """One realized step: matrix entries, translation, and noise offsets."""
 
@@ -134,7 +173,8 @@ class WalkConfig:
     noise component, n is the number of steps, and seed, in [0, 2**64),
     keys every random stream. map_count is required in FIXED_SET mode and
     must be absent otherwise. A config is checked when it is made, also by
-    dataclasses.replace, so one that exists is valid (ConfigError if not).
+    dataclasses.replace, so one that exists is valid (ConfigError if not),
+    its integer fields Python ints and x0 a LatticePoint.
     """
 
     x0: LatticePoint = LatticePoint(0, 0)
@@ -149,13 +189,11 @@ class WalkConfig:
     map_count: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n < MAX_POINTS:
-            raise ConfigError(
-                f"n must be an integer with 1 <= n < 2**58, got {self.n!r}")
+        set_ = object.__setattr__  # the dataclass is frozen
+        set_(self, "x0", LatticePoint(*_int_pair("x0", self.x0)))
+        set_(self, "n", _integer("n", self.n, 1, MAX_POINTS))
         # streams reduce the seed modulo 2**64, so a wider one would alias
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(
-                f"seed must satisfy 0 <= seed < 2**64, got {self.seed!r}")
+        set_(self, "seed", _integer("seed", self.seed, 0, 2**64))
         for name in ("rho_min", "rho_max", "b_min", "b_max", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(
@@ -177,10 +215,8 @@ class WalkConfig:
         if self.map_mode is MapMode.FIXED_SET:
             # a step chooses its template with one 64-bit draw, so a
             # template past 2**64 could never be chosen
-            if self.map_count is None or not 1 <= self.map_count < 2**64:
-                raise ConfigError(
-                    f"map_count must satisfy 1 <= map_count < 2**64 in "
-                    f"fixed-set mode, got {self.map_count!r}")
+            set_(self, "map_count",
+                 _integer("map_count", self.map_count, 1, 2**64))
         elif self.map_count is not None:
             raise ConfigError("map_count only applies to fixed-set mode")
         try:
@@ -207,10 +243,7 @@ class Trajectory:
     config: WalkConfig
 
     def __post_init__(self) -> None:
-        xy = np.array(self.xy)
-        if xy.size and not np.can_cast(xy.dtype, np.int64):
-            raise TypeError(f"points must be int64 integers, got {xy.dtype}")
-        xy = xy.astype(np.int64, copy=False).reshape(-1, 2)
+        xy = _checked_xy(self.xy).copy()
         xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)
 
@@ -369,13 +402,14 @@ def _outside(nx: int, ny: int, bound: int) -> BoundsExceeded:
 
 
 def lattice_bound(config: WalkConfig) -> int:
-    """Radius of the square region no walk under config can leave.
+    """Radius of the square region a walk under config may not leave.
 
     A contraction with norm rho <= rho_max moves any point toward a ball
-    whose radius is the max step offset over (1 - rho_max): translation up
-    to |b|*sqrt(2), noise up to epsilon*sqrt(2), plus sqrt(2) for the floor.
-    Added to the start point's sup norm and rounded up, this is a hard
-    invariant, not an estimate; crossing it raises BoundsExceeded.
+    whose radius, the reach, is the max step offset over (1 - rho_max):
+    translation up to |b|*sqrt(2), noise up to epsilon*sqrt(2), plus sqrt(2)
+    for the floor. The start point's sup norm plus the reach, rounded up, is
+    proven only where hypot(x0) <= that sum, as for x0 = (0, 0) and every
+    golden case (ROADMAP item 2). Crossing it raises BoundsExceeded.
     """
     b_abs = max(abs(config.b_min), abs(config.b_max))
     reach = (b_abs * _SQRT2 + config.epsilon * _SQRT2 + _SQRT2) \

@@ -57,9 +57,9 @@ def test_keygen_prints_key_and_writes_report(tmp_path, capsys):
                           "--output-dir", tmp_path)
     assert (code, err) == (0, "")
     want = derive_key(generate_walk(WalkConfig(seed=42, n=128)))
-    assert out.strip() == want.hex
+    assert out.strip() == want.hex()
     report = _read_json(tmp_path / "key.json")
-    assert report["digest"] == want.hex
+    assert report["digest"] == want.hex()
     assert report["algorithm"] == "sha3-512"
     assert report["digest_bits"] == 512
     assert report["config"]["seed"] == 42
@@ -82,13 +82,23 @@ def test_keygen_is_reproducible(tmp_path, capsys):
 
 def test_keygen_xof_out_len(tmp_path, capsys):
     _, short, _ = _run(capsys, "keygen", "--seed", 3, "--n", 64,
-                       "--alg", "shake256", "--out-len", 32,
+                       "--alg", "shake256-256",
                        "--output-dir", tmp_path / "short")
     _, long, _ = _run(capsys, "keygen", "--seed", 3, "--n", 64,
                       "--alg", "shake256-512",
                       "--output-dir", tmp_path / "long")
     assert len(short.strip()) == 64 and len(long.strip()) == 128
     assert long.startswith(short.strip())
+    # the -BITS suffix is the one way to give the length
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out-len = 32\n")
+    for extra in (["--out-len", 32], ["--config", cfg]):
+        code, out, err = _run(capsys, "keygen", "--seed", 3, "--n", 64,
+                              "--alg", "shake256", *extra,
+                              "--output-dir", tmp_path / "none")
+        assert (code, out) == (2, "") and "out-len" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "none").exists()
 
 
 def test_keygen_rejects_bad_inputs(tmp_path, capsys):
@@ -470,7 +480,7 @@ def test_avalanche_failure_names_its_trial(mode, bound, seed, monkeypatch,
                           "--output-dir", tmp_path / "replay")
     if base_ok:
         want = derive_key(generate_walk(replace(config, seed=tseed)))
-        assert (code, out, err) == (0, want.hex + "\n", "")
+        assert (code, out, err) == (0, want.hex() + "\n", "")
     else:
         assert (code, out, err) == (3, "", f"error: {exc}\n")
 
@@ -489,9 +499,8 @@ def test_avalanche_failure_names_its_trial(mode, bound, seed, monkeypatch,
     ["fractal", "--n-list", "8", "--num-seeds", "2",
      "--seed", "18446744073709551615"],
     ["avalanche", "--n", "40", "--positions", ",", "--trials", "1"],
-    ["keygen", "--n", "20", "--alg", "shake256",
-     "--out-len", "18446744073709551616"],
-    ["keygen", "--n", "20", "--alg", "blake3", "--out-len", "100000000000"],
+    ["keygen", "--n", "20", "--alg", "shake256-147573952589676412928"],
+    ["keygen", "--n", "20", "--alg", "blake3-800000000000"],
     ["fractal", "--n-list", "8", "--num-seeds", "1", "--box-sizes", "0"],
     ["fractal", "--n-list", "8", "--num-seeds", "1", "--box-sizes", "1,2"],
     ["fractal", "--n-list", "8", "--num-seeds", "1",
@@ -668,6 +677,22 @@ def test_readme_documents_every_option():
     assert missing == []
 
 
+def test_readme_option_bullets_are_options():
+    readme = (SRC.parent / "README.md").read_text()
+    flags = {f"--{o.key}" for rows in OPTIONS.values() for o in rows}
+    bullets = re.findall(r"^- `(--[\w-]+)", readme, re.M)
+    assert bullets and [b for b in bullets if b not in flags] == []
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert re.fullmatch(r"([0-9a-f]{2})+\n", capsys.readouterr().out)
+
+
 # ------------------------------------------------------------ config file
 
 def test_config_file_flag_precedence(tmp_path, capsys):
@@ -752,8 +777,8 @@ def test_version_flag(capsys):
 # by a valid call, --help and --version. Paths are relative to the run's
 # directory, so two runs print the same text.
 _REUSE_CALLS = [
-    ["keygen", "--n", "64", "--seed", "3", "--alg", "shake256",
-     "--out-len", "32", "--x0", "-1,0"],
+    ["keygen", "--n", "64", "--seed", "3", "--alg", "shake256-256",
+     "--x0", "-1,0"],
     ["keygen", "--n", "64"],
     ["walk", "--config", "run.cfg"],
     ["walk", "--format", "json"],

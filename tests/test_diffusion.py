@@ -42,7 +42,7 @@ from walkhash import diffusion, walk
 from walkhash.errors import WalkhashError
 from walkhash.rng import stream_key
 
-_ALG = HashAlg.sha3_512()
+_ALG = HashAlg.parse("sha3-512")
 
 
 # ---------------------------------------------------------------- perturb
@@ -235,6 +235,37 @@ def test_nudge_beyond_two_to_the_53_is_a_config_error():
     assert out.xy[5].tolist() == [t.xy[5, 0] + 2**53, t.xy[5, 1] - 2**53]
 
 
+@pytest.mark.parametrize("args, field", [
+    ((5.0,), "position"),  # once numpy's IndexError
+    ((True,), "position"),
+    # numpy's assignment truncated these: 79 stayed 79, or became 78
+    ((5, PerturbMode.POINT_NUDGE, (0.5, 0)), "nudge"),
+    ((5, PerturbMode.RE_EVOLVE, (-0.5, 0)), "nudge"),
+    ((5, PerturbMode.POINT_NUDGE, (0, True)), "nudge"),
+    ((5, PerturbMode.POINT_NUDGE, (1,)), "nudge"),
+])
+def test_spec_refuses_non_integers(args, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        PerturbationSpec(*args)
+
+
+def test_spec_holds_python_ints():
+    spec = PerturbationSpec(np.int64(5), nudge=np.array([1, -2]))
+    assert spec == PerturbationSpec(5, nudge=(1, -2))
+    assert [type(v) for v in (spec.position, *spec.nudge)] == [int] * 3
+
+
+@pytest.mark.parametrize("positions, trials, nudge, field", [
+    ([5.9], 1, (1, 0), "position"),  # once ran position 5
+    ([5], 1, (0.4, 0), "nudge"),  # once scored Hamming 0 on every trial
+    ([5], 2.5, (1, 0), "trials_per_position"),  # once a TypeError
+])
+def test_run_avalanche_refuses_non_integers(positions, trials, nudge, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        run_avalanche(WalkConfig(seed=1, n=12), [_ALG], positions, trials,
+                      nudge=nudge)
+
+
 # ---------------------------------------------------------------- entropy
 
 def test_entropy_constant_and_distinct():
@@ -254,8 +285,8 @@ def test_entropy_matches_counter_oracle():
 
 def test_entropy_accepts_digest_and_rejects_empty():
     t = generate_walk(WalkConfig(seed=1, n=10))
-    d = derive_key(t, _ALG)
-    assert shannon_entropy(d) == shannon_entropy(d.data)
+    d = derive_key(t, _ALG)  # a key is bytes
+    assert shannon_entropy(d) == shannon_entropy(bytearray(d)) > 0
     with pytest.raises(DegenerateInput):
         shannon_entropy(b"")
 
@@ -358,7 +389,7 @@ def test_zero_nudge_trials_score_zero():
 
 def test_run_avalanche_shares_walks_across_algs():
     config = WalkConfig(seed=6, n=12)
-    algs = [_ALG, HashAlg.shake256(64)]
+    algs = [_ALG, HashAlg.parse("shake256-512")]
     out = run_avalanche(config, algs, (5,), 2)
     sha_records = out["sha3-512"][0]
     shake_records = out["shake256-512"][0]
@@ -373,7 +404,8 @@ def test_avalanche_batches_equal_per_trial_rebuild(monkeypatch, mode):
     # 9 trials at 4 a batch: batches of 4, 4 and 1, each digested once per
     # alg, must give the records and matrices of one trial at a time.
     config = WalkConfig(seed=21, n=20)
-    algs = [HashAlg.sha3_512(), HashAlg.shake256(64), HashAlg.blake3(32)]
+    algs = [HashAlg.parse(a)
+            for a in ("sha3-512", "shake256-512", "blake3-256")]
     positions, trials, nudge = (4, 11, 17), 3, (1, -2)
     monkeypatch.setattr(diffusion, "_BATCH_BYTES", 4 * 32 * (config.n + 1))
     calls = []
@@ -405,7 +437,7 @@ def _assert_per_trial_rebuild(out, config, algs, positions, trials, mode,
                     base, PerturbationSpec(position, mode, nudge))
                 d0 = digest_bytes(serialize_trajectory(base), alg)
                 d1 = digest_bytes(serialize_trajectory(disturbed), alg)
-                flipped = bytes(x ^ y for x, y in zip(d0.data, d1.data))
+                flipped = bytes(x ^ y for x, y in zip(d0, d1))
                 hamming = int.from_bytes(flipped, "big").bit_count()
                 expected.append(TrialRecord(
                     row, position, alg, hamming, hamming / alg.bits,
@@ -463,7 +495,7 @@ def test_grouped_avalanche_equals_per_trial_rebuild(monkeypatch, mode,
     monkeypatch.setattr(walk, "_GROUP", 4)
     groups = _group_sizes(monkeypatch)
     positions, trials, nudge = (3, 300, config.n - 1), 3, (2, -1)
-    algs = [HashAlg.sha3_512(), HashAlg.blake3(32)]
+    algs = [HashAlg.parse("sha3-512"), HashAlg.parse("blake3-256")]
     out = run_avalanche(config, algs, positions, trials, mode, nudge)
     assert groups == [4, 4, 1]
     _assert_per_trial_rebuild(out, config, algs, positions, trials, mode,
@@ -596,7 +628,7 @@ def test_run_avalanche_validation():
     with pytest.raises(ConfigError):
         run_avalanche(config, [], (5,), 1)
     with pytest.raises(ConfigError):
-        run_avalanche(config, [_ALG, HashAlg.sha3_512()], (5,), 1)
+        run_avalanche(config, [_ALG, HashAlg.parse("sha3-512")], (5,), 1)
     with pytest.raises(ConfigError):
         run_avalanche(config, [_ALG], (5,), 0)
     with pytest.raises(InvalidPosition):

@@ -95,6 +95,25 @@ def test_box_count_grid_interval_oracle():
             assert box_count(pts, size) == cells_x * cells_y
 
 
+@pytest.mark.parametrize("points, error", [
+    # box_count once truncated these to the cells of (0, 1) and (2, 3)
+    (np.array([[0.5, 1.5], [2.5, 3.5]]), TypeError),
+    ([(0.5, 1), (2, 3)], TypeError),
+    ([[True, False], [False, True]], TypeError),
+    (np.ones((2, 2), dtype=bool), TypeError),
+    # reshape(-1, 2) once read these as 6 and 2 points
+    (np.zeros((3, 4), dtype=np.int64), ValueError),
+    ([1, 2, 3, 4], ValueError),
+])
+def test_point_sets_follow_one_rule(points, error):
+    with pytest.raises(error, match="points must"):
+        box_count(points, 1)
+    with pytest.raises(error, match="points must"):
+        estimate_point_dimension(points)
+    with pytest.raises(error, match="points must"):
+        Trajectory(points, WalkConfig())
+
+
 def test_box_count_rejects_bad_size():
     with pytest.raises(ConfigError):
         box_count([LatticePoint(0, 0)], 0)

@@ -29,8 +29,7 @@ CASES = {
     "keygen-sha3": [
         "keygen", "--seed", "42", "--n", "256", "--alg", "sha3-512"],
     "keygen-shake": [
-        "keygen", "--seed", "42", "--n", "256", "--alg", "shake256",
-        "--out-len", "48"],
+        "keygen", "--seed", "42", "--n", "256", "--alg", "shake256-384"],
     "keygen-blake3": [
         "keygen", "--seed", "42", "--n", "256", "--alg", "blake3-256"],
     "avalanche-reevolve-fixed": [

@@ -192,6 +192,21 @@ def test_trajectory_is_a_read_only_int64_array():
             Trajectory(bad, WalkConfig())
 
 
+def test_checked_xy_reads_an_int64_array_in_place():
+    xy = np.arange(20, dtype=np.int64).reshape(10, 2)
+    assert walk._checked_xy(xy) is xy
+    # the fractal sweep's prefix of its longest walk stays a view
+    longest = generate_walk(WalkConfig(seed=1, n=50)).xy
+    prefix = longest[:11]
+    assert walk._checked_xy(prefix) is prefix
+    assert walk._checked_xy(xy.astype(np.int32)).dtype == np.int64
+    for empty in ([], (), np.empty((0, 2)), np.empty(0, dtype=bool)):
+        assert walk._checked_xy(empty).shape == (0, 2)
+    # a trajectory still copies
+    t = Trajectory(xy, WalkConfig())
+    assert not np.shares_memory(t.xy, xy)
+
+
 def test_trajectory_value_equality():
     config = WalkConfig(seed=3, n=40)
     a, b = generate_walk(config), generate_walk(config)
@@ -912,6 +927,38 @@ def test_group_memory_holds_one_block_at_a_time(mode):
 def test_config_validation_names_field(bad, message_part):
     with pytest.raises(ConfigError, match=message_part):
         replace(WalkConfig(), **bad)
+
+
+@pytest.mark.parametrize("bad, field", [
+    # walked from (0, 0) while the report echoed 0.5
+    (dict(x0=LatticePoint(0.5, 0)), "x0"),
+    (dict(x0=(0, 1.0)), "x0"),
+    (dict(x0=(True, 0)), "x0"),
+    (dict(x0=5), "x0"),
+    (dict(x0=(1, 2, 3)), "x0"),
+    (dict(n=100.0), "n"),
+    (dict(n=True), "n"),
+    (dict(seed=5.0), "seed"),
+    (dict(seed=False), "seed"),
+    (dict(map_mode=MapMode.FIXED_SET, map_count=3.0), "map_count"),
+])
+def test_config_integer_fields_refuse_non_integers(bad, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        replace(WalkConfig(), **bad)
+
+
+def test_config_integer_fields_hold_python_ints():
+    # a plain tuple x0 once ended in an AttributeError from lattice_bound
+    config = WalkConfig(x0=(1, np.int64(-2)), n=np.int32(40),
+                        seed=np.uint64(2**63), map_mode=MapMode.FIXED_SET,
+                        map_count=np.int8(3))
+    assert type(config.x0) is LatticePoint
+    assert [type(v) for v in (*config.x0, config.n, config.seed,
+                              config.map_count)] == [int] * 5
+    assert config == WalkConfig(x0=LatticePoint(1, -2), n=40, seed=2**63,
+                                map_mode=MapMode.FIXED_SET, map_count=3)
+    assert lattice_bound(config) == lattice_bound(WalkConfig(x0=(1, -2)))
+    assert generate_walk(config).xy[0].tolist() == [1, -2]
 
 
 def test_generate_walk_validates():

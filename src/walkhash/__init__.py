@@ -7,6 +7,8 @@ the keys' sensitivity to small walk changes (diffusion, stats). cli wires
 it all into the `walkhash` command.
 """
 
+from types import ModuleType as _Module
+
 from .diffusion import (
     BitMatrix,
     PerturbMode,
@@ -62,51 +64,7 @@ from .walk import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineStep",
-    "BitMatrix",
-    "BoundsExceeded",
-    "ChiSquareMode",
-    "ChiSquareResult",
-    "ConfigError",
-    "DegenerateInput",
-    "DimensionEstimate",
-    "GeneratorFailure",
-    "GeometryReport",
-    "HashAlg",
-    "InsufficientData",
-    "InvalidPosition",
-    "LatticePoint",
-    "MapMode",
-    "PerturbMode",
-    "PerturbationSpec",
-    "Trajectory",
-    "TrialRecord",
-    "WalkConfig",
-    "WalkhashError",
-    "box_count",
-    "chi_square_uniform",
-    "default_box_sizes",
-    "default_positions",
-    "derive_key",
-    "digest_bytes",
-    "estimate_point_dimension",
-    "generate_walk",
-    "geometry",
-    "lattice_bound",
-    "linear_fit",
-    "lower_regularized_gamma",
-    "map_templates",
-    "affine_step_for",
-    "perturb",
-    "run_avalanche",
-    "sample_affine_step",
-    "serialize_trajectory",
-    "shannon_entropy",
-    "step",
-    "trial_seed",
-    "trial_summary",
-    "upper_regularized_gamma",
-    "walk_space_size",
-    "__version__",
-]
+# every public name imported above, not the submodules the imports bind
+__all__ = [name for name, value in dict(globals()).items()
+           if not name.startswith("_") and not isinstance(value, _Module)]
+__all__.append("__version__")

@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from statistics import median
 from typing import Any, Callable, Sequence
@@ -49,6 +49,7 @@ from .walk import (
     MapMode,
     WalkConfig,
     _integer,
+    _member,
     generate_walk,
     lattice_bound,
 )
@@ -70,17 +71,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(
             f"expected comma-separated integers, got {text!r}") from None
-
-
-def _choice(enum: type[Enum]) -> Callable[[str], Enum]:
-    def parse(text: str) -> Enum:
-        try:
-            return enum(text)
-        except ValueError:
-            choices = ", ".join(m.value for m in enum)
-            raise ValueError(
-                f"must be one of: {choices}; got {text!r}") from None
-    return parse
 
 
 def _directory(text: str) -> Path:
@@ -132,7 +122,8 @@ _WALK_ROWS = {
     "epsilon": (float, "EPS", "noise half-width, >= 0"),
     "n": (int, "N", "number of walk steps"),
     "seed": (int, "SEED", "base random seed, 0 <= SEED < 2**64"),
-    "map_mode": (_choice(MapMode), "MODE", "per-step-fresh or fixed-set"),
+    "map_mode": (partial(_member, "map-mode", MapMode), "MODE",
+                 "per-step-fresh or fixed-set"),
     "map_count": (int, "M", "template count for fixed-set mode"),
 }
 
@@ -171,7 +162,7 @@ OPTIONS: dict[str, tuple[Option, ...]] = {
                else _int_list(text), "auto",
                "comma list of perturbation positions, or auto", "LIST"),
         Option("trials", int, "50", "trials per position", "COUNT"),
-        Option("mode", _choice(PerturbMode), "point-nudge",
+        Option("mode", partial(_member, "mode", PerturbMode), "point-nudge",
                "point-nudge or re-evolve", "MODE"),
         Option("nudge", _point, "1,0", "perturbation offset", "DX,DY"),
     ),

@@ -37,18 +37,17 @@ from .keygen import digest_bytes  # noqa: F401
 from .rng import stream_key
 from .walk import (
     MAX_COORD,
+    _SUB_TRIAL,
     LatticePoint,
     Trajectory,
     WalkConfig,
     _int_pair,
     _integer,
+    _member,
     _replay,
     _walks,
     generate_walk,  # noqa: F401
 )
-
-# Substream id for per-trial seeds; 0..2 belong to the walk module.
-_SUB_TRIAL = 3
 
 # Rows (trials over all positions) a run may have: the serialized BitMatrix
 # stores its row count as an unsigned 32-bit integer.
@@ -70,7 +69,8 @@ class PerturbationSpec:
 
     position indexes the point to shift and must be interior: 1..n-1.
     nudge is the integer offset applied to that point. Both are checked
-    when made and held as Python ints (ConfigError if not integers).
+    when made and held as Python ints (ConfigError if not integers), and
+    mode as a PerturbMode (its value string is taken too).
     """
 
     position: int
@@ -78,9 +78,10 @@ class PerturbationSpec:
     nudge: tuple[int, int] = (1, 0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position",
-                           _integer("position", self.position))
-        object.__setattr__(self, "nudge", _int_pair("nudge", self.nudge))
+        set_ = object.__setattr__  # the dataclass is frozen
+        set_(self, "position", _integer("position", self.position))
+        set_(self, "nudge", _int_pair("nudge", self.nudge))
+        set_(self, "mode", _member("mode", PerturbMode, self.mode))
         if any(abs(d) > MAX_COORD for d in self.nudge):
             raise ConfigError(f"nudge components must be in [-2**53, 2**53], "
                               f"got {tuple(self.nudge)}")
@@ -255,9 +256,8 @@ def run_avalanche(
     labels = [alg.label for alg in algs]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate algorithms in {labels}")
-    if _integer("trials_per_position", trials_per_position) < 1:
-        raise ConfigError(
-            f"trials_per_position must be >= 1, got {trials_per_position!r}")
+    trials_per_position = _integer("trials_per_position",
+                                   trials_per_position, 1)
     positions = default_positions(config.n) if positions is None \
         else tuple(_integer("position", p) for p in positions)
     if not positions:

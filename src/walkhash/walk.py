@@ -37,6 +37,7 @@ draw is rejected.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -50,10 +51,11 @@ from .rng import Stream, stream_keys, u64_draws, uniform_draws
 
 _SQRT2 = math.sqrt(2.0)
 
-# Substream ids under one walk seed. 3 is reserved for diffusion trials.
+# Substream ids under one seed, for walks and for diffusion.trial_seed.
 _SUB_STEP = 0
 _SUB_TEMPLATE = 1
 _SUB_CHOICE = 2
+_SUB_TRIAL = 3
 
 # A uniform draw of matrix entries is rejected when its spectral norm is
 # this small (probability ~0, but rescaling would divide by it).
@@ -101,12 +103,14 @@ class LatticePoint(NamedTuple):
 
 def _integer(name: str, value, lo: int | None = None,
              hi: int | None = None) -> int:
-    """value as a Python int, with lo <= value < hi if lo is given;
-    ConfigError naming name otherwise, also for a bool or a float."""
+    """value as a Python int, with lo <= value (< hi if hi is given) if lo
+    is given; ConfigError naming name otherwise, also for a bool or a float."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
-    if lo is not None and not lo <= value < hi:
+    if hi is None and lo is not None and value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value!r}")
+    if hi is not None and not lo <= value < hi:
         top = f"2**{hi.bit_length() - 1}" if hi & (hi - 1) == 0 else hi
         raise ConfigError(
             f"{name} must satisfy {lo} <= {name} < {top}, got {value!r}")
@@ -121,6 +125,27 @@ def _int_pair(name: str, value) -> tuple[int, int]:
         raise ConfigError(
             f"{name} must be a pair of integers, got {value!r}") from None
     return _integer(name, x), _integer(name, y)
+
+
+def _real(name: str, value) -> float:
+    """value, a finite real number, as a Python float; ConfigError naming
+    name otherwise, also for a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _member(name: str, enum: type[Enum], value) -> Enum:
+    """value, a member of enum or its value, as the member; ConfigError
+    naming name and the choices otherwise."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum)
+        raise ConfigError(
+            f"{name} must be one of: {choices}; got {value!r}") from None
 
 
 def _checked_xy(points) -> np.ndarray:
@@ -174,7 +199,8 @@ class WalkConfig:
     keys every random stream. map_count is required in FIXED_SET mode and
     must be absent otherwise. A config is checked when it is made, also by
     dataclasses.replace, so one that exists is valid (ConfigError if not),
-    its integer fields Python ints and x0 a LatticePoint.
+    its integer fields Python ints, its real fields Python floats, x0 a
+    LatticePoint and map_mode a MapMode (its value string is taken too).
     """
 
     x0: LatticePoint = LatticePoint(0, 0)
@@ -195,9 +221,8 @@ class WalkConfig:
         # streams reduce the seed modulo 2**64, so a wider one would alias
         set_(self, "seed", _integer("seed", self.seed, 0, 2**64))
         for name in ("rho_min", "rho_max", "b_min", "b_max", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
+            set_(self, name, _real(name, getattr(self, name)))
+        set_(self, "map_mode", _member("map_mode", MapMode, self.map_mode))
         if not 0.0 < self.rho_min <= self.rho_max:
             raise ConfigError(
                 f"rho_min must satisfy 0 < rho_min <= rho_max, got "
@@ -236,13 +261,17 @@ class Trajectory:
 
     xy is a read-only (n+1, 2) int64 array, row i holding x_i. The
     constructor takes any sequence of integer points or an (m, 2) integer
-    array and copies it, so a trajectory never shares memory with its input.
+    array and copies it, so a trajectory never shares memory with its input;
+    config must be a WalkConfig (TypeError if not).
     """
 
     xy: np.ndarray
     config: WalkConfig
 
     def __post_init__(self) -> None:
+        if not isinstance(self.config, WalkConfig):
+            raise TypeError(f"config must be a WalkConfig, got "
+                            f"{type(self.config).__name__}")
         xy = _checked_xy(self.xy).copy()
         xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)
@@ -338,11 +367,16 @@ def sample_affine_step(stream: Stream, config: WalkConfig) -> AffineStep:
     consumed even when epsilon is 0 so stream positions never depend on
     config values.
     """
-    a11, a12, a21, a22, b1, b2 = _draw_map(stream, config)
+    return _with_noise(_draw_map(stream, config), stream, config)
+
+
+def _with_noise(maps: tuple[float, ...], stream: Stream,
+                config: WalkConfig) -> AffineStep:
+    """maps, a _draw_map result, with noise d1 then d2 drawn from stream."""
     eps = config.epsilon
     d1 = stream.uniform(-eps, eps)
     d2 = stream.uniform(-eps, eps)
-    return AffineStep(a11, a12, a21, a22, b1, b2, d1, d2)
+    return AffineStep(*maps, d1, d2)
 
 
 def map_templates(config: WalkConfig) -> tuple[tuple[float, ...], ...] | None:
@@ -368,12 +402,8 @@ def affine_step_for(config: WalkConfig, i: int) -> AffineStep:
         return sample_affine_step(Stream(config.seed, _SUB_STEP, i), config)
     stream = Stream(config.seed, _SUB_CHOICE, i)
     j = stream.below(config.map_count)
-    a11, a12, a21, a22, b1, b2 = _draw_map(
-        Stream(config.seed, _SUB_TEMPLATE, j), config)
-    eps = config.epsilon
-    d1 = stream.uniform(-eps, eps)
-    d2 = stream.uniform(-eps, eps)
-    return AffineStep(a11, a12, a21, a22, b1, b2, d1, d2)
+    maps = _draw_map(Stream(config.seed, _SUB_TEMPLATE, j), config)
+    return _with_noise(maps, stream, config)
 
 
 def step(x: LatticePoint, s: AffineStep,
@@ -703,8 +733,4 @@ def walk_space_size(m: int, n: int) -> int:
     This is the symbolic walk count for FIXED_SET mode with m templates
     over n steps, computed in exact integer arithmetic.
     """
-    if m < 1:
-        raise ConfigError(f"m must be >= 1, got {m!r}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n!r}")
-    return m ** n
+    return _integer("m", m, 1) ** _integer("n", n, 1)

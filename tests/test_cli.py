@@ -527,6 +527,24 @@ def test_out_of_domain_inputs_exit_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["avalanche", "--n", "40", "--mode", "bogus"],
+     "mode must be one of: point-nudge, re-evolve; got 'bogus'"),
+    (["keygen", "--n", "16", "--map-mode", "Fixed-Set"],
+     "map-mode must be one of: per-step-fresh, fixed-set; got 'Fixed-Set'"),
+])
+def test_enum_options_list_their_choices(argv, message, tmp_path, capsys):
+    code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    # a config file value is parsed the same way
+    option, value = argv[-2:]
+    config = tmp_path / "walkhash.conf"
+    config.write_text(f"{option[2:]} = {value}\n")
+    code, out, err = _run(capsys, *argv[:-2], "--config", config,
+                          "--output-dir", tmp_path / "out")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # Each allocates 2**58 bytes or more at once, beyond even a 57-bit address
 # space, so it fails before any memory is touched.
 @pytest.mark.parametrize("argv", [

@@ -255,6 +255,28 @@ def test_spec_holds_python_ints():
     assert [type(v) for v in (spec.position, *spec.nudge)] == [int] * 3
 
 
+def test_spec_mode_takes_a_member_or_its_value():
+    # "re-evolve" once ran point-nudge: perturb tested the mode by identity
+    t = generate_walk(WalkConfig(seed=5, n=30))
+    spec = PerturbationSpec(5, "re-evolve", (3, 0))
+    assert spec == PerturbationSpec(5, PerturbMode.RE_EVOLVE, (3, 0))
+    assert spec.mode is PerturbMode.RE_EVOLVE
+    assert perturb(t, spec) == perturb(
+        t, PerturbationSpec(5, PerturbMode.RE_EVOLVE, (3, 0)))
+    assert PerturbationSpec(5, "point-nudge") == PerturbationSpec(5)
+    for bad in ("bogus", "RE_EVOLVE", None, MapMode.FIXED_SET):
+        with pytest.raises(ConfigError, match=(
+                "^mode must be one of: point-nudge, re-evolve; got ")):
+            PerturbationSpec(5, bad)
+    # run_avalanche makes its specs, so it takes a value string too
+    config = WalkConfig(seed=1, n=12)
+    (records, _), = run_avalanche(config, [_ALG], (5,), 2,
+                                  "re-evolve").values()
+    (want, _), = run_avalanche(config, [_ALG], (5,), 2,
+                               PerturbMode.RE_EVOLVE).values()
+    assert records == want
+
+
 @pytest.mark.parametrize("positions, trials, nudge, field", [
     ([5.9], 1, (1, 0), "position"),  # once ran position 5
     ([5], 1, (0.4, 0), "nudge"),  # once scored Hamming 0 on every trial

@@ -1,10 +1,11 @@
 """Walk module: sampling contract, step semantics, bounds, determinism."""
 
+import json
 import math
 import random
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,12 @@ def test_walk_space_size_validation():
         walk_space_size(0, 5)
     with pytest.raises(ConfigError):
         walk_space_size(3, 0)
+    with pytest.raises(ConfigError, match=r"^n must be >= 1, got -1$"):
+        walk_space_size(3, -1)
+    # once 15.625, 2 and 8.0
+    for m, n in ((2.5, 3), (2, True), (np.float64(2.0), 3)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            walk_space_size(m, n)
 
 
 # ----------------------------------------------------------- fixed-set mode
@@ -923,6 +930,15 @@ def test_group_memory_holds_one_block_at_a_time(mode):
     (dict(seed=-1), "seed"),
     (dict(seed=2**64), "seed"),
     (dict(map_mode=MapMode.FIXED_SET, map_count=2**64), "map_count"),
+    # once accepted, then a TypeError when walked
+    (dict(map_mode="fixed-set"), "map_count"),
+    (dict(map_mode="bogus"),
+     "map_mode must be one of: per-step-fresh, fixed-set; got 'bogus'"),
+    (dict(map_mode=None), "map_mode must be one of"),
+    (dict(epsilon=True), "epsilon must be a real number"),  # once held True
+    (dict(b_min="1"), "b_min must be a real number"),  # once a TypeError
+    (dict(rho_min=1j), "rho_min must be a real number"),
+    (dict(rho_max=np.float32("nan")), "rho_max must be finite"),
 ])
 def test_config_validation_names_field(bad, message_part):
     with pytest.raises(ConfigError, match=message_part):
@@ -959,6 +975,47 @@ def test_config_integer_fields_hold_python_ints():
                                 map_mode=MapMode.FIXED_SET, map_count=3)
     assert lattice_bound(config) == lattice_bound(WalkConfig(x0=(1, -2)))
     assert generate_walk(config).xy[0].tolist() == [1, -2]
+
+
+def test_config_real_fields_hold_python_floats():
+    # a float32 rho_max once drew float32 steps in affine_step_for and
+    # float64 ones in the table, and its echo could not be written as JSON
+    config = WalkConfig(rho_min=np.float32(0.25), rho_max=np.float32(0.9),
+                        b_min=-3, b_max=np.int64(4), epsilon=Fraction(1, 4),
+                        n=40, seed=7)
+    values = [config.rho_min, config.rho_max, config.b_min, config.b_max,
+              config.epsilon]
+    assert [type(v) for v in values] == [float] * 5
+    assert values == [0.25, float(np.float32(0.9)), -3.0, 4.0, 0.25]
+    echo = {**asdict(config), "map_mode": config.map_mode.value}  # cli's
+    assert json.loads(json.dumps(echo))["rho_max"] == float(np.float32(0.9))
+    for cfg in (config, replace(config, map_mode=MapMode.FIXED_SET,
+                                map_count=3)):
+        table = walk._step_table([cfg], 1, cfg.n + 1)[0]
+        for i, row in enumerate(table.tolist(), 1):
+            assert tuple(row) == tuple(affine_step_for(cfg, i))
+        assert np.array_equal(generate_walk(cfg).xy[1:],
+                              _replay(cfg, cfg.x0, 1))
+
+
+def test_config_map_mode_takes_its_value_string():
+    # "fixed-set" once stayed a string: fixed_set mode was not run
+    config = WalkConfig(map_mode="fixed-set", map_count=3, n=40, seed=2)
+    assert config == WalkConfig(map_mode=MapMode.FIXED_SET, map_count=3,
+                                n=40, seed=2)
+    assert config.map_mode is MapMode.FIXED_SET
+    assert WalkConfig(map_mode="per-step-fresh") == WalkConfig()
+    assert np.array_equal(generate_walk(config).xy[1:],
+                          _replay(config, config.x0, 1))
+
+
+def test_trajectory_refuses_a_config_that_is_not_a_walk_config():
+    # once accepted, and a re-evolve on it ended in an AttributeError
+    points = [[0, 0], [1, 1], [2, 2], [3, 3]]
+    for config in (None, {"n": 3}, (0, 0)):
+        with pytest.raises(TypeError, match="config must be a WalkConfig"):
+            Trajectory(points, config)
+    assert Trajectory(points, WalkConfig(n=3)).config == WalkConfig(n=3)
 
 
 def test_generate_walk_validates():

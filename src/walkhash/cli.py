@@ -351,7 +351,9 @@ def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
             except WalkhashError as exc:
                 failed = (i, exc)
                 break
-            entries[n].append({"seed": seed_config.seed, **asdict(estimate)})
+            # vars, not asdict: the fields are flat, so asdict's deep
+            # copy only costs time
+            entries[n].append({"seed": seed_config.seed, **vars(estimate)})
     if failed is not None:
         raise failed[1]
     return entries

@@ -30,7 +30,7 @@ from .errors import (
     InvalidPosition,
     WalkhashError,
 )
-from .keygen import HashAlg, digest_many, serialize_trajectory
+from .keygen import HashAlg, _alg, digest_many, serialize_trajectory
 # Not called here, but bound by name: perfbench's traced pass wraps
 # diffusion.digest_bytes and diffusion.generate_walk.
 from .keygen import digest_bytes  # noqa: F401
@@ -227,7 +227,7 @@ def trial_seed(seed: int, position: int, trial: int) -> int:
 
 def run_avalanche(
     config: WalkConfig,
-    algs: Sequence[HashAlg],
+    algs: Sequence[HashAlg | str],
     positions: Sequence[int] | None = None,
     trials_per_position: int = 50,
     mode: PerturbMode = PerturbMode.POINT_NUDGE,
@@ -237,8 +237,9 @@ def run_avalanche(
 
     Each (position, trial) pair generates one walk and one disturbed copy;
     every algorithm digests that same pair, so per-algorithm statistics are
-    directly comparable. Returns {alg label: (records, flip matrix)} with
-    rows ordered by position then trial.
+    directly comparable. Each alg is a HashAlg or its label. Returns
+    {alg label: (records, flip matrix)} with rows ordered by position then
+    trial.
 
     Trials run in batches of about _BATCH_BYTES of serialized walks: the
     batch's walks come from walk._walks in (position, trial) order, which
@@ -251,6 +252,7 @@ def run_avalanche(
     of that trial. Errors are raised in (position, trial) order, so a run
     reports the trial that a run of one trial at a time would.
     """
+    algs = [_alg("algs", alg) for alg in algs]
     if not algs:
         raise ConfigError("need at least one hash algorithm")
     labels = [alg.label for alg in algs]

@@ -4,6 +4,13 @@ Box counting bins points into axis-aligned cells of side s via floor
 division, so negative coordinates bin consistently with positive ones, and
 counts the distinct cells with one sort of int64 keys, one key per cell
 (a lexsort of the two columns when the cells span too much for one key).
+Given a sequence of sizes that are all powers of two, it counts every
+size from one sort instead: with the origin aligned down to a multiple of
+the largest size, a cell of size 2^k is a run of points whose Morton
+(Z-order) codes agree above their lowest k bit pairs, so each pair of
+neighbours in code order splits the cells of every size below the
+highest bit pair in which they differ. Sizes that are not all powers of
+two, or cells past 32 bits an axis, are counted one size at a time.
 The dimension estimate is the negated slope of log2(count) against
 log2(size) over a dyadic schedule of sizes, fit with the shared
 least-squares helper.
@@ -13,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,9 +60,19 @@ class DimensionEstimate:
     degenerate: bool = False
 
 
+# (shift, mask) steps that spread the low 32 bits of a word to its even bits
+_SPREAD = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+    (1, 0x5555555555555555)))
+_EVEN_BITS = _SPREAD[-1][1]
+
+
 def _extent(xy: np.ndarray) -> list[int]:
     """Bounding-box width and height, counted in lattice cells."""
-    return (xy.max(axis=0) - xy.min(axis=0) + 1).tolist()
+    # one column at a time: numpy reduces an (m, 2) array over axis 0
+    # about ten times slower
+    return [int(c.max()) - int(c.min()) + 1 for c in (xy[:, 0], xy[:, 1])]
 
 
 def geometry(t: Trajectory) -> GeometryReport:
@@ -75,15 +92,30 @@ def geometry(t: Trajectory) -> GeometryReport:
 
 
 def box_count(points: Sequence[LatticePoint] | np.ndarray,
-              box_size: int) -> int:
+              box_size: int | Iterable[int]) -> int | tuple[int, ...]:
     """Number of size x size cells containing at least one point.
 
     points is a sequence of integer points or an (m, 2) integer array,
-    checked and read in place by walk._checked_xy.
+    checked and read in place by walk._checked_xy. Given an iterable of
+    sizes, returns the count at each, in order.
     """
-    # numpy divides by the size as an int64
-    box_size = _integer("box_size", box_size, 1, 2**63)
-    cx, cy = _checked_xy(points).T // box_size
+    if not hasattr(box_size, "__iter__") or isinstance(box_size, str):
+        # numpy divides by the size as an int64
+        box_size = _integer("box_size", box_size, 1, 2**63)
+        return _count_one(_checked_xy(points), box_size)
+    sizes = tuple(_integer("box_size", s, 1, 2**63) for s in box_size)
+    xy = _checked_xy(points)
+    if not len(xy):
+        return (0,) * len(sizes)
+    counts = _count_dyadic(xy, sizes)
+    if counts is None:
+        counts = tuple(_count_one(xy, s) for s in sizes)
+    return counts
+
+
+def _count_one(xy: np.ndarray, box_size: int) -> int:
+    """box_count at one size, 1 <= box_size < 2**63: the reference path."""
+    cx, cy = xy.T // box_size
     if not len(cx):
         return 0
     lx, ly = int(cx.min()), int(cy.min())
@@ -97,6 +129,48 @@ def box_count(points: Sequence[LatticePoint] | np.ndarray,
     cx, cy = cx[order], cy[order]
     return int(np.count_nonzero((cx[1:] != cx[:-1])
                                 | (cy[1:] != cy[:-1]))) + 1
+
+
+def _count_dyadic(xy: np.ndarray,
+                  sizes: tuple[int, ...]) -> tuple[int, ...] | None:
+    """box_count of a non-empty xy at every size from one sort of Morton
+    codes; None unless every size is a power of two and the cells of the
+    smallest fit in 32 bits an axis once the origin is aligned."""
+    if not sizes or any(s & (s - 1) for s in sizes):
+        return None
+    exps = [s.bit_length() - 1 for s in sizes]
+    low, top = min(exps), max(exps)
+    x, y = xy[:, 0], xy[:, 1]
+    # the origin, aligned down to a multiple of the largest size, in cells
+    # of the smallest; Python ints, so that nothing wraps
+    ox = int(x.min()) >> top << (top - low)
+    oy = int(y.min()) >> top << (top - low)
+    width = max((int(x.max()) >> low) - ox, (int(y.max()) >> low) - oy)
+    if width >= 2**32:
+        return None
+    cells = np.array((x, y))
+    if low:
+        cells >>= low
+    cells -= [[ox], [oy]]
+    spread = cells.view(np.uint64)
+    for shift, mask in _SPREAD:
+        if width >> int(shift):  # else the step moves only zero bits
+            spread |= spread << shift
+            spread &= mask
+    codes = spread[0]
+    codes |= spread[1] << np.uint64(1)
+    codes.sort()
+    # the highest bit pair in which neighbours differ: or-ing each pair's
+    # two bits onto its even bit leaves a word that float64 holds without
+    # rounding up to the next power of two, so frexp reads its top bit
+    differ = codes[1:] ^ codes[:-1]
+    differ |= differ >> np.uint64(1)
+    differ &= _EVEN_BITS
+    # 0 for equal neighbours, else the pair's level + 1
+    levels = (np.frexp(differ.astype(np.float64))[1] + 1) >> 1
+    # splits[j]: neighbours that differ at level j - 1 or above
+    splits = np.bincount(levels, minlength=64)[::-1].cumsum()[::-1]
+    return tuple(int(splits[e - low + 1]) + 1 for e in exps)
 
 
 def default_box_sizes(width: int, height: int) -> tuple[int, ...]:
@@ -126,7 +200,8 @@ def estimate_point_dimension(points: Sequence[LatticePoint] | np.ndarray,
         if len(sizes) < 3:
             raise ConfigError(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")
-    counts = tuple(box_count(xy, s) for s in sizes)
+    # one call for the whole schedule, found as fractal.box_count
+    counts = box_count(xy, sizes)
     for smaller, larger in zip(counts, counts[1:]):
         if larger > smaller:
             # cannot happen on the dyadic default; only on a caller-supplied

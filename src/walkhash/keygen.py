@@ -84,13 +84,25 @@ class HashAlg:
         return cls(base, int(bits) // 8)
 
 
+def _alg(name: str, value) -> HashAlg:
+    """value, a HashAlg or a label HashAlg.parse reads, as a HashAlg;
+    TypeError naming name for any other object."""
+    if isinstance(value, HashAlg):
+        return value
+    if isinstance(value, str):
+        return HashAlg.parse(value)
+    raise TypeError(f"{name} must be a HashAlg or its label, got {value!r}")
+
+
 def serialize_trajectory(t: Trajectory) -> bytes:
     """The normative byte form described in the module docstring."""
     return t.xy.astype("<i8").tobytes()
 
 
-def digest_many(messages: Sequence[bytes], alg: HashAlg) -> list[bytes]:
-    """Hash each message under alg, in order."""
+def digest_many(messages: Sequence[bytes],
+                alg: HashAlg | str) -> list[bytes]:
+    """Hash each message under alg (a HashAlg or its label), in order."""
+    alg = _alg("alg", alg)
     if alg.name == _SHA3_512:
         return [hashlib.sha3_512(m).digest() for m in messages]
     if alg.name == _SHAKE256:
@@ -98,13 +110,13 @@ def digest_many(messages: Sequence[bytes], alg: HashAlg) -> list[bytes]:
     return blake3_many(messages, alg.out_len)
 
 
-def digest_bytes(data: bytes, alg: HashAlg) -> bytes:
+def digest_bytes(data: bytes, alg: HashAlg | str) -> bytes:
     """Hash raw bytes under alg. Building block for derive_key and tests."""
     return digest_many([data], alg)[0]
 
 
 def derive_key(t: Trajectory,
-               alg: HashAlg = HashAlg(_SHA3_512, 64)) -> bytes:
+               alg: HashAlg | str = HashAlg(_SHA3_512, 64)) -> bytes:
     """Serialize the trajectory and hash it into a fixed-length key of
     alg.out_len bytes (sha3-512 by default)."""
     return digest_bytes(serialize_trajectory(t), alg)

@@ -15,6 +15,7 @@ from math import exp, lgamma, log
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateInput, InsufficientData
+from .walk import _member
 
 if TYPE_CHECKING:
     from .diffusion import BitMatrix
@@ -118,8 +119,9 @@ def chi_square_uniform(matrix: "BitMatrix",
     """Chi-square test of flip-count uniformity across matrix columns.
 
     Degrees of freedom are cols - 1 in both modes; the p-value is the upper
-    tail Q(dof/2, statistic/2).
+    tail Q(dof/2, statistic/2). mode is a member or its value string.
     """
+    mode = _member("mode", ChiSquareMode, mode)
     counts = matrix.column_sums()
     cols = matrix.cols
     rows = matrix.rows

@@ -132,9 +132,12 @@ def _real(name: str, value) -> float:
     name otherwise, also for a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int or a Fraction past the float range
+        pass
+    raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def _member(name: str, enum: type[Enum], value) -> Enum:

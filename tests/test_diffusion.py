@@ -277,6 +277,20 @@ def test_spec_mode_takes_a_member_or_its_value():
     assert records == want
 
 
+def test_run_avalanche_takes_algs_or_their_labels():
+    # a label once ended in AttributeError: 'str' object has no attribute
+    config = WalkConfig(seed=1, n=12)
+    got = run_avalanche(config, ["sha3-512", "blake3"], (5,), 2)
+    want = run_avalanche(config, [_ALG, HashAlg.parse("blake3")], (5,), 2)
+    assert list(got) == ["sha3-512", "blake3-256"]
+    for label in want:
+        assert got[label][0] == want[label][0]
+        assert got[label][1].to_bytes() == want[label][1].to_bytes()
+    with pytest.raises(TypeError, match=(
+            "^algs must be a HashAlg or its label, got None")):
+        run_avalanche(config, [_ALG, None], (5,), 1)
+
+
 @pytest.mark.parametrize("positions, trials, nudge, field", [
     ([5.9], 1, (1, 0), "position"),  # once ran position 5
     ([5], 1, (0.4, 0), "nudge"),  # once scored Hamming 0 on every trial

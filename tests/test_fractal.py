@@ -18,6 +18,7 @@ from walkhash import (
     generate_walk,
     geometry,
 )
+from walkhash import fractal
 
 
 def _traj(points) -> Trajectory:
@@ -150,6 +151,84 @@ def test_box_count_wide_extents_fall_back_to_lexsort():
                      rng.integers(-3, 4, size=(300, 2))))
     for size in (1, 2, 3, 2**20, 2**52):
         assert box_count(pts, size) == _set_count(pts, size)
+
+
+def test_box_count_of_a_schedule_matches_each_size_and_set_oracle():
+    # the one-sort Morton count against the one-size path and the oracle,
+    # over spans on both sides of its 32-bit limit and schedules it must
+    # hand back to the one-size path
+    rng = np.random.default_rng(21)
+
+    def check(xy, sizes, one_sort=None):
+        want = tuple(_set_count(xy, s) for s in sizes)
+        assert box_count(xy, sizes) == want, sizes
+        assert tuple(box_count(xy, s) for s in sizes) == want, sizes
+        if one_sort is not None:
+            assert (fractal._count_dyadic(xy, sizes) is not None) is one_sort
+
+    spans = (0, 2, 40, 10**6, 2**32 - 3, 2**32 - 1, 2**32, 2**32 + 2, 2**40)
+    for trial in range(270):
+        span = spans[trial % len(spans)]
+        # a small origin aligns to 0 even under a size of 2**62
+        origin = rng.integers(0, 64, size=2) if trial % 3 == 0 \
+            else rng.integers(-2**41, 2**41, size=2)
+        xy = origin + rng.integers(0, span + 1, size=(rng.integers(1, 80), 2))
+        if trial % 2:
+            xy = np.vstack((xy, xy[::3]))  # repeated points
+        for sizes in (default_box_sizes(*fractal._extent(xy)), (1, 4, 64),
+                      (64, 1, 4), (1, 2**62), (2**20, 2**31)):
+            check(xy, sizes)
+        check(xy, (1, 3, 5), one_sort=False)
+    # the widest cells the one sort takes, and the first it does not
+    for width, fits in ((2**32 - 1, True), (2**32, False)):
+        check(np.array([[-2, 0], [width - 2, -8], [5, -6]]), (1, 2), fits)
+    # codes that differ in every bit, whose XOR float64 would round up
+    for bits in (31, 32):
+        corner = 2**bits - 1
+        check(np.array([[0, 0], [corner, corner]]),
+              (1, 2**(bits - 1), 2**bits), one_sort=True)
+    check(np.array([[3, 4], [9, 0], [3, 4]]), (1, 2**40, 2**62), True)
+    check(np.array([[3, 4]]), (1, 2, 2**62), one_sort=True)
+    check(np.array([[-3, 4]]), (1, 2, 2**62), one_sort=False)
+    t = generate_walk(WalkConfig(seed=21, n=5000))
+    for n in (128, 500, 2000, 5000):
+        xy = t.xy[:n + 1]
+        check(xy, default_box_sizes(*fractal._extent(xy)), one_sort=True)
+    assert box_count([LatticePoint(-3, 4)], (1, 2, 2**62)) == (1, 1, 1)
+    assert box_count([], (1, 2)) == (0, 0)
+    assert box_count(t.xy, ()) == ()
+    with pytest.raises(ConfigError, match="box_size"):
+        box_count(t.xy, (1, 0))
+    with pytest.raises(ConfigError, match="box_size"):
+        box_count(t.xy, (1, True))
+
+
+def test_estimate_counts_every_size_in_one_box_count_call(monkeypatch):
+    calls = []
+    count = fractal.box_count
+
+    def counted(points, box_size):
+        calls.append(box_size)
+        return count(points, box_size)
+
+    monkeypatch.setattr(fractal, "box_count", counted)
+    xy = generate_walk(WalkConfig(seed=4, n=500)).xy
+    est = estimate_point_dimension(xy)
+    assert calls == [est.box_sizes]
+    est = estimate_point_dimension(xy, (8, 1, 2, 4, 8))
+    assert calls[1:] == [(1, 2, 4, 8)]
+    assert est.counts == tuple(count(xy, s) for s in (1, 2, 4, 8))
+
+
+def test_extent_matches_min_max_oracle_on_strided_views():
+    rng = np.random.default_rng(8)
+    block = rng.integers(-10**6, 10**6, size=(300, 4))
+    edges = np.array([[-2**63, 7], [2**63 - 1, -7]])  # 2**64 cells wide
+    for xy in (block[:, :2], block[:, 2:], block[::3, 1:3], block[::-2, ::3],
+               block[:1, :2], edges):
+        xs, ys = zip(*xy.tolist())
+        assert fractal._extent(xy) == [max(xs) - min(xs) + 1,
+                                       max(ys) - min(ys) + 1]
 
 
 # ------------------------------------------------------------- dimension

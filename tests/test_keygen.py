@@ -112,6 +112,21 @@ def test_derive_key_deterministic_and_default_alg():
     assert isinstance(a, bytes) and len(a) == 64
 
 
+def test_alg_takes_a_hash_alg_or_its_label():
+    # a label once ended in AttributeError: 'str' object has no attribute
+    t = generate_walk(WalkConfig(seed=2, n=30))
+    for label in ("sha3-512", "shake256-384", "blake3"):
+        assert derive_key(t, label) == derive_key(t, HashAlg.parse(label))
+        assert digest_bytes(b"x", label) \
+            == digest_bytes(b"x", HashAlg.parse(label))
+    with pytest.raises(ConfigError, match="unknown alg"):
+        derive_key(t, "md5")
+    for bad in (None, 64, b"sha3-512", ("sha3-512", 64)):
+        with pytest.raises(TypeError, match=(
+                "^alg must be a HashAlg or its label, got ")):
+            derive_key(t, bad)
+
+
 def test_xof_prefix_property_both_xofs():
     t = generate_walk(WalkConfig(seed=4, n=25))
     for name in ("shake256", "blake3"):

@@ -10,6 +10,7 @@ import pytest
 from walkhash import (
     BitMatrix,
     ChiSquareMode,
+    ConfigError,
     DegenerateInput,
     InsufficientData,
     chi_square_uniform,
@@ -118,6 +119,21 @@ def test_modes_score_the_same_counts_differently():
         2 * ((10 - 20) ** 2 + 0) / 20, abs=1e-9)
     assert t1.dof == be.dof == 1
     assert be.mode is ChiSquareMode.BERNOULLI
+
+
+def test_mode_takes_a_member_or_its_value():
+    # "table1" once returned the Bernoulli statistic under the label table1
+    m = BitMatrix.from_flip_vectors([b"ab", b"cd"])
+    for mode in ChiSquareMode:
+        result = chi_square_uniform(m, mode.value)
+        assert result == chi_square_uniform(m, mode)
+        assert result.mode is mode
+    assert chi_square_uniform(m, "table1").statistic == pytest.approx(
+        15.31, abs=5e-3)
+    for bad in ("TABLE1", "bogus", None):
+        with pytest.raises(ConfigError, match=(
+                "^mode must be one of: table1, bernoulli; got ")):
+            chi_square_uniform(m, bad)
 
 
 def test_column_permutation_invariance():

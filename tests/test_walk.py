@@ -939,6 +939,9 @@ def test_group_memory_holds_one_block_at_a_time(mode):
     (dict(b_min="1"), "b_min must be a real number"),  # once a TypeError
     (dict(rho_min=1j), "rho_min must be a real number"),
     (dict(rho_max=np.float32("nan")), "rho_max must be finite"),
+    # once a raw OverflowError from math.isfinite
+    (dict(b_max=10**400), "b_max must be finite"),
+    (dict(b_min=-Fraction(10**400, 3)), "b_min must be finite"),
 ])
 def test_config_validation_names_field(bad, message_part):
     with pytest.raises(ConfigError, match=message_part):

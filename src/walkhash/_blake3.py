@@ -12,10 +12,21 @@ chunks", BLAKE3 spec section 5.3), so independent work shares lanes:
   shape. Within a group every chunk of every message is one lane,
   message-major, so the group's padded bytes are the lanes' message words
   without a copy, and every nchunks-th lane is a final chunk.
-- The chunk stage advances all chunks together one block at a time. The
-  final (possibly partial) chunk runs in the same 16-block loop with its
-  own block_len and flags and keeps the chaining value of its last block.
-  A one-chunk message stops before that block, which is its root node.
+- A chunk's chaining value depends only on its bytes, its counter and its
+  flags (the BLAKE3 specification, O'Connor, Aumasson, Neves and
+  Wilcox-O'Hearn, 2020), so a chunk equal to the one at the same index of
+  the group's previous message (in call order) repeats its chaining
+  value. One compare over the group's bytes as uint64 words finds
+  them. The chunk stage runs only the other lanes, gathered into one
+  copy, and each repeated lane takes the value of the nearest earlier
+  lane at its chunk index. So a point-nudge trial's disturbed n=2000 walk
+  runs one chunk lane instead of 32. A group of one message skips the
+  compare. Parent levels are recomputed for every message.
+- The chunk stage advances its chunks together one block at a time. The
+  final (possibly partial) chunks, marked by a per-lane mask, run in the
+  same 16-block loop with their own block_len and flags and keep the
+  chaining value of their last block. A one-chunk message stops before
+  that block, which is its root node.
 - Each parent level of a group is one compression, and the root output
   blocks of every message in the call are one more.
 
@@ -217,12 +228,11 @@ def _compress_ints(h, m, counter, block_len, flags):
     return _unpack(out, lanes)
 
 
-def _chunks_rows(m, counter, nchunks: int, tail: int):
+def _chunks_rows(m, counter, final, tail: int):
     """The numpy kernel's chunk stage, with _chunks_ints's inputs and
     output."""
     blocks, _, lanes = m.shape
     last = max(0, (tail - 1) // _BLOCK_LEN)
-    final = slice(nchunks - 1, None, nchunks)
     h = np.repeat(_IV[:, None], lanes, axis=1)
     for b in range(blocks):
         block_len = np.full(lanes, _BLOCK_LEN, dtype=np.uint32)
@@ -242,24 +252,21 @@ def _chunks_rows(m, counter, nchunks: int, tail: int):
     return h
 
 
-def _chunks_ints(m, counter, nchunks: int, tail: int):
+def _chunks_ints(m, counter, final, tail: int):
     """The int kernel's chunk stage: chaining values (8, L) after m's blocks.
 
-    m: (blocks, 16, L) message words; counter: (L,) uint64 chunk counters.
-    Lanes are message-major, nchunks to a message: lane j is a full chunk
-    unless j % nchunks == nchunks - 1, a final chunk, whose tail bytes end
-    in block (tail - 1) // 64. All words are packed once, the chaining
-    values stay packed from block to block, and all lanes run every block:
-    the final chunks get back the chaining value of their last block
-    through one mask splice at the end.
+    m: (blocks, 16, L) message words; counter: (L,) uint64 chunk counters;
+    final: (L,) bool, true for a message's final chunk, whose tail bytes
+    end in block (tail - 1) // 64; every other lane is a full chunk. All
+    words are packed once, the chaining values stay packed from block to
+    block, and all lanes run every block: the final chunks get back the
+    chaining value of their last block through one mask splice at the end.
     """
     blocks, _, lanes = m.shape
     last = max(0, (tail - 1) // _BLOCK_LEN)
     ones = _ones(lanes)
     M = ones * 0xFFFFFFFF
-    final = int.from_bytes(
-        (bytes(8 * nchunks - 8) + b"\1\0\0\0\0\0\0\0") * (lanes // nchunks),
-        "little")
+    final = int.from_bytes(final.astype("<u8").tobytes(), "little")
     lo, hi, *w = _pack(np.concatenate([
         (counter & np.uint64(0xFFFFFFFF))[None],
         (counter >> np.uint64(32))[None], m.reshape(16 * blocks, lanes)]))
@@ -295,6 +302,19 @@ def _parent_cvs(m):
     return _unpack([v[i] ^ v[i + 8] for i in range(8)], lanes)
 
 
+def _fresh_lanes(padded, nchunks: int):
+    """(k * nchunks,) bool, false for each chunk of padded's k messages
+    that equals the one at its index in the message before; None if none
+    does (or k is 1), so that every lane is fresh."""
+    if len(padded) < 2:
+        return None
+    chunks = padded.view("<u8").reshape(len(padded), nchunks, -1)
+    repeats = (chunks[1:] == chunks[:-1]).all(axis=2)
+    if not repeats.any():
+        return None
+    return np.concatenate([np.ones(nchunks, dtype=bool), ~repeats.ravel()])
+
+
 def _root_nodes(padded, n: int):
     """Root node (h, m, block_len, flags) of each message of one length.
 
@@ -305,16 +325,27 @@ def _root_nodes(padded, n: int):
     lanes = nchunks * k
     tail = n - (nchunks - 1) * _CHUNK_LEN
     last_blocks = max(1, -(-tail // _BLOCK_LEN))
-    # (block, word, lane) as a view, one lane per chunk, message-major.
-    m = padded.view("<u4").reshape(lanes, 16, 16).transpose(1, 2, 0)
+    # (lane, block, word) as a view, one lane per chunk, message-major.
+    words = padded.view("<u4").reshape(lanes, 16, 16)
     counter = np.tile(np.arange(nchunks, dtype=np.uint64), k)
+    final = counter == nchunks - 1
+    fresh = _fresh_lanes(padded, nchunks)
+    if fresh is not None:
+        words, counter, final = words[fresh], counter[fresh], final[fresh]
     # A one-chunk message stops before its last block, its root node.
     blocks = 16 if nchunks > 1 else last_blocks - 1
-    stage = _chunks_ints if lanes < _CROSSOVER else _chunks_rows
-    h = stage(m[:blocks], counter, nchunks, tail)
+    stage = _chunks_ints if len(words) < _CROSSOVER else _chunks_rows
+    h = stage(words.transpose(1, 2, 0)[:blocks], counter, final, tail)
+    if fresh is not None:
+        # a repeated lane takes the nearest earlier fresh lane at its chunk
+        # index; the first message's lanes are all fresh
+        every = np.empty((8, lanes), dtype=np.uint32)
+        every[:, fresh] = h
+        source = np.where(fresh, np.arange(lanes), 0).reshape(k, nchunks)
+        h = every[:, np.maximum.accumulate(source).ravel()]
     if nchunks == 1:
         flags = (_CHUNK_START if blocks == 0 else 0) | _CHUNK_END | _ROOT
-        return (h, m[blocks],
+        return (h, padded.view("<u4").reshape(k, 16, 16)[:, blocks].T,
                 np.full(k, tail - _BLOCK_LEN * blocks, dtype=np.uint32),
                 np.full(k, flags, dtype=np.uint32))
     # Pair chain values level by level; an odd one out is promoted

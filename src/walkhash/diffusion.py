@@ -41,10 +41,12 @@ from .walk import (
     LatticePoint,
     Trajectory,
     WalkConfig,
+    _instance,
     _int_pair,
     _integer,
     _member,
     _replay,
+    _shown,
     _walks,
     generate_walk,  # noqa: F401
 )
@@ -84,14 +86,14 @@ class PerturbationSpec:
         set_(self, "mode", _member("mode", PerturbMode, self.mode))
         if any(abs(d) > MAX_COORD for d in self.nudge):
             raise ConfigError(f"nudge components must be in [-2**53, 2**53], "
-                              f"got {tuple(self.nudge)}")
+                              f"got {_shown(self.nudge)}")
 
 
 def _check_position(position: int, n: int) -> None:
     if not 1 <= position <= n - 1:
         raise InvalidPosition(
             f"positions must be in [1, {n - 1}] for an n={n} walk, "
-            f"got {position}")
+            f"got {_shown(position)}")
 
 
 def perturb(t: Trajectory, spec: PerturbationSpec, *,
@@ -104,8 +106,11 @@ def perturb(t: Trajectory, spec: PerturbationSpec, *,
     steps (a trajectory whose rows do not follow is replayed to the end).
     steps, if given, are the maps of the last len(steps) steps of t's walk
     as walk._walks yields them; the replay reads them instead of
-    drawing its steps again.
+    drawing its steps again. TypeError if t is not a Trajectory or spec
+    not a PerturbationSpec.
     """
+    _instance("t", Trajectory, t)
+    _instance("spec", PerturbationSpec, spec)
     _check_position(spec.position, t.n)
     x, y = t.xy[spec.position].tolist()
     moved = LatticePoint(x + spec.nudge[0], y + spec.nudge[1])
@@ -221,8 +226,10 @@ def default_positions(n: int) -> tuple[int, ...]:
 
 
 def trial_seed(seed: int, position: int, trial: int) -> int:
-    """Walk seed for one trial; independent of every other trial's."""
-    return stream_key(seed, _SUB_TRIAL, position, trial)
+    """Walk seed for one trial; independent of every other trial's. Each
+    argument is an integer (ConfigError naming it if not)."""
+    return stream_key(_integer("seed", seed), _SUB_TRIAL,
+                      _integer("position", position), _integer("trial", trial))
 
 
 def run_avalanche(
@@ -269,7 +276,7 @@ def run_avalanche(
     if len(positions) * trials_per_position >= _MAX_ROWS:
         raise ConfigError(
             f"positions x trials must be < 2**32 rows, got "
-            f"{len(positions)} x {trials_per_position}")
+            f"{len(positions)} x {_shown(trials_per_position)}")
     # checks the nudge before any walk runs
     specs = {p: PerturbationSpec(p, mode, nudge) for p in positions}
     records: dict[str, list[TrialRecord]] = {lb: [] for lb in labels}

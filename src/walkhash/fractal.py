@@ -68,11 +68,18 @@ _SPREAD = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
 _EVEN_BITS = _SPREAD[-1][1]
 
 
-def _extent(xy: np.ndarray) -> list[int]:
-    """Bounding-box width and height, counted in lattice cells."""
+def _bounds(xy: np.ndarray) -> tuple[int, int, int, int]:
+    """(min x, max x, min y, max y) of a non-empty xy, as Python ints."""
     # one column at a time: numpy reduces an (m, 2) array over axis 0
     # about ten times slower
-    return [int(c.max()) - int(c.min()) + 1 for c in (xy[:, 0], xy[:, 1])]
+    x, y = xy[:, 0], xy[:, 1]
+    return int(x.min()), int(x.max()), int(y.min()), int(y.max())
+
+
+def _extent(bounds: tuple[int, int, int, int]) -> tuple[int, int]:
+    """Bounding-box width and height of _bounds, counted in lattice cells."""
+    xlo, xhi, ylo, yhi = bounds
+    return xhi - xlo + 1, yhi - ylo + 1
 
 
 def geometry(t: Trajectory) -> GeometryReport:
@@ -80,7 +87,7 @@ def geometry(t: Trajectory) -> GeometryReport:
     # a sequential sum, so the total does not depend on numpy's summation
     for dx, dy in np.diff(t.xy, axis=0).tolist():
         length += math.hypot(dx, dy)
-    width, height = _extent(t.xy)
+    width, height = _extent(_bounds(t.xy))
     unique = box_count(t.xy, 1)
     return GeometryReport(
         total_path_length=length,
@@ -92,12 +99,16 @@ def geometry(t: Trajectory) -> GeometryReport:
 
 
 def box_count(points: Sequence[LatticePoint] | np.ndarray,
-              box_size: int | Iterable[int]) -> int | tuple[int, ...]:
+              box_size: int | Iterable[int], *,
+              bounds: tuple[int, int, int, int] | None = None,
+              ) -> int | tuple[int, ...]:
     """Number of size x size cells containing at least one point.
 
     points is a sequence of integer points or an (m, 2) integer array,
     checked and read in place by walk._checked_xy. Given an iterable of
-    sizes, returns the count at each, in order.
+    sizes, returns the count at each, in order. bounds, if given, must be
+    the (min x, max x, min y, max y) of points, which a caller that already
+    read them passes on so that they are not read twice.
     """
     if not hasattr(box_size, "__iter__") or isinstance(box_size, str):
         # numpy divides by the size as an int64
@@ -107,7 +118,7 @@ def box_count(points: Sequence[LatticePoint] | np.ndarray,
     xy = _checked_xy(points)
     if not len(xy):
         return (0,) * len(sizes)
-    counts = _count_dyadic(xy, sizes)
+    counts = _count_dyadic(xy, sizes, bounds)
     if counts is None:
         counts = tuple(_count_one(xy, s) for s in sizes)
     return counts
@@ -131,24 +142,26 @@ def _count_one(xy: np.ndarray, box_size: int) -> int:
                                 | (cy[1:] != cy[:-1]))) + 1
 
 
-def _count_dyadic(xy: np.ndarray,
-                  sizes: tuple[int, ...]) -> tuple[int, ...] | None:
+def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...],
+                  bounds: tuple[int, int, int, int] | None = None,
+                  ) -> tuple[int, ...] | None:
     """box_count of a non-empty xy at every size from one sort of Morton
     codes; None unless every size is a power of two and the cells of the
-    smallest fit in 32 bits an axis once the origin is aligned."""
+    smallest fit in 32 bits an axis once the origin is aligned. bounds are
+    xy's _bounds, read here if not given."""
     if not sizes or any(s & (s - 1) for s in sizes):
         return None
     exps = [s.bit_length() - 1 for s in sizes]
     low, top = min(exps), max(exps)
-    x, y = xy[:, 0], xy[:, 1]
+    xlo, xhi, ylo, yhi = bounds or _bounds(xy)
     # the origin, aligned down to a multiple of the largest size, in cells
     # of the smallest; Python ints, so that nothing wraps
-    ox = int(x.min()) >> top << (top - low)
-    oy = int(y.min()) >> top << (top - low)
-    width = max((int(x.max()) >> low) - ox, (int(y.max()) >> low) - oy)
+    ox = xlo >> top << (top - low)
+    oy = ylo >> top << (top - low)
+    width = max((xhi >> low) - ox, (yhi >> low) - oy)
     if width >= 2**32:
         return None
-    cells = np.array((x, y))
+    cells = np.array((xy[:, 0], xy[:, 1]))
     if low:
         cells >>= low
     cells -= [[ox], [oy]]
@@ -193,15 +206,17 @@ def estimate_point_dimension(points: Sequence[LatticePoint] | np.ndarray,
     xy = _checked_xy(points)
     if not len(xy):
         raise InsufficientData("no points to analyze")
+    bounds = None  # box_count reads them unless the schedule did
     if box_sizes is None:
-        sizes = default_box_sizes(*_extent(xy))
+        bounds = _bounds(xy)
+        sizes = default_box_sizes(*_extent(bounds))
     else:
         sizes = tuple(sorted({_integer("box_sizes", s) for s in box_sizes}))
         if len(sizes) < 3:
             raise ConfigError(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")
     # one call for the whole schedule, found as fractal.box_count
-    counts = box_count(xy, sizes)
+    counts = box_count(xy, sizes, bounds=bounds)
     for smaller, larger in zip(counts, counts[1:]):
         if larger > smaller:
             # cannot happen on the dyadic default; only on a caller-supplied

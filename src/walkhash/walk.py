@@ -101,19 +101,37 @@ class LatticePoint(NamedTuple):
     y: int
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or what value is where repr
+    fails, as it does for an int of more than 4,300 digits."""
+    try:
+        return repr(value)
+    except Exception:  # a message about a bad value must still be made
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__}"
+
+
+def _instance(name: str, cls: type, value) -> None:
+    """TypeError naming name unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got "
+                        f"{type(value).__name__}")
+
+
 def _integer(name: str, value, lo: int | None = None,
              hi: int | None = None) -> int:
     """value as a Python int, with lo <= value (< hi if hi is given) if lo
     is given; ConfigError naming name otherwise, also for a bool or a float."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
     value = operator.index(value)
     if hi is None and lo is not None and value < lo:
-        raise ConfigError(f"{name} must be >= {lo}, got {value!r}")
+        raise ConfigError(f"{name} must be >= {lo}, got {_shown(value)}")
     if hi is not None and not lo <= value < hi:
         top = f"2**{hi.bit_length() - 1}" if hi & (hi - 1) == 0 else hi
         raise ConfigError(
-            f"{name} must satisfy {lo} <= {name} < {top}, got {value!r}")
+            f"{name} must satisfy {lo} <= {name} < {top}, got {_shown(value)}")
     return value
 
 
@@ -122,8 +140,8 @@ def _int_pair(name: str, value) -> tuple[int, int]:
     try:
         x, y = value
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"{name} must be a pair of integers, got {value!r}") from None
+        raise ConfigError(f"{name} must be a pair of integers, got "
+                          f"{_shown(value)}") from None
     return _integer(name, x), _integer(name, y)
 
 
@@ -131,13 +149,13 @@ def _real(name: str, value) -> float:
     """value, a finite real number, as a Python float; ConfigError naming
     name otherwise, also for a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+        raise ConfigError(f"{name} must be a real number, got {_shown(value)}")
     try:
         if math.isfinite(value):
             return float(value)
     except OverflowError:  # an int or a Fraction past the float range
         pass
-    raise ConfigError(f"{name} must be finite, got {value!r}")
+    raise ConfigError(f"{name} must be finite, got {_shown(value)}")
 
 
 def _member(name: str, enum: type[Enum], value) -> Enum:
@@ -148,7 +166,7 @@ def _member(name: str, enum: type[Enum], value) -> Enum:
     except ValueError:
         choices = ", ".join(m.value for m in enum)
         raise ConfigError(
-            f"{name} must be one of: {choices}; got {value!r}") from None
+            f"{name} must be one of: {choices}; got {_shown(value)}") from None
 
 
 def _checked_xy(points) -> np.ndarray:
@@ -272,9 +290,7 @@ class Trajectory:
     config: WalkConfig
 
     def __post_init__(self) -> None:
-        if not isinstance(self.config, WalkConfig):
-            raise TypeError(f"config must be a WalkConfig, got "
-                            f"{type(self.config).__name__}")
+        _instance("config", WalkConfig, self.config)
         xy = _checked_xy(self.xy).copy()
         xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)

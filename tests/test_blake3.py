@@ -14,7 +14,15 @@ from pathlib import Path
 import blake3_ref
 import numpy as np
 import pytest
+from neighbour_cases import neighbour_cases
 
+from walkhash import (
+    PerturbationSpec,
+    WalkConfig,
+    generate_walk,
+    perturb,
+    serialize_trajectory,
+)
 from walkhash import _blake3
 from walkhash._blake3 import blake3_many
 
@@ -224,9 +232,10 @@ def test_chunk_stage_equals_numpy_after_every_block(messages, nchunks, tail):
         m = rng.integers(0, 2**32, (16, 16, lanes), dtype=np.uint32)
         counter = rng.integers(0, 2**64, lanes, dtype=np.uint64)
         counter[::2] &= np.uint64(0xFFFFFFFF)  # some high words zero
+        final = np.arange(lanes) % nchunks == nchunks - 1
         for blocks in range(17):
-            ints = _blake3._chunks_ints(m[:blocks], counter, nchunks, tail)
-            rows = _blake3._chunks_rows(m[:blocks], counter, nchunks, tail)
+            ints = _blake3._chunks_ints(m[:blocks], counter, final, tail)
+            rows = _blake3._chunks_rows(m[:blocks], counter, final, tail)
             assert ints.dtype == rows.dtype == np.uint32
             assert ints.shape == rows.shape == (8, lanes)
             np.testing.assert_array_equal(ints, rows)
@@ -274,3 +283,70 @@ def test_differential_against_oracle(monkeypatch, crossover):
             len(msg)
     assert blake3_many(narrow, 131) == [oracle[msg] for msg in narrow]
     assert blake3_many(wide, 32) == [oracle[msg][:32] for msg in wide]
+
+
+# ------------------------------------------- chunks repeated by neighbours
+
+_NEIGHBOURS = neighbour_cases()
+
+
+@cache
+def _oracle(msg: bytes) -> bytes:
+    return blake3_ref.blake3(msg, 131)
+
+
+@pytest.mark.parametrize("crossover", [0, 2**62], ids=["numpy", "ints"])
+@pytest.mark.parametrize("case", sorted(_NEIGHBOURS))
+def test_neighbours_match_the_oracle_with_one_kernel(monkeypatch, crossover,
+                                                     case):
+    monkeypatch.setattr(_blake3, "_CROSSOVER", crossover)
+    messages = _NEIGHBOURS[case]
+    for out_len in (1, 32, 131):
+        assert blake3_many(messages, out_len) == \
+            [_oracle(m)[:out_len] for m in messages]
+
+
+def _chunk_lanes(monkeypatch) -> list[int]:
+    """The lane count of every chunk stage run from now on."""
+    lanes = []
+    for name in ("_chunks_rows", "_chunks_ints"):
+        def spy(m, *rest, f=getattr(_blake3, name)):
+            lanes.append(m.shape[2])
+            return f(m, *rest)
+        monkeypatch.setattr(_blake3, name, spy)
+    return lanes
+
+
+def test_a_point_nudge_runs_one_chunk_lane(monkeypatch):
+    # a trial's disturbed walk differs from its base in one 16-byte point,
+    # so the chunk stage runs its one changed chunk, not all 32
+    t = generate_walk(WalkConfig(seed=3, n=2000))
+    base = serialize_trajectory(t)
+    nudged = serialize_trajectory(perturb(t, PerturbationSpec(700)))
+    lanes = _chunk_lanes(monkeypatch)
+    assert blake3_many([base, nudged]) == \
+        [blake3_many([base])[0], blake3_many([nudged])[0]]
+    assert lanes == [32 + 1, 32, 32]
+    # an avalanche batch of five trials: 5 x 32 base lanes, 5 nudged ones
+    lanes.clear()
+    messages = []
+    for seed in range(5):
+        t = generate_walk(WalkConfig(seed=seed, n=2000))
+        messages += [serialize_trajectory(t), serialize_trajectory(
+            perturb(t, PerturbationSpec(334 * (seed + 1))))]
+    digests = blake3_many(messages)
+    assert lanes == [5 * 32 + 5]
+    assert digests == [blake3_many([m])[0] for m in messages]
+
+
+def test_repeated_chunks_take_the_nearest_earlier_lane(monkeypatch):
+    # three messages of three chunks: the second repeats chunks 0 and 2 of
+    # the first, the third chunk 1 of the second (which is new there) and
+    # chunk 2 of the first (through the second)
+    rng = random.Random(3)
+    a = rng.randbytes(3000)
+    b = a[:1024] + rng.randbytes(1024) + a[2048:]
+    c = rng.randbytes(1024) + b[1024:]
+    lanes = _chunk_lanes(monkeypatch)
+    assert blake3_many([a, b, c], 64) == [_oracle(m)[:64] for m in (a, b, c)]
+    assert lanes == [3 + 1 + 1]

@@ -386,6 +386,40 @@ def test_trial_seed_is_the_documented_stream():
     assert trial_seed(7, 1, 0) != trial_seed(7, 2, 0)
 
 
+def test_trial_seed_refuses_non_integers():
+    # once a bare TypeError from &
+    for args, field in (((1.5, 1, 1), "seed"), ((1, None, 1), "position"),
+                        ((1, 1, "2"), "trial"), ((True, 1, 1), "seed")):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            trial_seed(*args)
+    assert trial_seed(-1, 1, 1) == trial_seed(2**64 - 1, 1, 1)
+
+
+def test_perturb_refuses_other_objects():
+    # perturb(t, 5) once ended in AttributeError on position
+    t = generate_walk(WalkConfig(seed=1, n=12))
+    with pytest.raises(TypeError, match="^spec must be a PerturbationSpec, "
+                                        "got int$"):
+        perturb(t, 5)
+    with pytest.raises(TypeError, match="^t must be a Trajectory, got"):
+        perturb(t.xy, PerturbationSpec(5))
+
+
+def test_messages_render_huge_ints():
+    # Python renders no int of more than 4,300 digits, so these once ended
+    # in a raw ValueError
+    huge = 10**5000
+    t = generate_walk(WalkConfig(seed=1, n=12))
+    with pytest.raises(InvalidPosition, match="got an int of 16610 bits$"):
+        perturb(t, PerturbationSpec(huge))
+    with pytest.raises(ConfigError, match="^nudge components must be in"):
+        PerturbationSpec(5, nudge=(huge, 0))
+    with pytest.raises(ConfigError, match="x an int of 16610 bits$"):
+        run_avalanche(WalkConfig(seed=1, n=12), [_ALG], (5,), huge)
+    with pytest.raises(ConfigError, match="^trial must be an integer"):
+        trial_seed(1, 1, float(2**1000))
+
+
 def test_record_invariants_and_shapes():
     config = WalkConfig(seed=5, n=12)
     positions = (3, 7)

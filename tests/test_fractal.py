@@ -120,6 +120,10 @@ def test_box_count_rejects_bad_size():
         box_count([LatticePoint(0, 0)], 0)
 
 
+def _extent(xy) -> tuple[int, int]:
+    return fractal._extent(fractal._bounds(xy))
+
+
 def _set_count(points, size: int) -> int:
     """Distinct cells as a set of coordinate pairs: the oracle."""
     return len({(x // size, y // size)
@@ -175,7 +179,7 @@ def test_box_count_of_a_schedule_matches_each_size_and_set_oracle():
         xy = origin + rng.integers(0, span + 1, size=(rng.integers(1, 80), 2))
         if trial % 2:
             xy = np.vstack((xy, xy[::3]))  # repeated points
-        for sizes in (default_box_sizes(*fractal._extent(xy)), (1, 4, 64),
+        for sizes in (default_box_sizes(*_extent(xy)), (1, 4, 64),
                       (64, 1, 4), (1, 2**62), (2**20, 2**31)):
             check(xy, sizes)
         check(xy, (1, 3, 5), one_sort=False)
@@ -193,7 +197,7 @@ def test_box_count_of_a_schedule_matches_each_size_and_set_oracle():
     t = generate_walk(WalkConfig(seed=21, n=5000))
     for n in (128, 500, 2000, 5000):
         xy = t.xy[:n + 1]
-        check(xy, default_box_sizes(*fractal._extent(xy)), one_sort=True)
+        check(xy, default_box_sizes(*_extent(xy)), one_sort=True)
     assert box_count([LatticePoint(-3, 4)], (1, 2, 2**62)) == (1, 1, 1)
     assert box_count([], (1, 2)) == (0, 0)
     assert box_count(t.xy, ()) == ()
@@ -207,9 +211,9 @@ def test_estimate_counts_every_size_in_one_box_count_call(monkeypatch):
     calls = []
     count = fractal.box_count
 
-    def counted(points, box_size):
+    def counted(points, box_size, **kwargs):
         calls.append(box_size)
-        return count(points, box_size)
+        return count(points, box_size, **kwargs)
 
     monkeypatch.setattr(fractal, "box_count", counted)
     xy = generate_walk(WalkConfig(seed=4, n=500)).xy
@@ -220,6 +224,24 @@ def test_estimate_counts_every_size_in_one_box_count_call(monkeypatch):
     assert est.counts == tuple(count(xy, s) for s in (1, 2, 4, 8))
 
 
+def test_estimate_reads_the_bounds_once(monkeypatch):
+    # the default schedule and the one-sort count share one reduction
+    calls = []
+    bounds = fractal._bounds
+
+    def counted(xy):
+        calls.append(len(xy))
+        return bounds(xy)
+
+    monkeypatch.setattr(fractal, "_bounds", counted)
+    xy = generate_walk(WalkConfig(seed=4, n=500)).xy
+    est = estimate_point_dimension(xy)
+    assert calls == [501]
+    monkeypatch.undo()
+    assert est.counts == tuple(box_count(xy, s) for s in est.box_sizes)
+    assert box_count(xy, est.box_sizes) == est.counts
+
+
 def test_extent_matches_min_max_oracle_on_strided_views():
     rng = np.random.default_rng(8)
     block = rng.integers(-10**6, 10**6, size=(300, 4))
@@ -227,8 +249,8 @@ def test_extent_matches_min_max_oracle_on_strided_views():
     for xy in (block[:, :2], block[:, 2:], block[::3, 1:3], block[::-2, ::3],
                block[:1, :2], edges):
         xs, ys = zip(*xy.tolist())
-        assert fractal._extent(xy) == [max(xs) - min(xs) + 1,
-                                       max(ys) - min(ys) + 1]
+        assert fractal._bounds(xy) == (min(xs), max(xs), min(ys), max(ys))
+        assert _extent(xy) == (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
 
 
 # ------------------------------------------------------------- dimension

@@ -4,9 +4,11 @@ import hashlib
 import random
 import struct
 
+import numpy as np
 import pytest
 
 import keccak_ref
+from neighbour_cases import neighbour_cases
 from walkhash import (
     ConfigError,
     HashAlg,
@@ -18,8 +20,9 @@ from walkhash import (
     generate_walk,
     serialize_trajectory,
 )
+from walkhash import keygen
 from walkhash._blake3 import blake3_many
-from walkhash.keygen import _MAX_OUT
+from walkhash.keygen import _MAX_OUT, _MIN_SHARED, digest_many
 
 # known-answer: SHA3-512 of 16 zero bytes, confirmed by the from-scratch
 # Keccak oracle below
@@ -214,3 +217,111 @@ def test_alg_out_len_must_be_an_int(name, out_len):
     with pytest.raises(ConfigError, match="out_len must be an int") as err:
         HashAlg(name, out_len)
     assert "\n" not in str(err.value)
+
+
+def test_alg_parse_refuses_a_non_string():
+    # once an AttributeError on strip
+    for bad in (5, None, b"sha3-512", 10**5000):
+        with pytest.raises(TypeError, match="^text must be an alg label str"):
+            HashAlg.parse(bad)
+
+
+# ------------------------------------------------- neighbours in one call
+
+_CASES = neighbour_cases()
+_ALGS = [HashAlg("sha3-512", 64), HashAlg("shake256", 16),
+         HashAlg("shake256", 64), HashAlg("shake256", _MAX_OUT),
+         HashAlg("blake3", 16), HashAlg("blake3", 32),
+         HashAlg("blake3", _MAX_OUT)]
+
+
+@pytest.mark.parametrize("alg", _ALGS, ids=lambda alg: alg.label)
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_digest_many_of_neighbours_equals_one_at_a_time(alg, case):
+    messages = _CASES[case]
+    assert digest_many(messages, alg) == \
+        [digest_bytes(m, alg) for m in messages]
+
+
+def test_one_at_a_time_is_plain_hashlib():
+    # the reference the neighbour tests compare against
+    for msg in _CASES["run of five"]:
+        assert digest_bytes(msg, "sha3-512") == hashlib.sha3_512(msg).digest()
+        assert digest_bytes(msg, "shake256-128") \
+            == hashlib.shake_256(msg).digest(16)
+
+
+def test_neighbours_match_the_keccak_oracle():
+    messages = _CASES["run of five"] + _CASES["identical pair"]
+    assert digest_many(messages, "sha3-512") == \
+        [keccak_ref.sha3_512(m) for m in messages]
+    assert digest_many(messages, "shake256-256") == \
+        [keccak_ref.shake256(m, 32) for m in messages]
+
+
+def test_sponges_absorb_each_shared_prefix_once(monkeypatch):
+    # every byte a message shares with the next is absorbed once; the
+    # shared prefix is rounded down to whole 8-byte words
+    absorbed = []
+    real = hashlib.sha3_512
+
+    class Counted:
+        def __init__(self, data=b""):
+            self.h = real()
+            self.update(data)
+
+        def update(self, data):
+            absorbed.append(len(memoryview(data)))
+            self.h.update(data)
+
+        def copy(self):
+            twin = Counted()
+            twin.h = self.h.copy()
+            return twin
+
+        def digest(self):
+            return self.h.digest()
+
+    monkeypatch.setattr(keygen.hashlib, "sha3_512", Counted)
+    messages = _CASES["run of five"]
+    assert digest_many(messages, "sha3-512") == \
+        [real(m).digest() for m in messages]
+    # base/a share 3000 bytes and a/a' 4000; a'/a'' share 2496, fewer than
+    # the 4000 that a' starts from, so a'' starts afresh; then no
+    # neighbours share 2048 bytes or more
+    n = len(messages[0])
+    assert sum(absorbed) == 6 * n - 3000 - 4000
+    # the cases put a difference on each side of the threshold
+    assert _MIN_SHARED == 2048
+    absorbed.clear()
+    assert digest_many(_CASES["differ at 2047"], "sha3-512")
+    assert sum(absorbed) == 2 * n  # 2040 shared bytes: below the threshold
+    absorbed.clear()
+    assert digest_many(_CASES["differ at 2048"], "sha3-512")
+    assert sum(absorbed) == 2 * n - 2048
+
+
+def test_neighbours_may_be_any_byte_buffer():
+    # lengths, slices and compares count bytes, whatever the buffer's items
+    # 5,220 four-byte items each, more than _MIN_SHARED
+    messages = [(m * 4)[:20880] for m in _CASES["run of five"]]
+    for alg in ("sha3-512", "shake256-256"):
+        want = [digest_bytes(m, alg) for m in messages]
+        for wrap in (bytearray, lambda m: memoryview(m).cast("I"),
+                     lambda m: np.frombuffer(m, dtype="<u4")):
+            assert digest_many([wrap(m) for m in messages], alg) == want
+
+
+def test_one_message_takes_the_plain_path(monkeypatch):
+    # no compare and no state copy for a single message: keygen's path
+    def no_compare(*args):
+        raise AssertionError("compared a lone message")
+
+    monkeypatch.setattr(keygen, "_shared", no_compare)
+    monkeypatch.setattr(keygen, "_sponges", no_compare)
+    t = generate_walk(WalkConfig(seed=2, n=30))
+    blob = serialize_trajectory(t)
+    assert derive_key(t, "sha3-512") == hashlib.sha3_512(blob).digest()
+    assert digest_bytes(blob, "shake256-384") \
+        == hashlib.shake_256(blob).digest(48)
+    assert digest_many([], "sha3-512") == []

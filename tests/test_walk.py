@@ -966,6 +966,34 @@ def test_config_integer_fields_refuse_non_integers(bad, field):
         replace(WalkConfig(), **bad)
 
 
+@pytest.mark.parametrize("bad, field", [
+    (dict(n=10**5000), "n"),
+    (dict(seed=10**5000), "seed"),
+    (dict(b_max=10**5000), "b_max"),
+    (dict(b_min=-10**5000), "b_min"),
+    (dict(x0=10**5000), "x0"),
+    (dict(map_mode=10**5000), "map_mode"),
+    (dict(map_mode=MapMode.FIXED_SET, map_count=10**5000), "map_count"),
+])
+def test_config_messages_render_huge_ints(bad, field):
+    # once a raw ValueError: Exceeds the limit (4300 digits) for integer
+    # string conversion, from the message's repr
+    with pytest.raises(ConfigError,
+                       match=f"^{field} must .*got an int of 16610 bits$"):
+        replace(WalkConfig(), **bad)
+
+
+def test_shown_never_fails():
+    class Opaque:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    assert walk._shown(5) == "5" and walk._shown("a") == "'a'"
+    assert walk._shown(-2**20000) == "an int of 20001 bits"
+    assert walk._shown(Opaque()) == "a Opaque"
+    assert walk._shown((10**5000, 0)) == "a tuple"
+
+
 def test_config_integer_fields_hold_python_ints():
     # a plain tuple x0 once ended in an AttributeError from lattice_bound
     config = WalkConfig(x0=(1, np.int64(-2)), n=np.int32(40),

@@ -84,9 +84,10 @@ class PerturbationSpec:
         set_(self, "position", _integer("position", self.position))
         set_(self, "nudge", _int_pair("nudge", self.nudge))
         set_(self, "mode", _member("mode", PerturbMode, self.mode))
-        if any(abs(d) > MAX_COORD for d in self.nudge):
-            raise ConfigError(f"nudge components must be in [-2**53, 2**53], "
-                              f"got {_shown(self.nudge)}")
+        for d in self.nudge:
+            if abs(d) > MAX_COORD:
+                raise ConfigError(f"nudge components must be in "
+                                  f"[-2**53, 2**53], got {_shown(d)}")
 
 
 def _check_position(position: int, n: int) -> None:
@@ -96,18 +97,17 @@ def _check_position(position: int, n: int) -> None:
             f"got {_shown(position)}")
 
 
-def perturb(t: Trajectory, spec: PerturbationSpec, *,
-            steps: np.ndarray | None = None) -> Trajectory:
+def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
     """Return the disturbed copy of t; the input is never modified.
 
     RE_EVOLVE replays the tail after the nudged point to t's last row with
     walk._replay: up to 16 scalar steps until the replay lands on a row of
     t, then t's own rows once they are confirmed to follow t.config's
     steps (a trajectory whose rows do not follow is replayed to the end).
-    steps, if given, are the maps of the last len(steps) steps of t's walk
-    as walk._walks yields them; the replay reads them instead of
-    drawing its steps again. TypeError if t is not a Trajectory or spec
-    not a PerturbationSpec.
+    A trajectory from generate_walk or walk._walks holds the maps of its
+    walk's last steps, and a tail inside them reads them instead of
+    drawing its steps again; a hand-built one draws its own. TypeError if
+    t is not a Trajectory or spec not a PerturbationSpec.
     """
     _instance("t", Trajectory, t)
     _instance("spec", PerturbationSpec, spec)
@@ -121,7 +121,7 @@ def perturb(t: Trajectory, spec: PerturbationSpec, *,
     xy = t.xy.copy()
     xy[spec.position] = moved
     if spec.mode is PerturbMode.RE_EVOLVE:
-        _replay(t.config, xy, spec.position, steps)
+        _replay(t.config, xy, spec.position, t._steps)
     return Trajectory._adopt(xy, t.config)
 
 
@@ -215,8 +215,9 @@ class BitMatrix:
 
 
 def default_positions(n: int) -> tuple[int, ...]:
-    """Five evenly spaced interior positions: ceil(n/6) * k for k in 1..5."""
-    stride = -(-n // 6)
+    """Five evenly spaced interior positions: ceil(n/6) * k for k in 1..5;
+    n is an integer (ConfigError if not)."""
+    stride = -(-_integer("n", n) // 6)
     positions = tuple(stride * k for k in range(1, 6))
     if positions[-1] > n - 1:
         raise ConfigError(
@@ -251,8 +252,9 @@ def run_avalanche(
     Trials run in batches of about _BATCH_BYTES of serialized walks: the
     batch's walks come from walk._walks in (position, trial) order, which
     steps them in groups that share a step table and lane passes, then
-    each algorithm digests all of them in one digest_many call. Each
-    re-evolve tail reads its maps from its group's table.
+    each algorithm digests all of them in one digest_many call. Each walk
+    holds its rows of its group's last table, which its re-evolve tail
+    reads through perturb.
 
     A WalkhashError raised while a trial builds or disturbs its walk keeps
     its class; its message gains the seed, position, trial and trial_seed
@@ -288,11 +290,11 @@ def run_avalanche(
         messages: list[bytes] = []
         walks = _walks(replace(config, seed=trial_seed(config.seed, *pair))
                        for pair in chunk)
-        for (position, trial), (base, steps) in zip(chunk, walks):
+        for (position, trial), base in zip(chunk, walks):
             try:
                 if isinstance(base, WalkhashError):
                     raise base
-                disturbed = perturb(base, specs[position], steps=steps)
+                disturbed = perturb(base, specs[position])
             except WalkhashError as exc:
                 # `keygen --seed trial_seed` with the same walk options
                 # replays the base walk

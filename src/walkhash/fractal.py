@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientData
 from .stats import linear_fit
-from .walk import LatticePoint, Trajectory, _checked_xy, _integer
+from .walk import LatticePoint, Trajectory, _checked_xy, _instance, _integer
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,23 @@ _SPREAD = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
 _EVEN_BITS = _SPREAD[-1][1]
 
 
-def _bounds(xy: np.ndarray) -> tuple[int, int, int, int]:
-    """(min x, max x, min y, max y) of a non-empty xy, as Python ints."""
-    # one column at a time: numpy reduces an (m, 2) array over axis 0
-    # about ten times slower
-    x, y = xy[:, 0], xy[:, 1]
-    return int(x.min()), int(x.max()), int(y.min()), int(y.max())
-
-
-def _extent(bounds: tuple[int, int, int, int]) -> tuple[int, int]:
-    """Bounding-box width and height of _bounds, counted in lattice cells."""
-    xlo, xhi, ylo, yhi = bounds
-    return xhi - xlo + 1, yhi - ylo + 1
+def _columns(xy: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """The x and y columns of a non-empty (m, 2) xy as one contiguous (2, m)
+    copy, with the minimum and maximum of each as Python ints: numpy
+    reduces its rows about ten times faster than the columns of xy."""
+    cols = np.array((xy[:, 0], xy[:, 1]))
+    return cols, cols.min(axis=1).tolist(), cols.max(axis=1).tolist()
 
 
 def geometry(t: Trajectory) -> GeometryReport:
+    """The shape summary of t (TypeError if t is not a Trajectory)."""
+    _instance("t", Trajectory, t)
     length = 0.0
     # a sequential sum, so the total does not depend on numpy's summation
     for dx, dy in np.diff(t.xy, axis=0).tolist():
         length += math.hypot(dx, dy)
-    width, height = _extent(_bounds(t.xy))
+    _, (xlo, ylo), (xhi, yhi) = _columns(t.xy)
+    width, height = xhi - xlo + 1, yhi - ylo + 1
     unique = box_count(t.xy, 1)
     return GeometryReport(
         total_path_length=length,
@@ -99,16 +96,12 @@ def geometry(t: Trajectory) -> GeometryReport:
 
 
 def box_count(points: Sequence[LatticePoint] | np.ndarray,
-              box_size: int | Iterable[int], *,
-              bounds: tuple[int, int, int, int] | None = None,
-              ) -> int | tuple[int, ...]:
+              box_size: int | Iterable[int]) -> int | tuple[int, ...]:
     """Number of size x size cells containing at least one point.
 
     points is a sequence of integer points or an (m, 2) integer array,
     checked and read in place by walk._checked_xy. Given an iterable of
-    sizes, returns the count at each, in order. bounds, if given, must be
-    the (min x, max x, min y, max y) of points, which a caller that already
-    read them passes on so that they are not read twice.
+    sizes, returns the count at each, in order.
     """
     if not hasattr(box_size, "__iter__") or isinstance(box_size, str):
         # numpy divides by the size as an int64
@@ -118,7 +111,7 @@ def box_count(points: Sequence[LatticePoint] | np.ndarray,
     xy = _checked_xy(points)
     if not len(xy):
         return (0,) * len(sizes)
-    counts = _count_dyadic(xy, sizes, bounds)
+    counts = _count_dyadic(xy, sizes)
     if counts is None:
         counts = tuple(_count_one(xy, s) for s in sizes)
     return counts
@@ -142,18 +135,17 @@ def _count_one(xy: np.ndarray, box_size: int) -> int:
                                 | (cy[1:] != cy[:-1]))) + 1
 
 
-def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...],
-                  bounds: tuple[int, int, int, int] | None = None,
+def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...]
                   ) -> tuple[int, ...] | None:
     """box_count of a non-empty xy at every size from one sort of Morton
     codes; None unless every size is a power of two and the cells of the
-    smallest fit in 32 bits an axis once the origin is aligned. bounds are
-    xy's _bounds, read here if not given."""
+    smallest fit in 32 bits an axis once the origin, read from the
+    _columns copy it sorts, is aligned."""
     if not sizes or any(s & (s - 1) for s in sizes):
         return None
     exps = [s.bit_length() - 1 for s in sizes]
     low, top = min(exps), max(exps)
-    xlo, xhi, ylo, yhi = bounds or _bounds(xy)
+    cells, (xlo, ylo), (xhi, yhi) = _columns(xy)
     # the origin, aligned down to a multiple of the largest size, in cells
     # of the smallest; Python ints, so that nothing wraps
     ox = xlo >> top << (top - low)
@@ -161,7 +153,6 @@ def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...],
     width = max((xhi >> low) - ox, (yhi >> low) - oy)
     if width >= 2**32:
         return None
-    cells = np.array((xy[:, 0], xy[:, 1]))
     if low:
         cells >>= low
     cells -= [[ox], [oy]]
@@ -206,17 +197,16 @@ def estimate_point_dimension(points: Sequence[LatticePoint] | np.ndarray,
     xy = _checked_xy(points)
     if not len(xy):
         raise InsufficientData("no points to analyze")
-    bounds = None  # box_count reads them unless the schedule did
     if box_sizes is None:
-        bounds = _bounds(xy)
-        sizes = default_box_sizes(*_extent(bounds))
+        _, (xlo, ylo), (xhi, yhi) = _columns(xy)
+        sizes = default_box_sizes(xhi - xlo + 1, yhi - ylo + 1)
     else:
         sizes = tuple(sorted({_integer("box_sizes", s) for s in box_sizes}))
         if len(sizes) < 3:
             raise ConfigError(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")
     # one call for the whole schedule, found as fractal.box_count
-    counts = box_count(xy, sizes, bounds=bounds)
+    counts = box_count(xy, sizes)
     for smaller, larger in zip(counts, counts[1:]):
         if larger > smaller:
             # cannot happen on the dyadic default; only on a caller-supplied

@@ -23,10 +23,10 @@ each lane starts where the one before it ends (see _lane_rows). A walk
 keeps its lane rows only if one numpy check (_follows) confirms every row;
 otherwise, and for blocks of fewer than _LANE_MIN steps over the group,
 the scalar loop runs that walk's block alone and raises that walk's
-BoundsExceeded. _walks yields walks stepped _GROUP at a time, each with
-the maps of its last steps: generate_walk takes the first of one, and
-diffusion.run_avalanche walks its trials through it, its re-evolve tails
-(_replay) reading their maps from their group's table. The output bytes
+BoundsExceeded. _walks yields walks stepped _GROUP at a time, each
+holding the maps of its last steps: generate_walk takes the first of one,
+diffusion.run_avalanche walks its trials through it, and a re-evolve tail
+(_replay) reads its first maps from its walk's table. The output bytes
 depend neither on the grouping nor on the block size, which shrinks as a
 group grows (_block). The scalar functions (Stream, sample_affine_step,
 affine_step_for, map_templates, step) are the reference the tables and
@@ -288,6 +288,9 @@ class Trajectory:
 
     xy: np.ndarray
     config: WalkConfig
+    # the walk's last block of maps (row k - j of k is step n + 1 - j) if
+    # _walks made it; unannotated: no field, so replace() never copies it
+    _steps = None
 
     def __post_init__(self) -> None:
         _instance("config", WalkConfig, self.config)
@@ -296,13 +299,15 @@ class Trajectory:
         object.__setattr__(self, "xy", xy)
 
     @classmethod
-    def _adopt(cls, xy: np.ndarray, config: WalkConfig) -> Trajectory:
+    def _adopt(cls, xy: np.ndarray, config: WalkConfig,
+               steps: np.ndarray | None = None) -> Trajectory:
         """A trajectory over xy itself, an (n+1, 2) int64 array its caller
         made and no longer writes: unlike the constructor, no copy."""
         xy.flags.writeable = False
         t = object.__new__(cls)
         object.__setattr__(t, "xy", xy)
         object.__setattr__(t, "config", config)
+        object.__setattr__(t, "_steps", steps)
         return t
 
     def __eq__(self, other: object) -> bool:
@@ -459,7 +464,9 @@ def lattice_bound(config: WalkConfig) -> int:
     for the floor. The start point's sup norm plus the reach, rounded up, is
     proven only where hypot(x0) <= that sum, as for x0 = (0, 0) and every
     golden case (ROADMAP item 2). Crossing it raises BoundsExceeded.
+    TypeError if config is not a WalkConfig.
     """
+    _instance("config", WalkConfig, config)
     b_abs = max(abs(config.b_min), abs(config.b_max))
     reach = (b_abs * _SQRT2 + config.epsilon * _SQRT2 + _SQRT2) \
         / (1.0 - config.rho_max)
@@ -681,12 +688,12 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
 
 
 def _walks(configs: Iterable[WalkConfig]
-           ) -> Iterator[tuple[Trajectory | BoundsExceeded, np.ndarray]]:
+           ) -> Iterator[Trajectory | BoundsExceeded]:
     """The walks x_0..x_n of configs that differ only in seed, in order,
-    stepped by _evolve _GROUP at a time: each a Trajectory, or the
-    BoundsExceeded that stopped it, with the maps of its last steps as a
-    (k, 8) step table whose row k - j is step n + 1 - j. A group's
-    configs, rows and table are made only when its first walk is due.
+    stepped by _evolve _GROUP at a time: each a Trajectory holding its
+    last block's step table (Trajectory._steps), or the BoundsExceeded
+    that stopped it. A group's configs, rows and table are made only when
+    its first walk is due.
     """
     configs = iter(configs)
     while group := list(islice(configs, _GROUP)):
@@ -694,7 +701,7 @@ def _walks(configs: Iterable[WalkConfig]
         xy[:, 0] = group[0].x0
         errors, table = _evolve(group, xy, 1)
         for exc, rows, config, steps in zip(errors, xy, group, table):
-            yield exc or Trajectory._adopt(rows, config), steps
+            yield exc or Trajectory._adopt(rows, config, steps)
 
 
 def _replay(config: WalkConfig, xy: np.ndarray, i: int,
@@ -707,9 +714,9 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
     there, so the walk's later rows are kept once _follows confirms them,
     a lone walk's block of _block(1) steps at a time, one table alive at
     once. Without a rejoin, or if a row does not follow, _evolve replays
-    the whole tail. steps, if given, are the maps of the walk's last
-    len(steps) steps (see _walks); when they cover the tail, they
-    are its first block's table.
+    the whole tail. steps, if given, are the walk's Trajectory._steps, the
+    maps of its last len(steps) steps; when they cover the tail, they are
+    its first block's table, and otherwise it draws its own.
     """
     last = len(xy) - 1
     bound = lattice_bound(config)
@@ -740,7 +747,7 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
 
 def generate_walk(config: WalkConfig) -> Trajectory:
     """Generate the full trajectory x_0..x_n of config."""
-    walk, _ = next(_walks([config]))
+    walk = next(_walks([config]))
     if isinstance(walk, BoundsExceeded):
         raise walk
     return walk

@@ -378,6 +378,10 @@ def test_default_positions():
     assert default_positions(6) == (1, 2, 3, 4, 5)
     with pytest.raises(ConfigError):
         default_positions(5)
+    # 2.5 was once "too short", True read as 1 and "7" a bare TypeError
+    for bad in (2.5, True, "7"):
+        with pytest.raises(ConfigError, match="^n must be an integer, got "):
+            default_positions(bad)
 
 
 def test_trial_seed_is_the_documented_stream():
@@ -412,8 +416,14 @@ def test_messages_render_huge_ints():
     t = generate_walk(WalkConfig(seed=1, n=12))
     with pytest.raises(InvalidPosition, match="got an int of 16610 bits$"):
         perturb(t, PerturbationSpec(huge))
-    with pytest.raises(ConfigError, match="^nudge components must be in"):
-        PerturbationSpec(5, nudge=(huge, 0))
+    # the component out of range, where the pair once read "a tuple"
+    for nudge in ((huge, 0), (1, -huge)):
+        with pytest.raises(ConfigError, match=r"^nudge components must be "
+                           r"in \[-2\*\*53, 2\*\*53\], got an int of "
+                           r"16610 bits$"):
+            PerturbationSpec(5, nudge=nudge)
+    with pytest.raises(ConfigError, match=r"got 9007199254740993$"):
+        PerturbationSpec(5, nudge=(0, 2**53 + 1))
     with pytest.raises(ConfigError, match="x an int of 16610 bits$"):
         run_avalanche(WalkConfig(seed=1, n=12), [_ALG], (5,), huge)
     with pytest.raises(ConfigError, match="^trial must be an integer"):
@@ -583,7 +593,7 @@ def test_avalanche_groups_walks_of_every_length(monkeypatch, n):
     config = WalkConfig(seed=31, n=n)
     if n == 1:  # positions lie in [1, n - 1], so no trial can run
         configs = [replace(config, seed=s) for s in range(walk._GROUP)]
-        assert [t for t, _ in walk._walks(configs)] \
+        assert list(walk._walks(configs)) \
             == [generate_walk(c) for c in configs]
         with pytest.raises(InvalidPosition):
             run_avalanche(config, [_ALG], (1,), 3)
@@ -669,7 +679,8 @@ def test_re_evolve_with_the_group_table_equals_a_full_replay(mode,
                             else None)
         configs = [replace(config, seed=rng.randrange(2**64))
                    for _ in range(3)]
-        for t, tail in walk._walks(configs):
+        for t in walk._walks(configs):
+            tail = t._steps
             for position in (1, rng.randint(2, n - 2), n - len(tail),
                              n - len(tail) + 1, n - 1):
                 if position < 1:
@@ -682,15 +693,96 @@ def test_re_evolve_with_the_group_table_equals_a_full_replay(mode,
                     patch.setattr(walk, "_scalar_rows",
                                   lambda *args: heads.append(args[0])
                                   or real_rows(*args))
-                    got = perturb(t, spec, steps=tail)
+                    got = perturb(t, spec)
                 assert np.array_equal(got.xy, _full_replay(t, spec))
-                assert np.array_equal(got.xy, perturb(t, spec).xy)
+                assert np.array_equal(
+                    got.xy, perturb(Trajectory(t.xy, t.config), spec).xy)
                 # the replay's first steps are this walk's steps after
                 # position, whichever table they come from
                 assert np.shares_memory(heads[0], tail) \
                     is (n - position <= len(tail))
                 assert np.array_equal(heads[0], walk._step_table(
                     [t.config], position + 1, position + 1 + len(heads[0]))[0])
+
+
+def _scalar_replay(t, spec):
+    """RE_EVOLVE one step(x, affine_step_for(config, i), bound) at a time,
+    with no table: the scalar reference."""
+    xy = t.xy.copy()
+    xy[spec.position] += spec.nudge
+    x, bound = LatticePoint(*xy[spec.position].tolist()), lattice_bound(
+        t.config)
+    for i in range(spec.position + 1, t.n + 1):
+        x = step(x, affine_step_for(t.config, i), bound)
+        xy[i] = x
+    return xy
+
+
+def _step_tables(monkeypatch):
+    """The (lo, hi) of every walk._step_table call from here on."""
+    calls = []
+    inner = walk._step_table
+    monkeypatch.setattr(walk, "_step_table", lambda configs, lo, hi:
+                        calls.append((lo, hi)) or inner(configs, lo, hi))
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_re_evolve_of_a_walk_equals_a_hand_built_and_a_scalar_replay(
+        mode, monkeypatch):
+    # a lone walk holds its last block's maps: all of it up to _BLOCK
+    # steps, then a block of 1, 17 or 512 steps (lanes from _LANE_MIN). A
+    # tail inside those maps draws one table fewer than the same rows
+    # built by hand, and every replay equals the scalar one (a long tail
+    # the table one, which other tests hold to the scalar one)
+    rng = random.Random(f"walk-tail-{mode.value}")
+    edges = (walk._SEGMENT, walk._LANE_MIN, walk._BLOCK_MIN, walk._BLOCK,
+             walk._BLOCK + walk._SEGMENT, walk._BLOCK + walk._LANE_MIN)
+    for n in sorted({e + d for e in edges for d in (-1, 0, 1)}):
+        config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
+                            map_count=4 if mode is MapMode.FIXED_SET
+                            else None)
+        t = generate_walk(config)
+        k = len(t._steps)
+        assert k == (n if n <= walk._BLOCK else n - walk._BLOCK)
+        hand = Trajectory(t.xy, config)
+        assert hand._steps is None
+        for position in {1, rng.randint(1, n - 1), n - k - 1, n - k,
+                         n - k + 1, n - 1}:
+            if not 1 <= position < n:
+                continue
+            spec = PerturbationSpec(position, PerturbMode.RE_EVOLVE,
+                                    (rng.randint(-3, 3), rng.randint(-3, 3)))
+            with monkeypatch.context() as patch:
+                drawn = _step_tables(patch)
+                got = perturb(t, spec)
+                walk_drew = len(drawn)
+                want = perturb(hand, spec)
+            assert len(drawn) - 2 * walk_drew == (n - position <= k)
+            assert np.array_equal(got.xy, want.xy)
+            replay = _scalar_replay if n - position <= walk._LANE_MIN \
+                else _full_replay
+            assert np.array_equal(got.xy, replay(t, spec))
+
+
+def test_re_evolve_reads_the_walks_own_maps(monkeypatch):
+    # once perturb(t, spec, steps=tail) took any table, and a wrong one
+    # changed every row from 1501 on; now the maps ride on the walk, and
+    # only the constructor's copy of it draws its own
+    t = generate_walk(WalkConfig(n=2000, seed=5))
+    spec = PerturbationSpec(1500, "re-evolve", (3, 1))
+    want = _scalar_replay(t, spec)
+    for walk_t, tables in ((t, []), (Trajectory(t.xy, t.config),
+                                     [(1501, 2001)])):
+        with monkeypatch.context() as patch:
+            drawn = _step_tables(patch)
+            assert np.array_equal(perturb(walk_t, spec).xy, want)
+        assert drawn == tables
+    with pytest.raises(TypeError):
+        perturb(t, spec, steps=t._steps)
+    # replace builds through the constructor, so it carries no table
+    assert t._steps is not None and replace(t)._steps is None
+    assert replace(t) == t and hash(replace(t)) == hash(t)
 
 
 def test_run_avalanche_validation():

@@ -40,6 +40,13 @@ def test_geometry_single_point():
     assert report.density == 1.0
 
 
+def test_geometry_refuses_other_objects():
+    # geometry(None) once ended in an AttributeError
+    for bad in (None, [(0, 0), (1, 1)], np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(TypeError, match="^t must be a Trajectory, got "):
+            geometry(bad)
+
+
 def test_geometry_three_four_five():
     report = geometry(_traj([LatticePoint(0, 0), LatticePoint(3, 4)]))
     assert report.total_path_length == pytest.approx(5.0, abs=1e-12)
@@ -121,7 +128,8 @@ def test_box_count_rejects_bad_size():
 
 
 def _extent(xy) -> tuple[int, int]:
-    return fractal._extent(fractal._bounds(xy))
+    _, (xlo, ylo), (xhi, yhi) = fractal._columns(xy)
+    return xhi - xlo + 1, yhi - ylo + 1
 
 
 def _set_count(points, size: int) -> int:
@@ -211,9 +219,9 @@ def test_estimate_counts_every_size_in_one_box_count_call(monkeypatch):
     calls = []
     count = fractal.box_count
 
-    def counted(points, box_size, **kwargs):
+    def counted(points, box_size):
         calls.append(box_size)
-        return count(points, box_size, **kwargs)
+        return count(points, box_size)
 
     monkeypatch.setattr(fractal, "box_count", counted)
     xy = generate_walk(WalkConfig(seed=4, n=500)).xy
@@ -224,22 +232,18 @@ def test_estimate_counts_every_size_in_one_box_count_call(monkeypatch):
     assert est.counts == tuple(count(xy, s) for s in (1, 2, 4, 8))
 
 
-def test_estimate_reads_the_bounds_once(monkeypatch):
-    # the default schedule and the one-sort count share one reduction
-    calls = []
-    bounds = fractal._bounds
-
-    def counted(xy):
-        calls.append(len(xy))
-        return bounds(xy)
-
-    monkeypatch.setattr(fractal, "_bounds", counted)
+def test_estimate_counts_equal_each_size_alone():
+    # the default schedule and the one-sort count each read the bounds;
+    # a caller can no longer hand the count bounds of other points
+    # (bounds=(0, 1, 0, 1) once gave (368, 157, 52, 14) for these)
     xy = generate_walk(WalkConfig(seed=4, n=500)).xy
     est = estimate_point_dimension(xy)
-    assert calls == [501]
-    monkeypatch.undo()
     assert est.counts == tuple(box_count(xy, s) for s in est.box_sizes)
     assert box_count(xy, est.box_sizes) == est.counts
+    xy = generate_walk(WalkConfig(n=2000, seed=5)).xy
+    assert box_count(xy, (1, 2, 4, 8)) == (1967, 1898, 1591, 961)
+    with pytest.raises(TypeError):
+        box_count(xy, (1, 2, 4, 8), bounds=(0, 1, 0, 1))
 
 
 def test_extent_matches_min_max_oracle_on_strided_views():
@@ -249,7 +253,9 @@ def test_extent_matches_min_max_oracle_on_strided_views():
     for xy in (block[:, :2], block[:, 2:], block[::3, 1:3], block[::-2, ::3],
                block[:1, :2], edges):
         xs, ys = zip(*xy.tolist())
-        assert fractal._bounds(xy) == (min(xs), max(xs), min(ys), max(ys))
+        cols, lo, hi = fractal._columns(xy)
+        assert cols.flags.c_contiguous and np.array_equal(cols, xy.T)
+        assert (lo, hi) == ([min(xs), min(ys)], [max(xs), max(ys)])
         assert _extent(xy) == (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)
 
 

@@ -313,7 +313,9 @@ def test_neighbours_may_be_any_byte_buffer():
 
 
 def test_one_message_takes_the_plain_path(monkeypatch):
-    # no compare and no state copy for a single message: keygen's path
+    # no compare and no state copy for a single message, keygen's path,
+    # nor for a batch with no message of _MIN_SHARED bytes, whose
+    # neighbours cannot share
     def no_compare(*args):
         raise AssertionError("compared a lone message")
 
@@ -325,3 +327,9 @@ def test_one_message_takes_the_plain_path(monkeypatch):
     assert digest_bytes(blob, "shake256-384") \
         == hashlib.shake_256(blob).digest(48)
     assert digest_many([], "sha3-512") == []
+    short = [blob, blob, blob[:-16], b"", bytes(_MIN_SHARED - 1)]
+    assert len(blob) < _MIN_SHARED
+    assert digest_many(short, "sha3-512") \
+        == [hashlib.sha3_512(m).digest() for m in short]
+    assert digest_many(short, "shake256-256") \
+        == [hashlib.shake_256(m).digest(32) for m in short]

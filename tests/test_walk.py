@@ -716,17 +716,17 @@ def _group(config, rng, size):
 
 def _check_group(configs, bound=None):
     """Every walk _walks yields equals its scalar replay, or is its scalar
-    BoundsExceeded, in the order of configs, and the table yielded with it
-    holds the maps of its last steps."""
-    pairs = list(walk._walks(configs))
-    assert len(pairs) == len(configs)
-    walks = [got for got, _ in pairs]
-    for i, (config, (got, tail)) in enumerate(zip(configs, pairs)):
+    BoundsExceeded, in the order of configs, and a walk's table holds the
+    maps of its last steps."""
+    walks = list(walk._walks(configs))
+    assert len(walks) == len(configs)
+    for i, (config, got) in enumerate(zip(configs, walks)):
         try:
             want = _replay(config, config.x0, 1, bound)
         except BoundsExceeded as exc:
             assert isinstance(got, BoundsExceeded) and str(got) == str(exc)
             continue
+        tail = got._steps
         assert got.config == config and not got.xy.flags.writeable
         assert got.xy[0].tolist() == list(config.x0)
         assert np.array_equal(got.xy[1:], want)
@@ -765,13 +765,13 @@ def test_walks_yields_each_walk_as_generate_walk_does(count, monkeypatch):
     rng = random.Random(f"walks-{count}")
     configs = _group(WalkConfig(n=300, seed=count), rng, count)
     alone = [generate_walk(config) for config in configs]
-    assert [got for got, _ in walk._walks(configs)] == alone
+    assert list(walk._walks(configs)) == alone
     _check_group(configs)  # and the tails
     reach = sorted(int(np.abs(t.xy).max()) for t in alone)
     bound = reach[len(reach) // 2] - 1
     monkeypatch.setattr(walk, "lattice_bound", lambda config: bound)
     stopped = 0
-    for config, (got, _) in zip(configs, walk._walks(configs)):
+    for config, got in zip(configs, walk._walks(configs)):
         try:
             want = generate_walk(config)
         except BoundsExceeded as exc:
@@ -791,7 +791,7 @@ def test_group_walk_that_leaves_the_bound_stops_alone(mode, monkeypatch):
                         map_mode=mode,
                         map_count=4 if mode is MapMode.FIXED_SET else None)
     configs = _group(config, rng, walk._GROUP)
-    reach = sorted(int(np.abs(t.xy).max()) for t, _ in walk._walks(configs))
+    reach = sorted(int(np.abs(t.xy).max()) for t in walk._walks(configs))
     bound = reach[len(reach) // 2]
     monkeypatch.setattr(walk, "lattice_bound", lambda config: bound)
     walks = _check_group(configs, bound)
@@ -843,8 +843,8 @@ def test_block_lengths_follow_the_group_size(monkeypatch):
         assert walk._block(size) == lengths[0]
         with monkeypatch.context() as patch:
             calls = _count_calls(patch, "_step_table")
-            walks = [t for t, _ in walk._walks(
-                _group(WalkConfig(n=9000, seed=7), rng, size))]
+            walks = list(walk._walks(
+                _group(WalkConfig(n=9000, seed=7), rng, size)))
         assert [hi - lo for _, lo, hi in calls] == lengths
         assert all(isinstance(t, Trajectory) for t in walks)
     # a re-evolve replay checks a lone walk's rows a lone walk's block at
@@ -900,7 +900,7 @@ def test_group_memory_holds_one_block_at_a_time(mode):
     list(walk._walks(configs))  # imports and caches
     tracemalloc.start()
     try:
-        walks = [t for t, _ in walk._walks(configs)]
+        walks = list(walk._walks(configs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1046,6 +1046,9 @@ def test_trajectory_refuses_a_config_that_is_not_a_walk_config():
     for config in (None, {"n": 3}, (0, 0)):
         with pytest.raises(TypeError, match="config must be a WalkConfig"):
             Trajectory(points, config)
+        # lattice_bound(None) once ended in an AttributeError
+        with pytest.raises(TypeError, match="^config must be a WalkConfig"):
+            lattice_bound(config)
     assert Trajectory(points, WalkConfig(n=3)).config == WalkConfig(n=3)
 
 

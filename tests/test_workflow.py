@@ -41,7 +41,7 @@ def _layer_metrics(monkeypatch):
 
 def test_gate_scripts_compile():
     scripts = _gate_scripts()
-    assert len(scripts) == 6
+    assert len(scripts) == 7
     for i, script in enumerate(scripts):
         compile(script, f"tests.yml heredoc {i}", "exec")
 

@@ -44,18 +44,27 @@ output, picked by lane count:
   the root output blocks pack their words once from the level below. One
   32 KB message is 32 chunk lanes, then 16, 8, 4, 2 and 1, so it runs
   here.
-- At or above it, the numpy kernel holds the state as four (4, L) rows
-  a, b, c, d. A round is one G over whole rows (the column step) and one
-  G over b, c and d rotated by 1, 2 and 3 lanes of the row (the diagonal
-  step), updated in place. The message words of all seven rounds are
-  gathered once per compression through a schedule computed at import.
+- At or above it, the numpy kernel holds the state in one (28, L) array:
+  a in four rows, and b, c and d in eight rows each, the second four
+  repeating the first. A round is one G over whole (4, L) rows (the
+  column step) and one G over b, c and d rotated by 1, 2 and 3 words
+  (the diagonal step), which are slices of the doubled rows; one copy
+  before the diagonal step and three after it keep both halves current.
+  Every operation works in place, and the shift counts are 0-d uint32
+  arrays, because numpy converts a Python int operand on every call. The
+  message words of all seven rounds are gathered once per compression
+  through a schedule computed at import. The chunk stage keeps one state
+  buffer for all its blocks, and only the root output blocks, which need
+  all 16 output words, feed h forward into the last eight.
 
 The int kernel's cost grows with the width of its ints, while the numpy
 kernel's is mostly dispatch and barely grows below a few hundred lanes.
-_CROSSOVER is where the int kernel's 7 rounds on packed words and one
-numpy compression measured equal (120 lanes on a 2-core Xeon VM,
-Python 3.11, numpy 2.4). The packing is left out of that comparison
-because the int stages pay it once, not once per block.
+_CROSSOVER is where the two measured equal: the int kernel's 7 rounds on
+packed words against one numpy compression, a whole parent level and a
+whole chunk stage each met between 44 and 64 lanes (in-process CPU time,
+best of interleaved repeats, on a 2-core Xeon VM, Python 3.11.7, numpy
+2.4.6). The packing is left out of the first comparison because the int
+stages pay it once, not once per block.
 """
 
 from __future__ import annotations
@@ -98,30 +107,41 @@ def _schedule() -> np.ndarray:
 _SCHEDULE = _schedule()
 _IV_INTS = [int(x) for x in _IV]
 _PARENT_STATE = [*_IV_INTS, *_IV_INTS[0:4], 0, 0, _BLOCK_LEN, _PARENT]
-_ROT1, _ROT2, _ROT3 = ([(i + r) % 4 for i in range(4)] for r in (1, 2, 3))
-_CROSSOVER = 120  # lanes; see the module docstring
+# The rows of the numpy kernel's state that hold the 16 start words.
+_HOME = np.r_[0:8, 12:16, 20:24]
+_PARENT_ROWS = np.array(_PARENT_STATE, dtype=np.uint32)[:, None]
+_CROSSOVER = 56  # lanes; see the module docstring
+# The shifts of a rotation right by r bits, r and 32 - r, as 0-d uint32
+# arrays: numpy converts a Python int operand on every call.
+_BY16, _BY12, _BY8, _BY7 = ((np.array(r, dtype=np.uint32),
+                             np.array(32 - r, dtype=np.uint32))
+                            for r in (16, 12, 8, 7))
 
 
-def _rotr(x, r: int, tmp) -> None:
-    """x = x rotated right by r bits, in place; tmp is a buffer of x's shape."""
-    np.right_shift(x, r, out=tmp)
-    x <<= 32 - r
+def _rotr(x, shifts, tmp) -> None:
+    """x = x rotated right by shifts[0] bits, in place; tmp is a buffer of
+    x's shape."""
+    right, left = shifts
+    np.right_shift(x, right, tmp)
+    np.left_shift(x, left, x)
     x |= tmp
 
 
 def _g(a, b, c, d, mx, my, tmp) -> None:
-    a += b + mx
+    a += b
+    a += mx
     d ^= a
-    _rotr(d, 16, tmp)
+    _rotr(d, _BY16, tmp)
     c += d
     b ^= c
-    _rotr(b, 12, tmp)
-    a += b + my
+    _rotr(b, _BY12, tmp)
+    a += b
+    a += my
     d ^= a
-    _rotr(d, 8, tmp)
+    _rotr(d, _BY8, tmp)
     c += d
     b ^= c
-    _rotr(b, 7, tmp)
+    _rotr(b, _BY7, tmp)
 
 
 def _start(h, counter, block_len, flags, lanes: int):
@@ -137,21 +157,40 @@ def _start(h, counter, block_len, flags, lanes: int):
     return v
 
 
-def _compress_rows(h, m, counter, block_len, flags):
-    """The numpy kernel: each G runs over four (4, L) state rows."""
-    lanes = m.shape[1]
-    v = _start(h, counter, block_len, flags, lanes)
-    a, b, c, d = v[0:4], v[4:8], v[8:12], v[12:16]
-    tmp = np.empty((4, lanes), dtype=np.uint32)
-    words = m[_SCHEDULE]
+def _rounds_rows(s, words, tmp) -> None:
+    """The numpy kernel's 7 rounds on the (28, L) state s, in place: a in
+    rows 0-3, b, c and d doubled in rows 4-11, 12-19 and 20-27. Leaves
+    the chaining value in rows 0-7, c in rows 12-15 and d in rows 20-23.
+    words: (112, L) in _SCHEDULE order; tmp: (4, L)."""
+    a, b, c, d = s[0:4], s[4:8], s[12:16], s[20:24]
+    upper = s[4:28].reshape(3, 8, -1)
     for r in range(0, 112, 16):
         _g(a, b, c, d, words[r:r + 4], words[r + 4:r + 8], tmp)
-        bd, cd, dd = b[_ROT1], c[_ROT2], d[_ROT3]
-        _g(a, bd, cd, dd, words[r + 8:r + 12], words[r + 12:r + 16], tmp)
-        b[_ROT1], c[_ROT2], d[_ROT3] = bd, cd, dd
-    v[0:8] ^= v[8:16]
-    v[8:16] ^= h
-    return v
+        upper[:, 4:8] = upper[:, 0:4]
+        _g(a, s[5:9], s[14:18], s[23:27], words[r + 8:r + 12],
+           words[r + 12:r + 16], tmp)
+        s[4], s[12:14], s[20:23] = s[8], s[16:18], s[24:27]
+    a ^= c
+    b ^= d
+
+
+def _state_after(v, m):
+    """The numpy kernel's (28, L) state after its rounds from the 16 start
+    words v, (16, L) or (16, 1), and the message words m, (16, L)."""
+    lanes = m.shape[1]
+    s = np.empty((28, lanes), dtype=np.uint32)
+    s[_HOME] = v
+    _rounds_rows(s, m[_SCHEDULE], np.empty((4, lanes), dtype=np.uint32))
+    return s
+
+
+def _compress_rows(h, m, counter, block_len, flags):
+    """The numpy kernel: each G runs over (4, L) state rows. Only root
+    output reads words 8-15, so only this entry feeds h forward."""
+    s = _state_after(_start(h, counter, block_len, flags, m.shape[1]), m)
+    np.bitwise_xor(s[12:16], h[0:4], out=s[8:12])
+    np.bitwise_xor(s[20:24], h[4:8], out=s[12:16])
+    return s[0:16]
 
 
 def _ones(lanes: int) -> int:
@@ -230,23 +269,30 @@ def _compress_ints(h, m, counter, block_len, flags):
 
 def _chunks_rows(m, counter, final, tail: int):
     """The numpy kernel's chunk stage, with _chunks_ints's inputs and
-    output."""
+    output. One state buffer serves every block: the chaining value stays
+    in its rows 0-7, and each block rewrites the IV, counter, len and flags
+    rows."""
     blocks, _, lanes = m.shape
     last = max(0, (tail - 1) // _BLOCK_LEN)
-    h = np.repeat(_IV[:, None], lanes, axis=1)
+    s = np.empty((28, lanes), dtype=np.uint32)
+    s[0:8] = _IV[:, None]
+    counter = np.stack([counter & np.uint64(0xFFFFFFFF),
+                        counter >> np.uint64(32)])
+    tmp = np.empty((4, lanes), dtype=np.uint32)
     for b in range(blocks):
-        block_len = np.full(lanes, _BLOCK_LEN, dtype=np.uint32)
-        flags = np.full(lanes, _CHUNK_START if b == 0 else 0, dtype=np.uint32)
-        if b == 15:
-            flags |= _CHUNK_END
+        s[12:16] = _IV[0:4, None]
+        s[20:22] = counter
+        s[22] = _BLOCK_LEN
+        s[23] = ((_CHUNK_START if b == 0 else 0)
+                 | (_CHUNK_END if b == 15 else 0))
         if b == last:
-            block_len[final] = tail - _BLOCK_LEN * b
-            flags[final] |= _CHUNK_END
+            s[22, final] = tail - _BLOCK_LEN * b
+            s[23, final] |= _CHUNK_END
         # A contiguous copy first: the schedule gathers from it 7 times.
-        h = _compress_rows(h, np.ascontiguousarray(m[b]), counter,
-                           block_len, flags)[0:8]
+        _rounds_rows(s, np.ascontiguousarray(m[b])[_SCHEDULE], tmp)
         if b == last:
-            kept = h[:, final]
+            kept = s[0:8, final]
+    h = s[0:8]
     if blocks > last + 1:
         h[:, final] = kept
     return h
@@ -295,7 +341,7 @@ def _parent_cvs(m):
     (16, L), the two children's chaining values."""
     lanes = m.shape[1]
     if lanes >= _CROSSOVER:
-        return _compress_rows(_IV[:, None], m, 0, _BLOCK_LEN, _PARENT)[0:8]
+        return _state_after(_PARENT_ROWS, m)[0:8]
     ones = _ones(lanes)
     v = _rounds([x * ones for x in _PARENT_STATE], _pack(m),
                 ones * 0xFFFFFFFF)

@@ -146,8 +146,9 @@ def _lane_inputs(lanes, counters, per_lane_len_flags, seed):
     return h, m, counter, block_len, flags
 
 
-@pytest.mark.parametrize("lanes", [1, 2, 31, 32, 33, 87, 88, 89,
-                                   _C - 1, _C, _C + 1, 320])
+# 87-89 and 119-121 are where earlier versions of the kernels crossed.
+@pytest.mark.parametrize("lanes", [1, 2, 31, 32, 33, 87, 88, 89, 119, 120,
+                                   121, _C - 1, _C, _C + 1, 320])
 @pytest.mark.parametrize("counters", ["scalar", "scalar-high", "per-lane"])
 @pytest.mark.parametrize("per_lane_len_flags", [False, True])
 def test_int_kernel_equals_numpy_kernel(monkeypatch, lanes, counters,
@@ -188,16 +189,17 @@ def test_reference_vectors_with_one_kernel(monkeypatch, crossover, length):
 
 def test_avalanche_shaped_batch_runs_both_kernels(monkeypatch):
     # Ten 32,016-byte messages: a chunk stage of 320 lanes (numpy), then
-    # parent levels of 160 down to 20 lanes and a root of 10 (ints below
-    # the crossover), as one avalanche call per algorithm makes.
+    # parent levels of 160 down to 20 lanes and a root of 10 (numpy at or
+    # above the crossover, ints below it), as one avalanche call per
+    # algorithm makes.
     rng = random.Random(32016)
     messages = [rng.randbytes(32016) for _ in range(10)]
     expected = [blake3_many([msg])[0] for msg in messages]
     seen = {name: [] for name in ("_chunks_rows", "_chunks_ints",
-                                  "_compress_rows", "_rounds")}
+                                  "_rounds_rows", "_rounds")}
     widths = {"_chunks_rows": lambda m, *rest: m.shape[2],
               "_chunks_ints": lambda m, *rest: m.shape[2],
-              "_compress_rows": lambda h, m, *rest: m.shape[1],
+              "_rounds_rows": lambda s, words, tmp: s.shape[1],
               # the mask holds 32 ones in each lane's 64-bit slot
               "_rounds": lambda v, w, M: (M.bit_length() + 32) // 64}
     for name, width in widths.items():
@@ -208,13 +210,72 @@ def test_avalanche_shaped_batch_runs_both_kernels(monkeypatch):
         monkeypatch.setattr(_blake3, name, spy)
     assert blake3_many(messages) == expected
     assert seen["_chunks_rows"] == [320] and seen["_chunks_ints"] == []
-    # Every compression of the chunk stage and the wide parent levels runs
-    # on numpy.
+    # All 16 blocks of the chunk stage and the wide parent levels run on
+    # numpy, once each.
     levels = [160, 80, 40, 20, 10]
-    assert set(seen["_compress_rows"]) == \
-        {320} | {w for w in levels if w >= _C}
+    assert sorted(seen["_rounds_rows"]) == \
+        sorted([320] * 16 + [w for w in levels if w >= _C])
     assert sorted(set(seen["_rounds"])) == sorted(w for w in levels if w < _C)
     assert 10 in seen["_rounds"] and 320 not in seen["_rounds"]
+
+
+def test_a_keygen_sized_message_runs_no_numpy_compression(monkeypatch):
+    # one 32,016-byte message, a keygen --n 2000 key: 32 chunk lanes, then
+    # 16 down to 1, all under the crossover, so the numpy kernel's cost
+    # never reaches keygen
+    assert 32 < _C
+    msg = random.Random(2000).randbytes(32016)
+    calls = []
+    for name in ("_compress_rows", "_chunks_rows", "_rounds_rows"):
+        def spy(*args, f=getattr(_blake3, name), name=name):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(_blake3, name, spy)
+    assert blake3_many([msg], 32) == [_oracle(msg)[:32]]
+    assert calls == []
+
+
+@pytest.mark.parametrize("lanes", [1, 33, _C, 165, 320])
+def test_numpy_kernel_leaves_its_inputs_untouched(monkeypatch, lanes):
+    # The inputs its callers pass: an (8, 1) or a strided (8, L) h, message
+    # words viewed one 1 KB chunk apart per lane (as _root_nodes and the
+    # chunk stage see them) or contiguous, per-lane counters with nonzero
+    # high words, lens and flags. Nothing may be written through them, and
+    # no output may share their memory.
+    rng = np.random.default_rng(lanes)
+    padded = rng.integers(0, 256, (lanes, 1024), dtype=np.uint8)
+    words = padded.view("<u4").reshape(lanes, 16, 16).transpose(1, 2, 0)
+    counter = rng.integers(0, 2**64, lanes, dtype=np.uint64)
+    block_len = rng.integers(0, 65, lanes).astype(np.uint32)
+    flags = (np.arange(lanes) % 256).astype(np.uint32)
+    wide = rng.integers(0, 2**32, (8, 2 * lanes), dtype=np.uint32)
+    for h in (_blake3._IV[:, None], wide[:, ::2]):
+        for m in (words[3], words[3].copy()):
+            inputs = (h, m, counter, block_len, flags)
+            before = [x.copy() for x in inputs]
+            rows = _blake3._compress_rows(*inputs)
+            np.testing.assert_array_equal(
+                rows, _blake3._compress_ints(*before))
+            for x, y in zip(inputs, before):
+                np.testing.assert_array_equal(x, y)
+                assert not np.shares_memory(rows, x)
+    # The chunk stage, and a parent level on numpy.
+    final = np.arange(lanes) % 3 == 2
+    inputs = (words, counter, final)
+    before = [x.copy() for x in inputs]
+    cvs = _blake3._chunks_rows(*inputs, 700)
+    np.testing.assert_array_equal(cvs, _blake3._chunks_ints(*before, 700))
+    for x, y in zip(inputs, before):
+        np.testing.assert_array_equal(x, y)
+        assert not np.shares_memory(cvs, x)
+    m, before = words[0], words[0].copy()
+    monkeypatch.setattr(_blake3, "_CROSSOVER", 0)
+    cvs = _blake3._parent_cvs(m)
+    np.testing.assert_array_equal(cvs, _blake3._compress_ints(
+        _blake3._IV[:, None], before, 0, _blake3._BLOCK_LEN,
+        _blake3._PARENT)[0:8])
+    np.testing.assert_array_equal(m, before)
+    assert not np.shares_memory(cvs, m)
 
 
 @pytest.mark.parametrize("messages, nchunks, tail", [

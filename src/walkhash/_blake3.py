@@ -20,8 +20,8 @@ chunks", BLAKE3 spec section 5.3), so independent work shares lanes:
   them. The chunk stage runs only the other lanes, gathered into one
   copy, and each repeated lane takes the value of the nearest earlier
   lane at its chunk index. So a point-nudge trial's disturbed n=2000 walk
-  runs one chunk lane instead of 32. A group of one message skips the
-  compare. Parent levels are recomputed for every message.
+  runs one chunk lane instead of 32; one message alone finds no repeat.
+  Parent levels are recomputed for every message.
 - The chunk stage advances its chunks together one block at a time. The
   final (possibly partial) chunks, marked by a per-lane mask, run in the
   same 16-block loop with their own block_len and flags and keep the
@@ -351,9 +351,7 @@ def _parent_cvs(m):
 def _fresh_lanes(padded, nchunks: int):
     """(k * nchunks,) bool, false for each chunk of padded's k messages
     that equals the one at its index in the message before; None if none
-    does (or k is 1), so that every lane is fresh."""
-    if len(padded) < 2:
-        return None
+    does (as for one message), so that every lane is fresh."""
     chunks = padded.view("<u8").reshape(len(padded), nchunks, -1)
     repeats = (chunks[1:] == chunks[:-1]).all(axis=2)
     if not repeats.any():

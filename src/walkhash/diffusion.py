@@ -261,6 +261,7 @@ def run_avalanche(
     of that trial. Errors are raised in (position, trial) order, so a run
     reports the trial that a run of one trial at a time would.
     """
+    _instance("config", WalkConfig, config)
     algs = [_alg("algs", alg) for alg in algs]
     if not algs:
         raise ConfigError("need at least one hash algorithm")

@@ -2,15 +2,15 @@
 
 Box counting bins points into axis-aligned cells of side s via floor
 division, so negative coordinates bin consistently with positive ones, and
-counts the distinct cells with one sort of int64 keys, one key per cell
-(a lexsort of the two columns when the cells span too much for one key).
-Given a sequence of sizes that are all powers of two, it counts every
-size from one sort instead: with the origin aligned down to a multiple of
-the largest size, a cell of size 2^k is a run of points whose Morton
-(Z-order) codes agree above their lowest k bit pairs, so each pair of
-neighbours in code order splits the cells of every size below the
-highest bit pair in which they differ. Sizes that are not all powers of
-two, or cells past 32 bits an axis, are counted one size at a time.
+counts the distinct cells with one sort of int64 keys, one key per cell (a
+lexsort of the two columns when the cells span too much for one key). Given
+two or more sizes, all powers of two, it counts every size from one sort
+instead: with the origin aligned down to a multiple of the largest size, a
+cell of size 2^k is a run of points whose Morton (Z-order) codes agree
+above their lowest k bit pairs, so each pair of neighbours in code order
+splits the cells of every size below the highest bit pair in which they
+differ. A lone size, sizes that are not all powers of two, or cells past 32
+bits an axis are counted one size at a time.
 The dimension estimate is the negated slope of log2(count) against
 log2(size) over a dyadic schedule of sizes, fit with the shared
 least-squares helper.
@@ -66,6 +66,8 @@ _SPREAD = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
     (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
     (1, 0x5555555555555555)))
 _EVEN_BITS = _SPREAD[-1][1]
+# one past the largest box size: numpy divides by a size as an int64
+_MAX_SIZE = 2**63
 
 
 def _columns(xy: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
@@ -101,20 +103,16 @@ def box_count(points: Sequence[LatticePoint] | np.ndarray,
 
     points is a sequence of integer points or an (m, 2) integer array,
     checked and read in place by walk._checked_xy. Given an iterable of
-    sizes, returns the count at each, in order.
+    sizes, returns the count at each, in order; a lone size, a 0-d array
+    included, is counted as a schedule of one.
     """
-    if not hasattr(box_size, "__iter__") or isinstance(box_size, str):
-        # numpy divides by the size as an int64
-        box_size = _integer("box_size", box_size, 1, 2**63)
-        return _count_one(_checked_xy(points), box_size)
-    sizes = tuple(_integer("box_size", s, 1, 2**63) for s in box_size)
+    lone = isinstance(box_size, str) or not np.iterable(box_size)
+    sizes = tuple(_integer("box_size", s, 1, _MAX_SIZE)
+                  for s in ((box_size,) if lone else box_size))
     xy = _checked_xy(points)
-    if not len(xy):
-        return (0,) * len(sizes)
-    counts = _count_dyadic(xy, sizes)
-    if counts is None:
-        counts = tuple(_count_one(xy, s) for s in sizes)
-    return counts
+    counts = _count_dyadic(xy, sizes) \
+        or tuple(_count_one(xy, s) for s in sizes)
+    return counts[0] if lone else counts
 
 
 def _count_one(xy: np.ndarray, box_size: int) -> int:
@@ -137,11 +135,11 @@ def _count_one(xy: np.ndarray, box_size: int) -> int:
 
 def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...]
                   ) -> tuple[int, ...] | None:
-    """box_count of a non-empty xy at every size from one sort of Morton
-    codes; None unless every size is a power of two and the cells of the
-    smallest fit in 32 bits an axis once the origin, read from the
-    _columns copy it sorts, is aligned."""
-    if not sizes or any(s & (s - 1) for s in sizes):
+    """box_count of xy at every size from one sort of Morton codes; None
+    unless xy is not empty, there are at least two sizes, every size is a
+    power of two and the cells of the smallest fit in 32 bits an axis once
+    the origin, read from the _columns copy it sorts, is aligned."""
+    if not len(xy) or len(sizes) < 2 or any(s & (s - 1) for s in sizes):
         return None
     exps = [s.bit_length() - 1 for s in sizes]
     low, top = min(exps), max(exps)
@@ -201,7 +199,11 @@ def estimate_point_dimension(points: Sequence[LatticePoint] | np.ndarray,
         _, (xlo, ylo), (xhi, yhi) = _columns(xy)
         sizes = default_box_sizes(xhi - xlo + 1, yhi - ylo + 1)
     else:
-        sizes = tuple(sorted({_integer("box_sizes", s) for s in box_sizes}))
+        if not np.iterable(box_sizes):
+            raise TypeError(f"box_sizes must be an iterable of integers, "
+                            f"got {type(box_sizes).__name__}")
+        sizes = tuple(sorted({_integer("box_sizes", s, 1, _MAX_SIZE)
+                              for s in box_sizes}))
         if len(sizes) < 3:
             raise ConfigError(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")

@@ -18,10 +18,10 @@ from a copy() of that state (FIPS 202; hashlib documents copy()). The
 prefix is taken only when the two have the same length and it spans at
 least _MIN_SHARED bytes: the first _MIN_SHARED bytes are compared as
 bytes, and only if they agree is the rest found with one compare of the
-two messages as uint64 words. A batch with no such prefix takes the
-plain path, and so do one message and a batch with no message of
-_MIN_SHARED bytes, without a neighbour check. BLAKE3 skips the
-chunks that repeat the previous message's (see _blake3).
+two messages as uint64 words. Any other message starts from a fresh
+state. One message, and a batch with no message of _MIN_SHARED bytes,
+take the plain path without a neighbour check. BLAKE3 skips the chunks
+that repeat the previous message's (see _blake3).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._blake3 import blake3_many
 from .errors import ConfigError
-from .walk import Trajectory, _integer, _shown
+from .walk import Trajectory, _instance, _integer, _shown
 
 _SHA3_512 = "sha3-512"
 _SHAKE256 = "shake256"
@@ -123,6 +123,7 @@ def _alg(name: str, value) -> HashAlg:
 
 def serialize_trajectory(t: Trajectory) -> bytes:
     """The normative byte form described in the module docstring."""
+    _instance("t", Trajectory, t)
     return t.xy.astype("<i8").tobytes()
 
 
@@ -147,8 +148,6 @@ def _sponges(messages: Sequence[bytes], new: Callable,
     data = [m if isinstance(m, (bytes, bytearray))
             else memoryview(m).tobytes() for m in messages]
     shares = [_shared(a, b) for a, b in zip(data, data[1:])]
-    if not any(shares):
-        return [finish(new(m)) for m in data]
     out = []
     # head has absorbed the current message's first `start` bytes
     head, start = new(), 0

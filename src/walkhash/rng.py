@@ -84,17 +84,16 @@ _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
 
 
-def mix64_array(z: np.ndarray, out: np.ndarray | None = None
-                ) -> np.ndarray:
-    """mix64 of each word of a uint64 array (arithmetic wraps mod 2**64),
-    written into out if given (out may be z itself)."""
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 of each word of a uint64 array, in place (arithmetic wraps
+    mod 2**64); returns z."""
     spare = z >> np.uint64(30)
-    out = np.bitwise_xor(z, spare, out=out)
-    out *= _MIX_A_U64
-    out ^= np.right_shift(out, np.uint64(27), out=spare)
-    out *= _MIX_B_U64
-    out ^= np.right_shift(out, np.uint64(31), out=spare)
-    return out
+    z ^= spare
+    z *= _MIX_A_U64
+    z ^= np.right_shift(z, np.uint64(27), out=spare)
+    z *= _MIX_B_U64
+    z ^= np.right_shift(z, np.uint64(31), out=spare)
+    return z
 
 
 def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
@@ -108,7 +107,7 @@ def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
     keys[...] = index
     keys *= _GOLDEN_U64
     keys ^= base[:, None]
-    return mix64_array(keys, keys)
+    return mix64_array(keys)
 
 
 def u64_draws(keys: np.ndarray, k: int, out: np.ndarray | None = None
@@ -116,16 +115,16 @@ def u64_draws(keys: np.ndarray, k: int, out: np.ndarray | None = None
     """Draw k (1-based) of the streams with these keys: next_u64 called k
     times on each; written into out if given."""
     z = np.add(keys, np.uint64(k * _GOLDEN & _MASK64), out=out)
-    return mix64_array(z, z)
+    return mix64_array(z)
 
 
 def uniform_draws(keys: np.ndarray, k: int, lo: float, hi: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Draw k of each stream as Stream.uniform(lo, hi) would make it;
-    written into out, a float64 array, if given. The draw's words and
+                  out: np.ndarray) -> np.ndarray:
+    """Draw k of each stream as Stream.uniform(lo, hi) would make it,
+    written into out, a float64 array of keys' shape. The draw's words and
     its doubles share out's memory, so it needs no (keys.shape) temporary
     beyond the one mix64_array takes."""
-    bits = u64_draws(keys, k, None if out is None else out.view(np.uint64))
+    bits = u64_draws(keys, k, out.view(np.uint64))
     bits >>= np.uint64(11)
     u = np.multiply(bits, _INV53, out=out)
     u *= hi - lo

@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import exp, lgamma, log
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from .diffusion import BitMatrix
 from .errors import DegenerateInput, InsufficientData
-from .walk import _member
-
-if TYPE_CHECKING:
-    from .diffusion import BitMatrix
+from .walk import _instance, _member
 
 _EPS = 1e-16
 _TINY = 1e-300
@@ -113,7 +111,7 @@ class ChiSquareResult:
     mode: ChiSquareMode
 
 
-def chi_square_uniform(matrix: "BitMatrix",
+def chi_square_uniform(matrix: BitMatrix,
                        mode: ChiSquareMode = ChiSquareMode.TABLE1,
                        ) -> ChiSquareResult:
     """Chi-square test of flip-count uniformity across matrix columns.
@@ -121,6 +119,7 @@ def chi_square_uniform(matrix: "BitMatrix",
     Degrees of freedom are cols - 1 in both modes; the p-value is the upper
     tail Q(dof/2, statistic/2). mode is a member or its value string.
     """
+    _instance("matrix", BitMatrix, matrix)
     mode = _member("mode", ChiSquareMode, mode)
     counts = matrix.column_sums()
     cols = matrix.cols

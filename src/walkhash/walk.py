@@ -410,6 +410,7 @@ def map_templates(config: WalkConfig) -> tuple[tuple[float, ...], ...] | None:
     as sample_affine_step minus the noise. Returns None in PER_STEP_FRESH
     mode.
     """
+    _instance("config", WalkConfig, config)
     if config.map_mode is not MapMode.FIXED_SET:
         return None
     return tuple(
@@ -422,6 +423,8 @@ def affine_step_for(config: WalkConfig, i: int) -> AffineStep:
 
     In FIXED_SET mode only the chosen template is drawn.
     """
+    _instance("config", WalkConfig, config)
+    i = _integer("i", i)
     if config.map_mode is MapMode.PER_STEP_FRESH:
         return sample_affine_step(Stream(config.seed, _SUB_STEP, i), config)
     stream = Stream(config.seed, _SUB_CHOICE, i)
@@ -747,6 +750,7 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
 
 def generate_walk(config: WalkConfig) -> Trajectory:
     """Generate the full trajectory x_0..x_n of config."""
+    _instance("config", WalkConfig, config)
     walk = next(_walks([config]))
     if isinstance(walk, BoundsExceeded):
         raise walk

@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from statistics import median
 
@@ -27,6 +27,7 @@ from walkhash import (
     MapMode,
     PerturbationSpec,
     PerturbMode,
+    TrialRecord,
     WalkConfig,
     WalkhashError,
     derive_key,
@@ -359,6 +360,22 @@ def test_avalanche_small_run_outputs(tmp_path, capsys):
         "mode": "point-nudge", "nudge": [1, 0],
         "positions": [20, 40], "trials_per_position": 2,
     }
+    # each column holds the field of the run's records that its header
+    # names, so a TrialRecord field reordered or added cannot shift them
+    outcome = run_avalanche(WalkConfig(**summary["config"]),
+                            ["sha3-512", "blake3-256"], (20, 40), 2)
+    for label, (records, _) in outcome.items():
+        with (tmp_path / f"trials_{label}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{f.name: _csv_cell(getattr(r, f.name))
+                         for f in fields(TrialRecord)} for r in records]
+
+
+def _csv_cell(value) -> str:
+    """A TrialRecord field as the trials CSV writes it."""
+    if isinstance(value, HashAlg):
+        return value.label
+    return value.hex() if isinstance(value, bytes) else str(value)
 
 
 def test_avalanche_zero_nudge_is_all_zero(tmp_path, capsys):
@@ -525,6 +542,19 @@ def test_out_of_domain_inputs_exit_2(argv, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["fractal", "--n-list", "8", "--num-seeds", "1", "--box-sizes", "0"],
+    ["fractal", "--n-list", "8", "--num-seeds", "1", "--box-sizes", "0,1,2"],
+    ["fractal", "--synthetic", "line:4", "--box-sizes", "0,1,2"],
+])
+def test_box_size_errors_name_box_sizes(argv, tmp_path, capsys):
+    # once named box_count's box_size, which no user passes
+    code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
+    assert (code, out, err) == (
+        2, "", "error: box_sizes must satisfy 1 <= box_sizes < 2**63, "
+               "got 0\n")
 
 
 @pytest.mark.parametrize("argv, message", [

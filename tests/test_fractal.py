@@ -215,6 +215,35 @@ def test_box_count_of_a_schedule_matches_each_size_and_set_oracle():
         box_count(t.xy, (1, True))
 
 
+def test_a_lone_size_counts_as_a_schedule_of_one():
+    # box_count(p, np.array(4)) once ended in "iteration over a 0-d array"
+    rng = np.random.default_rng(25)
+    edge = 2**53
+    sets = [np.empty((0, 2), dtype=np.int64), np.array([[-3, 4]]),
+            np.array([[-edge, -edge], [edge, edge], [-edge, edge], [0, 1]])]
+    for span in (2, 40, 10**6, edge):
+        sets.append(rng.integers(-span, span + 1,
+                                 size=(rng.integers(1, 200), 2)))
+    for xy in sets:
+        for size in (1, 2, 3, 5, 64, 1000, 2**20, 2**52, 2**62):
+            assert box_count(xy, size) == box_count(xy, [size])[0] \
+                == box_count(xy, np.array(size)) == _set_count(xy, size)
+            assert type(box_count(xy, np.array(size))) is int
+
+
+def test_estimate_names_box_sizes_in_its_errors():
+    # each once named box_count's box_size, or ended in a bare TypeError
+    pts = [LatticePoint(i, 0) for i in range(8)]
+    for sizes, got in (([0, 1, 2], "0"), ([1, 2, 2**63], str(2**63))):
+        with pytest.raises(ConfigError, match=(
+                rf"^box_sizes must satisfy 1 <= box_sizes < 2\*\*63, "
+                rf"got {got}$")):
+            estimate_point_dimension(pts, sizes)
+    with pytest.raises(TypeError, match=(
+            "^box_sizes must be an iterable of integers, got int$")):
+        estimate_point_dimension(pts, 4)
+
+
 def test_estimate_counts_every_size_in_one_box_count_call(monkeypatch):
     calls = []
     count = fractal.box_count

@@ -4,7 +4,13 @@ import ast
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
+import pytest
+
 import walkhash
+from walkhash import (ConfigError, WalkConfig, affine_step_for,
+                      chi_square_uniform, derive_key, generate_walk,
+                      map_templates, run_avalanche, serialize_trajectory)
 
 SRC = Path(walkhash.__file__).resolve().parent
 
@@ -34,6 +40,25 @@ def test_public_names_are_pinned():
     namespace = {}
     exec("from walkhash import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+# Each once ended in an AttributeError, or an OverflowError for "zz",
+# with no argument named.
+@pytest.mark.parametrize("call, args, error, name", [
+    (generate_walk, ({"n": 3},), TypeError, "config"),
+    (affine_step_for, (None, 1), TypeError, "config"),
+    (affine_step_for, (WalkConfig(), "zz"), ConfigError, "i"),
+    (map_templates, ("fixed-set",), TypeError, "config"),
+    (run_avalanche, (None, ["sha3-512"], (5,), 1), TypeError, "config"),
+    (serialize_trajectory, (np.zeros((3, 2), dtype=np.int64),), TypeError,
+     "t"),
+    (derive_key, ([(0, 0), (1, 1)], "sha3-512"), TypeError, "t"),
+    (chi_square_uniform, (np.ones((4, 8), dtype=bool),), TypeError,
+     "matrix"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_wrong_argument_is_named(call, args, error, name):
+    with pytest.raises(error, match=f"^{name} must be "):
+        call(*args)
 
 
 def _read_names(tree):

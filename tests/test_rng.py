@@ -84,9 +84,10 @@ def test_array_draws_equal_scalar_streams():
         for rows in (index, np.array([np.roll(index, g) for g in range(4)])):
             keys = stream_keys(seeds, path, rows)
             assert keys.dtype == np.uint64 and keys.shape == (4, 7)
-            u64, uniform, zero = (u64_draws(keys, 1),
-                                  uniform_draws(keys, 2, -2.5, 7.0),
-                                  uniform_draws(keys, 3, -0.0, 0.0))
+            u64, uniform, zero = (
+                u64_draws(keys, 1),
+                uniform_draws(keys, 2, -2.5, 7.0, out=np.empty(keys.shape)),
+                uniform_draws(keys, 3, -0.0, 0.0, out=np.empty(keys.shape)))
             for g, seed in enumerate(seeds):
                 row = rows if rows.ndim == 1 else rows[g]
                 for lane, i in enumerate(row.tolist()):

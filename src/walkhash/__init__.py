@@ -59,7 +59,6 @@ from .walk import (
     map_templates,
     sample_affine_step,
     step,
-    walk_space_size,
 )
 
 __version__ = "0.1.0"

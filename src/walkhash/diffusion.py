@@ -102,12 +102,12 @@ def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
 
     RE_EVOLVE replays the tail after the nudged point to t's last row with
     walk._replay: up to 16 scalar steps until the replay lands on a row of
-    t, then t's own rows once they are confirmed to follow t.config's
-    steps (a trajectory whose rows do not follow is replayed to the end).
-    A trajectory from generate_walk or walk._walks holds the maps of its
-    walk's last steps, and a tail inside them reads them instead of
-    drawing its steps again; a hand-built one draws its own. TypeError if
-    t is not a Trajectory or spec not a PerturbationSpec.
+    t, then t's own rows. A walk's rows (from generate_walk or
+    walk._walks) are kept as they are; any other trajectory's, also a copy
+    of a walk, are kept once they are confirmed to follow t.config's
+    steps, a block at a time, and a trajectory whose rows do not follow is
+    replayed to the end. TypeError if t is not a Trajectory or spec not a
+    PerturbationSpec.
     """
     _instance("t", Trajectory, t)
     _instance("spec", PerturbationSpec, spec)
@@ -121,7 +121,7 @@ def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
     xy = t.xy.copy()
     xy[spec.position] = moved
     if spec.mode is PerturbMode.RE_EVOLVE:
-        _replay(t.config, xy, spec.position, t._steps)
+        _replay(t.config, xy, spec.position, t._walked)
     return Trajectory._adopt(xy, t.config)
 
 
@@ -252,9 +252,8 @@ def run_avalanche(
     Trials run in batches of about _BATCH_BYTES of serialized walks: the
     batch's walks come from walk._walks in (position, trial) order, which
     steps them in groups that share a step table and lane passes, then
-    each algorithm digests all of them in one digest_many call. Each walk
-    holds its rows of its group's last table, which its re-evolve tail
-    reads through perturb.
+    each algorithm digests all of them in one digest_many call. A
+    re-evolve tail keeps its walk's rows from where it rejoins them.
 
     A WalkhashError raised while a trial builds or disturbs its walk keeps
     its class; its message gains the seed, position, trial and trial_seed

@@ -23,15 +23,17 @@ each lane starts where the one before it ends (see _lane_rows). A walk
 keeps its lane rows only if one numpy check (_follows) confirms every row;
 otherwise, and for blocks of fewer than _LANE_MIN steps over the group,
 the scalar loop runs that walk's block alone and raises that walk's
-BoundsExceeded. _walks yields walks stepped _GROUP at a time, each
-holding the maps of its last steps: generate_walk takes the first of one,
-diffusion.run_avalanche walks its trials through it, and a re-evolve tail
-(_replay) reads its first maps from its walk's table. The output bytes
-depend neither on the grouping nor on the block size, which shrinks as a
-group grows (_block). The scalar functions (Stream, sample_affine_step,
-affine_step_for, map_templates, step) are the reference the tables and
-lanes are tested against, and they fill in the rare steps whose matrix
-draw is rejected.
+BoundsExceeded. _walks yields walks stepped _GROUP at a time, over rows
+it then freezes and marks as its own (Trajectory._walked): generate_walk
+takes the first of one, and diffusion.run_avalanche walks its trials
+through it. A re-evolve tail (_replay) runs the scalar steps until it
+rejoins its trajectory, and from there keeps a marked walk's rows as they
+are and checks any other trajectory's rows with _follows. The output
+bytes depend neither on the grouping nor on the block size, which shrinks
+as a group grows (_block). The scalar functions (Stream,
+sample_affine_step, affine_step_for, map_templates, step) are the
+reference the tables and lanes are tested against, and they fill in the
+rare steps whose matrix draw is rejected.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ _PASSES = 4
 _GROUP = 8
 
 # Steps in which a re-evolve replay (_replay) must rejoin its walk; at the
-# default config it does after a median of 2 (at most 11 in 200 trials).
+# default config it does after a median of 2, at most 10 and 14 in the
+# first 200 avalanche-reevolve benchmark trials at seeds 1 and 7877, and at
+# most 15 in the first 2,000 at seed 1.
 _REJOIN = 16
 
 
@@ -202,8 +206,8 @@ class MapMode(Enum):
     PER_STEP_FRESH samples a brand new map every step. FIXED_SET pre-draws
     map_count (matrix, translation) templates from the seed and picks one
     uniformly per step; only the noise offsets stay per-step fresh. The
-    second mode realizes the finite-alphabet walk counted by
-    walk_space_size.
+    second mode realizes a finite-alphabet walk: its n steps spell one of
+    map_count ** n template sequences.
     """
 
     PER_STEP_FRESH = "per-step-fresh"
@@ -288,9 +292,9 @@ class Trajectory:
 
     xy: np.ndarray
     config: WalkConfig
-    # the walk's last block of maps (row k - j of k is step n + 1 - j) if
-    # _walks made it; unannotated: no field, so replace() never copies it
-    _steps = None
+    # whether _walks made it, so its rows follow config's steps; unannotated:
+    # no field, so replace() never copies it, and __getstate__ drops it
+    _walked = False
 
     def __post_init__(self) -> None:
         _instance("config", WalkConfig, self.config)
@@ -300,15 +304,19 @@ class Trajectory:
 
     @classmethod
     def _adopt(cls, xy: np.ndarray, config: WalkConfig,
-               steps: np.ndarray | None = None) -> Trajectory:
+               walked: bool = False) -> Trajectory:
         """A trajectory over xy itself, an (n+1, 2) int64 array its caller
         made and no longer writes: unlike the constructor, no copy."""
         xy.flags.writeable = False
         t = object.__new__(cls)
         object.__setattr__(t, "xy", xy)
         object.__setattr__(t, "config", config)
-        object.__setattr__(t, "_steps", steps)
+        object.__setattr__(t, "_walked", walked)
         return t
+
+    def __getstate__(self) -> dict:
+        # copy and pickle: a copy's rows may be written, so it is unmarked
+        return {"xy": self.xy, "config": self.config}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
@@ -642,8 +650,8 @@ def _block(walks: int) -> int:
     return max(_BLOCK // walks // _SEGMENT * _SEGMENT, _BLOCK_MIN)
 
 
-def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
-            ) -> tuple[list[BoundsExceeded | None], np.ndarray]:
+def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray,
+            first: int) -> list[BoundsExceeded | None]:
     """Step walks whose configs differ only in seed on from row 0 of xy, a
     (G, k + 1, 2) int64 array holding each walk's x_(first-1): fills rows
     1..k of xy[g] with x_first..x_(first+k-1) of walk g.
@@ -655,15 +663,13 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
     its walks runs every walk's lanes in one _lane_rows call, and keeps a
     walk's rows only if _follows confirms them; any other block, or a walk
     whose lanes fail, runs the scalar loop from the walk's exact start.
-    Returns the BoundsExceeded that stopped each walk, or None, and the
-    last block's table, the maps of the last steps. A stopped walk's later
-    rows repeat its last start.
+    Returns the BoundsExceeded that stopped each walk, or None; a stopped
+    walk's later rows repeat its last start.
     """
     bound = lattice_bound(configs[0])
     end = first + xy.shape[1] - 1
     block = _block(len(configs))
     errors: list[BoundsExceeded | None] = [None] * len(configs)
-    table = np.empty((len(configs), 0, 8))
     for lo in range(first, end, block):
         m = min(block, end - lo)
         lanes = len(configs) * m >= _LANE_MIN
@@ -687,63 +693,62 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray, first: int
                 except BoundsExceeded as exc:
                     errors[g] = exc
                     out[...] = x[g]
-    return errors, table
+    return errors
 
 
 def _walks(configs: Iterable[WalkConfig]
            ) -> Iterator[Trajectory | BoundsExceeded]:
     """The walks x_0..x_n of configs that differ only in seed, in order,
-    stepped by _evolve _GROUP at a time: each a Trajectory holding its
-    last block's step table (Trajectory._steps), or the BoundsExceeded
-    that stopped it. A group's configs, rows and table are made only when
-    its first walk is due.
+    stepped by _evolve _GROUP at a time: each a Trajectory marked as a
+    walk (Trajectory._walked), or the BoundsExceeded that stopped it. A
+    group's rows are frozen once stepped, so no walk's rows can be made
+    writeable again, and a group's configs and rows are made only when its
+    first walk is due.
     """
     configs = iter(configs)
     while group := list(islice(configs, _GROUP)):
         xy = np.empty((len(group), group[0].n + 1, 2), dtype=np.int64)
         xy[:, 0] = group[0].x0
-        errors, table = _evolve(group, xy, 1)
-        for exc, rows, config, steps in zip(errors, xy, group, table):
-            yield exc or Trajectory._adopt(rows, config, steps)
+        errors = _evolve(group, xy, 1)
+        xy.flags.writeable = False
+        for exc, rows, config in zip(errors, xy, group):
+            yield exc or Trajectory._adopt(rows, config, walked=True)
 
 
 def _replay(config: WalkConfig, xy: np.ndarray, i: int,
-            steps: np.ndarray | None = None) -> None:
-    """Rewrite rows i+1.. of xy, the rows of a walk under config in all
-    but row i, as the rows reached by stepping on from xy[i].
+            walked: bool = False) -> None:
+    """Rewrite rows i+1.. of xy, the rows of a trajectory under config in
+    all but row i, as the rows reached by stepping on from xy[i].
 
-    The first _REJOIN steps run the scalar loop. Under contraction the
-    replay soon lands on a row of the walk and would retrace it from
-    there, so the walk's later rows are kept once _follows confirms them,
-    a lone walk's block of _block(1) steps at a time, one table alive at
-    once. Without a rejoin, or if a row does not follow, _evolve replays
-    the whole tail. steps, if given, are the walk's Trajectory._steps, the
-    maps of its last len(steps) steps; when they cover the tail, they are
-    its first block's table, and otherwise it draws its own.
+    Up to _REJOIN steps run as step(x, affine_step_for(config, k), bound),
+    stopping at the first row k the replay shares with xy: step k + 1
+    depends only on the seed, k and that row, so from there the replay
+    would retrace xy. If walked (the rows are a walk's from _walks, which
+    follow config's steps) they are kept as they are; otherwise they are
+    kept once _follows confirms them, a lone walk's block of _block(1)
+    steps at a time from row k, one table alive at once. A tail of at
+    most _REJOIN steps ends in the loop. Without a rejoin, or if a row
+    does not follow, _evolve replays the whole tail.
     """
     last = len(xy) - 1
     bound = lattice_bound(config)
     block = _block(1)
-    if steps is not None and last - i <= len(steps):
-        table = steps[len(steps) - (last - i):]
+    x = LatticePoint(*xy[i].tolist())
+    for k in range(i + 1, min(i + _REJOIN, last) + 1):
+        x = step(x, affine_step_for(config, k), bound)
+        if list(x) == xy[k].tolist():  # the replay's row k is xy's
+            if walked or all(
+                    _follows(_step_table([config], lo + 1,
+                                         min(lo + block, last) + 1)[0],
+                             xy[lo:lo + block + 1], bound)
+                    for lo in range(k, last, block)):
+                return
+            break
+        xy[k] = x
     else:
-        table = _step_table([config], i + 1, min(i + block, last) + 1)[0]
-    hi = i + len(table)
-    head = _scalar_rows(table[:_REJOIN], LatticePoint(*xy[i].tolist()),
-                        bound)
-    met = np.flatnonzero((head == xy[i + 1:i + 1 + len(head)]).all(axis=1))
-    if met.size:
-        j = i + 1 + int(met[0])  # the replay's row j is the walk's
-        kept = _follows(table[j - i:], xy[j:hi + 1], bound)
-        table = None  # freed before the next block's is drawn
-        for lo in range(hi, last, block):
-            rows = xy[lo:lo + block + 1]
-            kept = kept and _follows(
-                _step_table([config], lo + 1, lo + len(rows))[0], rows, bound)
-        if kept:
-            xy[i + 1:j] = head[:j - i - 1]
+        if last - i <= _REJOIN:
             return
-    (exc,), _ = _evolve([config], xy[None, i:], i + 1)
+    (exc,) = _evolve([config], xy[None, i:], i + 1)
     if exc:
         raise exc
 
@@ -756,11 +761,3 @@ def generate_walk(config: WalkConfig) -> Trajectory:
         raise walk
     return walk
 
-
-def walk_space_size(m: int, n: int) -> int:
-    """Number of distinct map-choice sequences: m ** n, exactly.
-
-    This is the symbolic walk count for FIXED_SET mode with m templates
-    over n steps, computed in exact integer arithmetic.
-    """
-    return _integer("m", m, 1) ** _integer("n", n, 1)

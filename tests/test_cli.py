@@ -425,7 +425,7 @@ resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from walkhash import cli, walk
 from walkhash.errors import BoundsExceeded
 def no_walk(configs, xy, first):
-    return [BoundsExceeded("generate_walk called")] * len(configs), xy
+    return [BoundsExceeded("generate_walk called")] * len(configs)
 walk._evolve = no_walk
 sys.exit(cli.main(sys.argv[1:]))
 """

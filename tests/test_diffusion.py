@@ -1,6 +1,8 @@
 """Perturbation mechanics, entropy, flip matrices, and trial batches."""
 
+import copy
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -88,8 +90,8 @@ def _full_replay(t, spec):
     """RE_EVOLVE as one replay of the whole tail: the reference."""
     xy = t.xy.copy()
     xy[spec.position] += spec.nudge
-    (exc,), _ = walk._evolve([t.config], xy[None, spec.position:],
-                             spec.position + 1)
+    (exc,) = walk._evolve([t.config], xy[None, spec.position:],
+                          spec.position + 1)
     if exc:
         raise exc
     return xy
@@ -171,27 +173,32 @@ def test_re_evolve_memory_stays_near_the_walk_size():
 
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_holds_one_block_table_at_a_time(mode):
-    # the replay drops its first block's table before it draws the next
-    # one: 1.27x the walk's bytes, against 1.43x with two tables alive
+    # the replay of rows that are not a walk's drops its first block's
+    # table before it draws the next one: 1.27x the walk's bytes, against
+    # 1.43x with two tables alive; a walk's own rows draw none
     config = WalkConfig(seed=3, n=200_000, map_mode=mode,
                         map_count=5 if mode is MapMode.FIXED_SET else None)
     t = generate_walk(config)
     spec = PerturbationSpec(10, PerturbMode.RE_EVOLVE)
-    tracemalloc.start()
-    try:
-        perturb(t, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.35 * t.xy.nbytes
+    for disturbed in (Trajectory(t.xy, config), t):
+        tracemalloc.start()
+        try:
+            perturb(disturbed, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * t.xy.nbytes
 
 
 def test_re_evolve_raises_the_replay_bounds_error(monkeypatch):
     # t's rows follow the steps, but with the bound lowered a row far past
-    # the point where the replay meets t leaves the region
+    # the point where the replay meets t leaves the region. A walk's own
+    # rows met the real bound when they were made and are kept unchecked,
+    # so the rows are built by hand, and the check of each block finds it.
     spec = PerturbationSpec(5, PerturbMode.RE_EVOLVE, (1, 0))
     for seed in range(50):
-        t = generate_walk(WalkConfig(seed=seed, n=300))
+        config = WalkConfig(seed=seed, n=300)
+        t = Trajectory(generate_walk(config).xy, config)
         early = np.abs(_full_replay(t, spec)[:spec.position + 20]).max()
         if np.abs(t.xy).max() > early:
             break
@@ -568,7 +575,7 @@ def test_avalanche_steps_its_trials_in_groups(monkeypatch, mode):
 def test_grouped_avalanche_equals_per_trial_rebuild(monkeypatch, mode,
                                                     map_mode):
     # lane-size walks in groups of 4: 9 trials make groups of 4, 4 and 1,
-    # and re-evolve tails read their maps from their group's table
+    # and re-evolve tails keep their group walk's rows from the rejoin
     config = WalkConfig(seed=23, n=walk._LANE_MIN + 88, map_mode=map_mode,
                         map_count=5 if map_mode is MapMode.FIXED_SET
                         else None)
@@ -667,12 +674,31 @@ def test_grouped_avalanche_raises_the_first_trials_error(mode):
     assert type(raised.value) is cls and str(raised.value) == message
 
 
+def _checked_tables(t, spec, want):
+    """The (lo, hi) of the _step_table calls of a re-evolve replay of t's
+    rows that are not a walk's, whose result is want: blocks of
+    _block(1) steps from the first row of its first _REJOIN where want
+    rejoins t, or none for a shorter tail that does not; None for a longer
+    one that does not, which _evolve replays whole. A walk's replay draws
+    none where this is not None."""
+    i, n, block = spec.position, t.n, walk._block(1)
+    for k in range(i + 1, min(i + walk._REJOIN, n) + 1):
+        if want[k].tolist() == t.xy[k].tolist():
+            return [(lo + 1, min(lo + block, n) + 1)
+                    for lo in range(k, n, block)]
+    return [] if n - i <= walk._REJOIN else None
+
+
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_with_the_group_table_equals_a_full_replay(mode,
                                                              monkeypatch):
-    # a tail inside the table's steps replays its first steps from that
-    # table; one that starts before them draws its own
+    # walks stepped in a group of 3, which once held their group's last
+    # table and now hold their rows alone: a replay that rejoins its walk
+    # keeps the walk's rows and draws no table, and every replay equals the
+    # full one and that of the same rows built by hand, also for tails
+    # that end inside the replay's first _REJOIN steps
     rng = random.Random(f"group-tail-{mode.value}")
+    rejoin = walk._REJOIN
     for n in (walk._LANE_MIN, 2000, walk._block(3) + 700):
         config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
                             map_count=6 if mode is MapMode.FIXED_SET
@@ -680,29 +706,22 @@ def test_re_evolve_with_the_group_table_equals_a_full_replay(mode,
         configs = [replace(config, seed=rng.randrange(2**64))
                    for _ in range(3)]
         for t in walk._walks(configs):
-            tail = t._steps
-            for position in (1, rng.randint(2, n - 2), n - len(tail),
-                             n - len(tail) + 1, n - 1):
-                if position < 1:
-                    continue
+            assert t._walked
+            for position in (1, rng.randint(2, n - 2), n - rejoin - 1,
+                             n - rejoin, n - rejoin + 1, n - 1):
                 spec = PerturbationSpec(position, PerturbMode.RE_EVOLVE,
                                         (rng.randint(-3, 3), 1))
+                want = _full_replay(t, spec)
                 with monkeypatch.context() as patch:
-                    heads = []
-                    real_rows = walk._scalar_rows
-                    patch.setattr(walk, "_scalar_rows",
-                                  lambda *args: heads.append(args[0])
-                                  or real_rows(*args))
+                    drawn = _step_tables(patch)
                     got = perturb(t, spec)
-                assert np.array_equal(got.xy, _full_replay(t, spec))
+                assert np.array_equal(got.xy, want)
                 assert np.array_equal(
                     got.xy, perturb(Trajectory(t.xy, t.config), spec).xy)
-                # the replay's first steps are this walk's steps after
-                # position, whichever table they come from
-                assert np.shares_memory(heads[0], tail) \
-                    is (n - position <= len(tail))
-                assert np.array_equal(heads[0], walk._step_table(
-                    [t.config], position + 1, position + 1 + len(heads[0]))[0])
+                if _checked_tables(t, spec, want) is None:
+                    assert drawn[0][0] == position + 1  # _evolve's
+                else:
+                    assert drawn == []
 
 
 def _scalar_replay(t, spec):
@@ -730,59 +749,107 @@ def _step_tables(monkeypatch):
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_of_a_walk_equals_a_hand_built_and_a_scalar_replay(
         mode, monkeypatch):
-    # a lone walk holds its last block's maps: all of it up to _BLOCK
-    # steps, then a block of 1, 17 or 512 steps (lanes from _LANE_MIN). A
-    # tail inside those maps draws one table fewer than the same rows
-    # built by hand, and every replay equals the scalar one (a long tail
-    # the table one, which other tests hold to the scalar one)
+    # walks at every edge of a lone walk's blocks and lanes, tails around
+    # _REJOIN steps: a walk's replay keeps its rows from where it rejoins
+    # them and draws no table, the same rows built by hand draw the blocks
+    # that check them from there, and every replay equals the scalar one
+    # (a long tail the table one, which other tests hold to the scalar one)
     rng = random.Random(f"walk-tail-{mode.value}")
     edges = (walk._SEGMENT, walk._LANE_MIN, walk._BLOCK_MIN, walk._BLOCK,
              walk._BLOCK + walk._SEGMENT, walk._BLOCK + walk._LANE_MIN)
+    rejoin = walk._REJOIN
     for n in sorted({e + d for e in edges for d in (-1, 0, 1)}):
         config = WalkConfig(n=n, seed=rng.randrange(2**64), map_mode=mode,
                             map_count=4 if mode is MapMode.FIXED_SET
                             else None)
         t = generate_walk(config)
-        k = len(t._steps)
-        assert k == (n if n <= walk._BLOCK else n - walk._BLOCK)
         hand = Trajectory(t.xy, config)
-        assert hand._steps is None
-        for position in {1, rng.randint(1, n - 1), n - k - 1, n - k,
-                         n - k + 1, n - 1}:
+        assert t._walked and not hand._walked
+        for position in {1, rng.randint(1, n - 1), n - rejoin - 1,
+                         n - rejoin, n - rejoin + 1, n - 1}:
             if not 1 <= position < n:
                 continue
             spec = PerturbationSpec(position, PerturbMode.RE_EVOLVE,
                                     (rng.randint(-3, 3), rng.randint(-3, 3)))
+            replay = _scalar_replay if n - position <= walk._LANE_MIN \
+                else _full_replay
+            want = replay(t, spec)
             with monkeypatch.context() as patch:
                 drawn = _step_tables(patch)
                 got = perturb(t, spec)
-                walk_drew = len(drawn)
-                want = perturb(hand, spec)
-            assert len(drawn) - 2 * walk_drew == (n - position <= k)
-            assert np.array_equal(got.xy, want.xy)
-            replay = _scalar_replay if n - position <= walk._LANE_MIN \
-                else _full_replay
-            assert np.array_equal(got.xy, replay(t, spec))
+                walk_drew = drawn[:]
+                del drawn[:]
+                hand_got = perturb(hand, spec)
+            assert np.array_equal(got.xy, hand_got.xy)
+            assert np.array_equal(got.xy, want)
+            tables = _checked_tables(t, spec, want)
+            if tables is None:  # both replay the whole tail
+                assert walk_drew == drawn and drawn[0][0] == position + 1
+            else:
+                assert walk_drew == [] and drawn == tables
 
 
 def test_re_evolve_reads_the_walks_own_maps(monkeypatch):
     # once perturb(t, spec, steps=tail) took any table, and a wrong one
-    # changed every row from 1501 on; now the maps ride on the walk, and
-    # only the constructor's copy of it draws its own
+    # changed every row from 1501 on; then the walk carried its last maps,
+    # 64 bytes a step. Now a walk's replay keeps the walk's rows from the
+    # row where it rejoins them, here 1502, and draws no maps, and the
+    # constructor's copy of it draws the maps that check them from there
     t = generate_walk(WalkConfig(n=2000, seed=5))
     spec = PerturbationSpec(1500, "re-evolve", (3, 1))
     want = _scalar_replay(t, spec)
+    assert _checked_tables(t, spec, want) == [(1503, 2001)]
     for walk_t, tables in ((t, []), (Trajectory(t.xy, t.config),
-                                     [(1501, 2001)])):
+                                     [(1503, 2001)])):
         with monkeypatch.context() as patch:
             drawn = _step_tables(patch)
             assert np.array_equal(perturb(walk_t, spec).xy, want)
         assert drawn == tables
     with pytest.raises(TypeError):
-        perturb(t, spec, steps=t._steps)
-    # replace builds through the constructor, so it carries no table
-    assert t._steps is not None and replace(t)._steps is None
+        perturb(t, spec, steps=None)
+    # replace builds through the constructor, so it is not marked
+    assert t._walked and not replace(t)._walked
     assert replace(t) == t and hash(replace(t)) == hash(t)
+
+
+def test_copies_of_a_walk_are_checked_like_hand_built_ones():
+    # deepcopy and pickle once kept a walk's mark on a writeable copy of its
+    # rows, so a replay kept a row edited after the rejoin; every copy is
+    # now unmarked, and its rows are checked and replayed where they differ
+    t = generate_walk(WalkConfig(n=2000, seed=5))
+    spec = PerturbationSpec(100, PerturbMode.RE_EVOLVE, (3, 1))
+    row = 1500
+    edited = t.xy.copy()
+    edited[row] += (0, 1)
+    copies = [copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+    for c in copies:
+        c.xy[row] += (0, 1)
+    copies.append(replace(t, xy=edited))
+    assert not copy.copy(t)._walked
+    want = perturb(t, spec).xy
+    for c in copies:
+        assert not c._walked and c == Trajectory(edited, t.config)
+        out = perturb(c, spec).xy
+        assert np.array_equal(out, _full_replay(c, spec))
+        assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_a_walks_replay_draws_no_table_once_it_rejoins(monkeypatch, n):
+    # the replay's head draws its steps one at a time, and from the rejoin
+    # a walk's rows are kept as they are; the same rows built by hand draw
+    # a lone walk's blocks from the rejoin row, and neither replays whole
+    t = generate_walk(WalkConfig(n=n, seed=5))
+    spec = PerturbationSpec(100, PerturbMode.RE_EVOLVE, (3, 1))
+    want = _full_replay(t, spec)
+    tables = _checked_tables(t, spec, want)
+    assert len(tables) == -(-(n - tables[0][0] + 1) // walk._block(1))
+    for trajectory, drew in ((t, []), (Trajectory(t.xy, t.config), tables)):
+        with monkeypatch.context() as patch:
+            drawn = _step_tables(patch)
+            patch.setattr(walk, "_evolve", None)
+            assert np.array_equal(perturb(trajectory, spec).xy, want)
+        assert drawn == drew
 
 
 def test_run_avalanche_validation():

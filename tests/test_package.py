@@ -28,7 +28,6 @@ PUBLIC = {
     "lower_regularized_gamma", "map_templates", "perturb", "run_avalanche",
     "sample_affine_step", "serialize_trajectory", "shannon_entropy", "step",
     "trial_seed", "trial_summary", "upper_regularized_gamma",
-    "walk_space_size",
 }
 
 

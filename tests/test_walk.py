@@ -25,7 +25,6 @@ from walkhash import (
     map_templates,
     sample_affine_step,
     step,
-    walk_space_size,
 )
 from walkhash import walk
 from walkhash.rng import Stream, stream_keys
@@ -263,38 +262,6 @@ def test_seed_sensitivity_at_first_step():
     assert diverged >= 0.99 * pairs
 
 
-# --------------------------------------------------------- walk_space_size
-
-def test_walk_space_size_values():
-    assert walk_space_size(1, 100) == 1
-    assert walk_space_size(2, 10) == 1024
-    assert walk_space_size(3, 40) == 12157665459056928801
-
-
-def test_walk_space_size_matches_repeated_multiplication():
-    rng = random.Random(4)
-    for _ in range(50):
-        m = rng.randrange(1, 12)
-        n = rng.randrange(1, 60)
-        product = 1
-        for _ in range(n):
-            product *= m
-        assert walk_space_size(m, n) == product
-
-
-def test_walk_space_size_validation():
-    with pytest.raises(ConfigError):
-        walk_space_size(0, 5)
-    with pytest.raises(ConfigError):
-        walk_space_size(3, 0)
-    with pytest.raises(ConfigError, match=r"^n must be >= 1, got -1$"):
-        walk_space_size(3, -1)
-    # once 15.625, 2 and 8.0
-    for m, n in ((2.5, 3), (2, True), (np.float64(2.0), 3)):
-        with pytest.raises(ConfigError, match="must be an integer"):
-            walk_space_size(m, n)
-
-
 # ----------------------------------------------------------- fixed-set mode
 
 def test_fixed_set_steps_use_templates():
@@ -354,7 +321,7 @@ def _table_walk(config, x, first, last=None):
     last = config.n if last is None else last
     xy = np.empty((1, last - first + 2, 2), dtype=np.int64)
     xy[0, 0] = x
-    (exc,), _ = walk._evolve([config], xy, first)
+    (exc,) = walk._evolve([config], xy, first)
     if exc:
         raise exc
     return xy[0, 1:]
@@ -444,8 +411,11 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
         want.append(list(x))
     assert want == [[1, 1]] * len(rows)
     assert _table_walk(config, config.x0, 1).tolist() == want
-    # _replay rejoins at once and keeps the rows only if _follows confirms
-    # them: it must not fall back to _evolve
+    # _replay's scalar head rejoins at once, and rows that are not a walk's
+    # are kept only if _follows confirms them: it must not fall back to
+    # _evolve
+    monkeypatch.setattr(walk, "affine_step_for",
+                        lambda config, i: AffineStep(*rows[i - 1]))
     monkeypatch.setattr(walk, "_evolve", None)
     xy = np.array([[1, 1], *want])
     walk._replay(config, xy, 0)
@@ -716,26 +686,20 @@ def _group(config, rng, size):
 
 def _check_group(configs, bound=None):
     """Every walk _walks yields equals its scalar replay, or is its scalar
-    BoundsExceeded, in the order of configs, and a walk's table holds the
-    maps of its last steps."""
+    BoundsExceeded, in the order of configs, and is marked as a walk over
+    rows that cannot be made writeable."""
     walks = list(walk._walks(configs))
     assert len(walks) == len(configs)
-    for i, (config, got) in enumerate(zip(configs, walks)):
+    for config, got in zip(configs, walks):
         try:
             want = _replay(config, config.x0, 1, bound)
         except BoundsExceeded as exc:
             assert isinstance(got, BoundsExceeded) and str(got) == str(exc)
             continue
-        tail = got._steps
-        assert got.config == config and not got.xy.flags.writeable
+        assert got.config == config and got._walked
+        assert not got.xy.flags.writeable and not got.xy.base.flags.writeable
         assert got.xy[0].tolist() == list(config.x0)
         assert np.array_equal(got.xy[1:], want)
-        k = len(tail)
-        size = min(walk._GROUP, len(configs) - i // walk._GROUP * walk._GROUP)
-        assert 0 < k <= min(config.n, walk._block(size))
-        for r in {0, k // 2, k - 1}:
-            assert tuple(tail[r].tolist()) \
-                == tuple(affine_step_for(config, config.n - k + 1 + r))
     return walks
 
 
@@ -847,15 +811,25 @@ def test_block_lengths_follow_the_group_size(monkeypatch):
                 _group(WalkConfig(n=9000, seed=7), rng, size)))
         assert [hi - lo for _, lo, hi in calls] == lengths
         assert all(isinstance(t, Trajectory) for t in walks)
-    # a re-evolve replay checks a lone walk's rows a lone walk's block at
-    # a time: rows 11..8202, 8203..16394, then the last 3606
+    # a re-evolve replay of rows that are not a walk's checks them a lone
+    # walk's block at a time from the row where it rejoins them, here row
+    # 21: rows 22..8213, 8214..16405, then the last 3595; a walk's own
+    # rows draw no table
     config = WalkConfig(n=20000, seed=7)
-    xy = generate_walk(config).xy.copy()
-    xy[10] += (1, 0)
-    with monkeypatch.context() as patch:
-        calls = _count_calls(patch, "_step_table")
-        walk._replay(config, xy, 10)
-    assert [hi - lo for _, lo, hi in calls] == [8192, 8192, 3606]
+    t = generate_walk(config)
+    x = LatticePoint(*(t.xy[10] + (1, 0)).tolist())
+    for i in range(11, 22):
+        x = step(x, affine_step_for(config, i))
+        assert (list(x) == t.xy[i].tolist()) is (i == 21)
+    for walked, lengths in ((False, [8192, 8192, 3595]), (True, [])):
+        xy = t.xy.copy()
+        xy[10] += (1, 0)
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, "_step_table")
+            patch.setattr(walk, "_evolve", None)
+            walk._replay(config, xy, 10, walked)
+        assert [hi - lo for _, lo, hi in calls] == lengths
+        assert [lo for _, lo, _ in calls[:1]] == [22] * (not walked)
 
 
 def test_generate_walk_memory_stays_near_the_walk_size():
@@ -870,6 +844,39 @@ def test_generate_walk_memory_stays_near_the_walk_size():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * t.xy.nbytes
+
+
+def test_kept_walks_hold_their_rows_and_no_step_table():
+    # a walk once kept its last block's step table, 64 bytes a step
+    # against 16 bytes a row: 50 walks at n=2000 held 8.06 MB for 1.60 MB
+    # of rows, whether made alone or in groups
+    configs = [WalkConfig(n=2000, seed=s) for s in range(50)]
+    generate_walk(configs[0])  # imports and caches
+    for make in (lambda: [generate_walk(c) for c in configs],
+                 lambda: list(walk._walks(configs))):
+        tracemalloc.start()
+        try:
+            kept = make()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.1 * sum(t.xy.nbytes for t in kept)
+
+
+def test_a_walks_rows_cannot_be_made_writeable():
+    # a re-evolve replay keeps a walk's rows without checking them, so
+    # they must stay the rows _walks made; a hand-built trajectory's rows
+    # are checked, and its own copy may be unlocked
+    configs = [WalkConfig(n=n, seed=s) for n, s in ((40, 1), (40, 2))]
+    for t in (generate_walk(WalkConfig(n=3000, seed=4)),
+              *walk._walks(configs)):
+        for unlock in (lambda: setattr(t.xy.flags, "writeable", True),
+                       lambda: t.xy.setflags(write=True)):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                unlock()
+        assert t._walked and not t.xy.flags.writeable
+    hand = Trajectory(t.xy, t.config)
+    assert not hand._walked and not hand.xy.flags.writeable
 
 
 @pytest.mark.parametrize("mode", list(MapMode))

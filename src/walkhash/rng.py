@@ -13,14 +13,19 @@ drives map sampling, which is fine because all security-relevant mixing
 happens in the hash stage.
 
 Because a stream is counter-based (draw k of the stream with key K is
-mix64(K + k * golden)), draw k of many streams can be computed at once:
+mix64(K + k * golden)), draws of many streams can be computed at once:
 stream_keys, mix64_array, u64_draws and uniform_draws are the uint64
 numpy counterparts of stream_key, mix64, Stream.next_u64 and
-Stream.uniform and give the same values bit for bit.
+Stream.uniform and give the same values bit for bit. u64_draws and
+uniform_draws make a run of consecutive draws k..k+D-1 of every stream in
+one numpy pass, as D rows of one array, so a step table's nine draws take
+four passes (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -79,20 +84,27 @@ class Stream:
         return self.next_u64() % n
 
 
-_GOLDEN_U64 = np.uint64(_GOLDEN)
-_MIX_A_U64 = np.uint64(_MIX_A)
-_MIX_B_U64 = np.uint64(_MIX_B)
+# The numpy functions' constant operands, as 0-d arrays: numpy would
+# convert a numpy scalar or a Python float on every call. A draw's bounds
+# stay Python floats, which wrapping in an array each call does not speed.
+_GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = (
+    np.array(c, dtype=np.uint64) for c in (_GOLDEN, _MIX_A, _MIX_B))
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (
+    np.array(c, dtype=np.uint64) for c in (11, 27, 30, 31))
+_INV53_F64 = np.array(_INV53)
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
+def mix64_array(z: np.ndarray, spare: np.ndarray | None = None
+                ) -> np.ndarray:
     """mix64 of each word of a uint64 array, in place (arithmetic wraps
-    mod 2**64); returns z."""
-    spare = z >> np.uint64(30)
+    mod 2**64), with spare, a uint64 array of z's shape, as its scratch
+    (a new one if not given); returns z."""
+    spare = np.right_shift(z, _SHIFT_30, out=spare)
     z ^= spare
     z *= _MIX_A_U64
-    z ^= np.right_shift(z, np.uint64(27), out=spare)
+    z ^= np.right_shift(z, _SHIFT_27, out=spare)
     z *= _MIX_B_U64
-    z ^= np.right_shift(z, np.uint64(31), out=spare)
+    z ^= np.right_shift(z, _SHIFT_31, out=spare)
     return z
 
 
@@ -110,23 +122,34 @@ def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
     return mix64_array(keys)
 
 
-def u64_draws(keys: np.ndarray, k: int, out: np.ndarray | None = None
-              ) -> np.ndarray:
+def u64_draws(keys: np.ndarray, k: int, out: np.ndarray | None = None,
+              spare: np.ndarray | None = None) -> np.ndarray:
     """Draw k (1-based) of the streams with these keys: next_u64 called k
-    times on each; written into out if given."""
-    z = np.add(keys, np.uint64(k * _GOLDEN & _MASK64), out=out)
-    return mix64_array(z)
+    times on each; written into out if given. An out with one more leading
+    axis than keys, of D rows, holds draws k..k+D-1, row d draw k + d, all
+    made in one pass; spare is mix64_array's scratch."""
+    lead = () if out is None else out.shape[:out.ndim - keys.ndim]
+    steps = np.array([(k + d) * _GOLDEN & _MASK64
+                      for d in range(math.prod(lead))], dtype=np.uint64)
+    z = np.add(keys, steps.reshape(lead + (1,) * keys.ndim), out=out)
+    return mix64_array(z, spare)
 
 
 def uniform_draws(keys: np.ndarray, k: int, lo: float, hi: float,
-                  out: np.ndarray) -> np.ndarray:
+                  out: np.ndarray, spare: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Draw k of each stream as Stream.uniform(lo, hi) would make it,
-    written into out, a float64 array of keys' shape. The draw's words and
-    its doubles share out's memory, so it needs no (keys.shape) temporary
-    beyond the one mix64_array takes."""
-    bits = u64_draws(keys, k, out.view(np.uint64))
-    bits >>= np.uint64(11)
-    u = np.multiply(bits, _INV53, out=out)
+    written into out, a float64 array of keys' shape; an out with one more
+    leading axis of D rows holds draws k..k+D-1, as u64_draws makes them.
+    The draws' words are made in out's memory and their top 53 bits in
+    spare, mix64_array's scratch (uint64, out's shape; a new array if not
+    given), which the doubles are then written from: numpy ran the
+    multiply over the words' own memory up to twice as slowly."""
+    if spare is None:
+        spare = np.empty(out.shape, dtype=np.uint64)
+    words = u64_draws(keys, k, out.view(np.uint64), spare)
+    bits = np.right_shift(words, _SHIFT_11, out=spare)
+    u = np.multiply(bits, _INV53_F64, out=out)
     u *= hi - lo
     u += lo
     return u

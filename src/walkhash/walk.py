@@ -345,6 +345,11 @@ def _spectral_norm(a11: float, a12: float, a21: float, a22: float) -> float:
     return 0.5 * (math.sqrt(t + d2) + math.sqrt(max(t - d2, 0.0)))
 
 
+# _spectral_norms' constant operands, as 0-d arrays: numpy would convert a
+# Python float on every call.
+_ZERO, _HALF, _TWO = np.array(0.0), np.array(0.5), np.array(2.0)
+
+
 def _spectral_norms(a11: np.ndarray, a12: np.ndarray, a21: np.ndarray,
                     a22: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """_spectral_norm of each lane, in the same expression order, written
@@ -357,12 +362,12 @@ def _spectral_norms(a11: np.ndarray, a12: np.ndarray, a21: np.ndarray,
     np.multiply(a11, a22, out=d2)
     d2 -= np.multiply(a12, a21, out=low)
     np.abs(d2, out=d2)
-    d2 *= 2.0
+    d2 *= _TWO
     np.subtract(sigma, d2, out=low)
-    np.sqrt(np.maximum(low, 0.0, out=low), out=low)
+    np.sqrt(np.maximum(low, _ZERO, out=low), out=low)
     np.sqrt(np.add(sigma, d2, out=sigma), out=sigma)
     sigma += low
-    sigma *= 0.5
+    sigma *= _HALF
     return sigma
 
 
@@ -492,19 +497,22 @@ def _map_columns(config: WalkConfig, keys: np.ndarray,
     Writes the rows a11 a12 a21 a22 b1 b2 into out[..., :6] and returns
     the mask of lanes whose first matrix draw is rejected; _draw_map
     redraws those, which moves every later draw, so their rows must be
-    refilled by the caller. Every draw is made in its column of out, and
-    columns 4 to 7 hold the norms and scales until their own draws, so
-    the only temporaries are mix64_array's and the mask.
+    refilled by the caller. Each run of draws with the same bounds is one
+    uniform_draws pass, whose scratch words are columns of out not yet
+    drawn: draws 1-4 go into columns 0-3 (scratch 4-7), the norms into
+    column 4 (scratch 5-6), draw 5 (rho) into column 7 (scratch 5), and
+    draws 6-7 into columns 4-5 (scratch 6-7). So the only temporaries are
+    each pass's D offsets and the mask.
     """
     cols = np.moveaxis(out, -1, 0)
-    for c in range(4):
-        uniform_draws(keys, c + 1, -1.0, 1.0, cols[c])
+    words = cols.view(np.uint64)
+    uniform_draws(keys, 1, -1.0, 1.0, cols[:4], words[4:])
     sigma = _spectral_norms(*cols[:4], cols[4:7])
     rejected = sigma <= _SIGMA_FLOOR
-    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max, cols[7])
+    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max, cols[7],
+                          words[5])
     cols[:4] *= np.divide(scale, sigma, scale)
-    uniform_draws(keys, 6, config.b_min, config.b_max, cols[4])
-    uniform_draws(keys, 7, config.b_min, config.b_max, cols[5])
+    uniform_draws(keys, 6, config.b_min, config.b_max, cols[4:6], words[6:])
     return rejected
 
 
@@ -516,13 +524,17 @@ def _step_table(configs: Sequence[WalkConfig], lo: int,
 
     In FIXED_SET mode each step draws only the template it chooses, so the
     cost follows the steps, not map_count. The table is a view of an
-    (8, G, hi - lo) array: each column is drawn in place, in one piece,
-    and _lane_rows reads step t of every lane of a column with one stride.
+    (8, G, hi - lo) array: each run of draws is made in place, in one
+    pass over its columns (four passes in either mode), and _lane_rows
+    reads step t of every lane of a column with one stride. Beside the
+    table and the keys, the noise pass's scratch (two words a step) is its
+    largest temporary.
     """
     config = configs[0]
     seeds = [c.seed for c in configs]
     eps = config.epsilon
-    table = np.empty((8, len(seeds), hi - lo)).transpose(1, 2, 0)
+    cols = np.empty((8, len(seeds), hi - lo))
+    table = cols.transpose(1, 2, 0)
     if config.map_mode is MapMode.PER_STEP_FRESH:
         keys = stream_keys(seeds, (_SUB_STEP,), np.arange(lo, hi))
         rejected = _map_columns(config, keys, table)
@@ -535,8 +547,7 @@ def _step_table(configs: Sequence[WalkConfig], lo: int,
         del choice  # before _map_columns draws the templates
         rejected = _map_columns(config, template_keys, table)
         d1_draw = 2
-    uniform_draws(keys, d1_draw, -eps, eps, table[..., 6])
-    uniform_draws(keys, d1_draw + 1, -eps, eps, table[..., 7])
+    uniform_draws(keys, d1_draw, -eps, eps, cols[6:8])
     for g, k in np.argwhere(rejected).tolist():
         table[g, k] = affine_step_for(configs[g], lo + k)
     return table
@@ -596,12 +607,14 @@ def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     # step t of every lane as _floor_step's (2, walks, lanes) arguments:
     # the column pairs (a11, a21), (a12, a22), (b1, b2) and (d1, d2) of its
     # maps, the points it starts from (at[t]) and the points it reaches
-    # (at[t + 1]); a view when table is one from _step_table
-    maps = table.transpose(2, 0, 1).reshape(8, walks, lanes, seg)
+    # (at[t + 1]); steps is a view when table is one from _step_table, and
+    # row t of each of these strided views is one step's argument
+    steps = table.transpose(2, 0, 1).reshape(8, walks, lanes, seg)
+    steps = np.moveaxis(steps, -1, 0)
     at = np.empty((seg + 1, 2, walks, lanes))
     at[:] = x.T[:, :, None]  # the true starts, and the guess lanes start from
-    calls = [(maps[0:4:2, ..., t], maps[1:4:2, ..., t], maps[4:6, ..., t],
-              maps[6:8, ..., t], *at[t], at[t + 1]) for t in range(seg)]
+    calls = list(zip(steps[:, 0:4:2], steps[:, 1:4:2], steps[:, 4:6],
+                     steps[:, 6:8], at[:-1, 0], at[:-1, 1], at[1:]))
     new, tmp = np.empty((2, 2, walks, lanes))
     for k in range(_PASSES * seg):
         ax, ay, b, d, px, py, out = calls[k % seg]

@@ -99,3 +99,30 @@ def test_array_draws_equal_scalar_streams():
     words = [0, 1, 2**63, 2**64 - 1, 0xDEADBEEF]
     assert mix64_array(np.array(words, dtype=np.uint64)).tolist() \
         == [mix64(z) for z in words]
+
+
+def test_multi_row_draws_equal_consecutive_scalar_draws():
+    # an out with a leading axis of D rows holds draws k..k+D-1, as D
+    # consecutive Stream calls make them; the second out is a strided view,
+    # as a step table's columns are
+    index = np.array([0, 1, 41, 2**40, 2**63 - 1])
+    seeds = (0, 12345, 2**64 - 1)
+    for rows in (index, np.array([np.roll(index, g) for g in range(3)])):
+        keys = stream_keys(seeds, (3, 7), rows)
+        for draws in (1, 2, 4):
+            for out in (np.empty((draws, *keys.shape)),
+                        np.moveaxis(np.empty((*keys.shape, draws)), -1, 0)):
+                uniform = uniform_draws(keys, 2, -2.5, 7.0, out)
+                assert uniform is out
+                u64 = u64_draws(keys, 2, np.empty(out.shape, np.uint64))
+                for g, seed in enumerate(seeds):
+                    row = rows if rows.ndim == 1 else rows[g]
+                    for lane, i in enumerate(row.tolist()):
+                        s = Stream(seed, 3, 7, i)
+                        s.next_u64()  # draw 1
+                        assert uniform[:, g, lane].tolist() == [
+                            s.uniform(-2.5, 7.0) for _ in range(draws)]
+                        s = Stream(seed, 3, 7, i)
+                        s.next_u64()
+                        assert u64[:, g, lane].tolist() == [
+                            s.next_u64() for _ in range(draws)]

@@ -1,5 +1,6 @@
 """Walk module: sampling contract, step semantics, bounds, determinism."""
 
+import hashlib
 import json
 import math
 import random
@@ -460,6 +461,84 @@ def test_rejected_matrix_draws_fall_back_to_scalar(mode, monkeypatch):
                   for i in range(1, config.n + 1)}
         assert chosen & set(np.flatnonzero(rejected).tolist())
     _check_evolve(config, rng)
+
+
+def _table_config(rng, mode):
+    """A config biased to the edges of a step table's draws: rho_max up to
+    1 - 1e-9, b = epsilon = 0, and map_count 1 or 2**64 - 1."""
+    rho_max = rng.choice([0.5, 0.95, 1 - 1e-9])
+    b = rng.choice([0.0, 0.0, 100.0])
+    b_min, b_max = sorted((rng.uniform(-b, b), rng.uniform(-b, b)))
+    return WalkConfig(
+        rho_min=rng.choice([rho_max, rng.uniform(0.01, rho_max)]),
+        rho_max=rho_max, b_min=b_min, b_max=b_max,
+        epsilon=rng.choice([0.0, 0.5]), seed=rng.randrange(2**64),
+        map_mode=mode, map_count=rng.choice([1, 7, 2**64 - 1])
+        if mode is MapMode.FIXED_SET else None)
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_step_table_sweep_equals_affine_step_for(mode, monkeypatch):
+    # seeded tables of 1 to 9 walks at every edge of a table's draws and
+    # sizes, from start indices up to 2**40, against the scalar reference:
+    # every row of a short table, and in a longer one each walk's first and
+    # last step and 8 more at random. At a floor of 0.6 about 6% of the
+    # matrix draws are rejected, and their lanes refilled.
+    rng = random.Random(f"table-sweep-{mode.value}")
+    short = (1, walk._SEGMENT - 1, walk._SEGMENT, walk._SEGMENT + 1)
+    for floor, sizes in ((walk._SIGMA_FLOOR,
+                          short + (walk._BLOCK_MIN, walk._block(1))),
+                         (0.6, short + (walk._BLOCK_MIN,))):
+        monkeypatch.setattr(walk, "_SIGMA_FLOOR", floor)
+        for walks in range(1, 10):
+            for m in sizes:
+                config = _table_config(rng, mode)
+                configs = [replace(config, seed=rng.randrange(2**64))
+                           for _ in range(walks - 1)] + [config]
+                lo = rng.choice([1, rng.randrange(1, 2**40), 2**40 - m])
+                table = walk._step_table(configs, lo, lo + m)
+                assert table.shape == (walks, m, 8)
+                if m in short:
+                    cells = [(g, k) for g in range(walks) for k in range(m)]
+                else:
+                    cells = [(g, k) for g in range(walks) for k in (0, m - 1)]
+                    cells += [(rng.randrange(walks), rng.randrange(m))
+                              for _ in range(8)]
+                for g, k in cells:
+                    assert tuple(table[g, k].tolist()) \
+                        == tuple(affine_step_for(configs[g], lo + k))
+
+
+# SHA-256 of six step tables, one lone walk's block and two groups' (see
+# test_step_table_bytes_are_pinned), recorded when a table took nine
+# one-draw passes; any change to a table byte fails.
+_TABLE_PINS = {
+    (MapMode.PER_STEP_FRESH, 1):
+        "dc9983676f82b4ab80acc968e9132a098f6e0d50e831aa6317e192ce997e602f",
+    (MapMode.PER_STEP_FRESH, 3):
+        "55c5facf30b245a21dda4e0b9c400c9268395a3e38f3ef78c587d845fc26ecd3",
+    (MapMode.PER_STEP_FRESH, 8):
+        "308f801c841c9ef33b9f95853ac7dde8f7779de71b3b15d7f0ba8401fdf7d3d1",
+    (MapMode.FIXED_SET, 1):
+        "1ad0e9a88c3420c19d1eaf0f373c074b8ff94a8adb414055ab386b2dd4e4ffce",
+    (MapMode.FIXED_SET, 3):
+        "c6a57e00ad0388010fedfb1ad8dd48cd44e1ff9f067a5d1a7f32f9ed6f90c6a3",
+    (MapMode.FIXED_SET, 8):
+        "7cdafe9208e0cb3f4788e1ebdb806768b9fab3f4a03781ed76d4f09f24237b13",
+}
+
+
+@pytest.mark.parametrize("mode, walks", list(_TABLE_PINS))
+def test_step_table_bytes_are_pinned(mode, walks):
+    config = WalkConfig(seed=2**64 - 1, epsilon=0.25, map_mode=mode,
+                        map_count={1: 16, 3: 2**64 - 1, 8: 1}[walks]
+                        if mode is MapMode.FIXED_SET else None)
+    configs = [replace(config, seed=(config.seed + g * 1013) % 2**64)
+               for g in range(walks)]
+    lo = {1: 1, 3: 2**40, 8: 12289}[walks]
+    table = walk._step_table(configs, lo, lo + walk._block(walks))
+    assert hashlib.sha256(table.tobytes()).hexdigest() \
+        == _TABLE_PINS[mode, walks]
 
 
 @pytest.mark.parametrize("mode", list(MapMode))

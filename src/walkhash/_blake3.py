@@ -30,8 +30,12 @@ chunks", BLAKE3 spec section 5.3), so independent work shares lanes:
 - Each parent level of a group is one compression, and the root output
   blocks of every message in the call are one more.
 
-Each stage and each compression runs on one of two kernels with one
-output, picked by lane count:
+The chunk stage and each parent level run on one of two kernels with one
+output, picked by lane count. The root output blocks, one lane per
+64-byte output block of each message, always run on the int kernel. A
+key's root is one lane; 524 n=2000 walks, the most that one avalanche
+batch of them holds, put 524 lanes there, which took 1.2 ms on ints
+against 0.25 ms on numpy, about 1% of the batch's 57 ms of hashing.
 
 - Below _CROSSOVER lanes, the int kernel holds each state and message
   word as one Python int, lane j in bits 64j..64j+31 (SWAR, "SIMD within
@@ -54,8 +58,7 @@ output, picked by lane count:
   arrays, because numpy converts a Python int operand on every call. The
   message words of all seven rounds are gathered once per compression
   through a schedule computed at import. The chunk stage keeps one state
-  buffer for all its blocks, and only the root output blocks, which need
-  all 16 output words, feed h forward into the last eight.
+  buffer for all its blocks.
 
 The int kernel's cost grows with the width of its ints, while the numpy
 kernel's is mostly dispatch and barely grows below a few hundred lanes.
@@ -144,24 +147,11 @@ def _g(a, b, c, d, mx, my, tmp) -> None:
     _rotr(b, _BY7, tmp)
 
 
-def _start(h, counter, block_len, flags, lanes: int):
-    """(16, L) uint32 initial state: h, four IV words, counter, len, flags."""
-    v = np.empty((16, lanes), dtype=np.uint32)
-    v[0:8] = h
-    v[8:12] = _IV[0:4, None]
-    counter = np.asarray(counter, dtype=np.uint64)
-    v[12] = counter & np.uint64(0xFFFFFFFF)
-    v[13] = counter >> np.uint64(32)
-    v[14] = block_len
-    v[15] = flags
-    return v
-
-
 def _rounds_rows(s, words, tmp) -> None:
     """The numpy kernel's 7 rounds on the (28, L) state s, in place: a in
     rows 0-3, b, c and d doubled in rows 4-11, 12-19 and 20-27. Leaves
-    the chaining value in rows 0-7, c in rows 12-15 and d in rows 20-23.
-    words: (112, L) in _SCHEDULE order; tmp: (4, L)."""
+    the chaining value in rows 0-7. words: (112, L) in _SCHEDULE order;
+    tmp: (4, L)."""
     a, b, c, d = s[0:4], s[4:8], s[12:16], s[20:24]
     upper = s[4:28].reshape(3, 8, -1)
     for r in range(0, 112, 16):
@@ -172,25 +162,6 @@ def _rounds_rows(s, words, tmp) -> None:
         s[4], s[12:14], s[20:23] = s[8], s[16:18], s[24:27]
     a ^= c
     b ^= d
-
-
-def _state_after(v, m):
-    """The numpy kernel's (28, L) state after its rounds from the 16 start
-    words v, (16, L) or (16, 1), and the message words m, (16, L)."""
-    lanes = m.shape[1]
-    s = np.empty((28, lanes), dtype=np.uint32)
-    s[_HOME] = v
-    _rounds_rows(s, m[_SCHEDULE], np.empty((4, lanes), dtype=np.uint32))
-    return s
-
-
-def _compress_rows(h, m, counter, block_len, flags):
-    """The numpy kernel: each G runs over (4, L) state rows. Only root
-    output reads words 8-15, so only this entry feeds h forward."""
-    s = _state_after(_start(h, counter, block_len, flags, m.shape[1]), m)
-    np.bitwise_xor(s[12:16], h[0:4], out=s[8:12])
-    np.bitwise_xor(s[20:24], h[4:8], out=s[12:16])
-    return s[0:16]
 
 
 def _ones(lanes: int) -> int:
@@ -257,10 +228,22 @@ def _rounds(v, w, M):
 
 
 def _compress_ints(h, m, counter, block_len, flags):
-    """The int kernel with _compress_rows's inputs and output."""
+    """The 16 output words (16, L) of L compressions on the int kernel.
+
+    h: (8, L) or (8, 1) chaining values; m: (16, L) message words;
+    counter (uint64), block_len and flags: each a scalar or (L,).
+    """
     lanes = m.shape[1]
-    words = _pack(np.concatenate(
-        [_start(h, counter, block_len, flags, lanes), m]))
+    words = np.empty((32, lanes), dtype=np.uint32)
+    words[0:8] = h
+    words[8:12] = _IV[0:4, None]
+    counter = np.asarray(counter, dtype=np.uint64)
+    words[12] = counter & np.uint64(0xFFFFFFFF)
+    words[13] = counter >> np.uint64(32)
+    words[14] = block_len
+    words[15] = flags
+    words[16:32] = m
+    words = _pack(words)
     v = _rounds(words[:16], words[16:], _ones(lanes) * 0xFFFFFFFF)
     out = [v[i] ^ v[i + 8] for i in range(8)]
     out += [v[i + 8] ^ words[i] for i in range(8)]
@@ -341,7 +324,10 @@ def _parent_cvs(m):
     (16, L), the two children's chaining values."""
     lanes = m.shape[1]
     if lanes >= _CROSSOVER:
-        return _state_after(_PARENT_ROWS, m)[0:8]
+        s = np.empty((28, lanes), dtype=np.uint32)
+        s[_HOME] = _PARENT_ROWS
+        _rounds_rows(s, m[_SCHEDULE], np.empty((4, lanes), dtype=np.uint32))
+        return s[0:8]
     ones = _ones(lanes)
     v = _rounds([x * ones for x in _PARENT_STATE], _pack(m),
                 ones * 0xFFFFFFFF)
@@ -431,9 +417,7 @@ def blake3_many(messages, out_len: int = 32) -> list[bytes]:
     h, m, block_len, flags = (np.concatenate(parts, axis=-1)
                               for parts in zip(*nodes))
     nblocks = -(-out_len // _BLOCK_LEN)
-    kernel = _compress_ints if nblocks * len(order) < _CROSSOVER \
-        else _compress_rows
-    out = kernel(
+    out = _compress_ints(
         np.repeat(h, nblocks, axis=1), np.repeat(m, nblocks, axis=1),
         np.tile(np.arange(nblocks, dtype=np.uint64), len(order)),
         np.repeat(block_len, nblocks), np.repeat(flags, nblocks))

@@ -27,7 +27,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cache, partial
 from pathlib import Path
@@ -236,7 +236,7 @@ def _write_report(opts: dict[str, Any], name: str,
         return
     body = {**body, "tool_version": __version__}
     if config is not None:
-        body["config"] = {**asdict(config), "map_mode": config.map_mode.value}
+        body["config"] = {**vars(config), "map_mode": config.map_mode.value}
     text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     _atomic_write(opts["output_dir"] / name, text.encode())
 
@@ -288,7 +288,7 @@ def cmd_walk(opts: dict[str, Any]) -> int:
     _write_csv(opts, "trajectory.csv", ("index", "x", "y"),
                ((i, x, y) for i, (x, y) in enumerate(trajectory.xy.tolist())))
     _write_report(opts, "geometry.json", config, {
-        "geometry": asdict(report),
+        "geometry": vars(report),
         "lattice_bound": lattice_bound(config),
     })
     print(f"n={config.n} bbox={report.bbox_width}x{report.bbox_height} "
@@ -365,7 +365,7 @@ def cmd_fractal(opts: dict[str, Any]) -> int:
         estimate = estimate_point_dimension(
             _synthetic_points(synthetic), box_sizes)
         _write_report(opts, "fractal.json", None, {
-            "estimate": asdict(estimate),
+            "estimate": vars(estimate),
             "synthetic": synthetic,
         })
         print(f"synthetic={synthetic} dimension={estimate.dimension:.4f}")

@@ -166,12 +166,15 @@ class BitMatrix:
     _HEADER = struct.Struct("<II")
 
     def __init__(self, bits: np.ndarray) -> None:
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        bits = np.asarray(bits)
         if bits.ndim != 2:
             raise ValueError(f"bits must be 2-D, got shape {bits.shape}")
-        if bits.size and int(bits.max()) > 1:
+        if bits.dtype.kind not in "biuf":
+            raise TypeError(f"bits must be numbers, got dtype {bits.dtype}")
+        # checked before the cast, which would wrap -1 or truncate 0.5
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("bit matrix entries must be 0 or 1")
-        self.bits = bits
+        self.bits = np.ascontiguousarray(bits, dtype=np.uint8)
 
     @property
     def rows(self) -> int:
@@ -332,6 +335,8 @@ def trial_summary(records: Iterable[TrialRecord]) -> dict:
     records = list(records)
     if not records:
         raise DegenerateInput("no trial records to summarize")
+    for i, r in enumerate(records):
+        _instance(f"records[{i}]", TrialRecord, r)
     return {
         "trials": len(records),
         "digest_bits": records[0].alg.bits,

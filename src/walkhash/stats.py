@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .diffusion import BitMatrix
 from .errors import DegenerateInput, InsufficientData
-from .walk import _instance, _member
+from .walk import _instance, _member, _real
 
 _EPS = 1e-16
 _TINY = 1e-300
@@ -60,16 +60,20 @@ def _contfrac_q(a: float, x: float) -> float:
     raise ArithmeticError("incomplete gamma fraction did not converge")
 
 
-def _check_gamma_args(a: float, x: float) -> None:
+def _gamma_args(a: float, x: float) -> tuple[float, float]:
+    """a and x as floats: ConfigError unless both are finite reals,
+    ValueError unless a > 0 and x >= 0."""
+    a, x = _real("a", a), _real("x", x)
     if not a > 0.0:
         raise ValueError(f"a must be positive, got {a!r}")
     if x < 0.0:
         raise ValueError(f"x must be non-negative, got {x!r}")
+    return a, x
 
 
 def lower_regularized_gamma(a: float, x: float) -> float:
     """P(a, x), the regularized lower incomplete gamma function."""
-    _check_gamma_args(a, x)
+    a, x = _gamma_args(a, x)
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
@@ -79,7 +83,7 @@ def lower_regularized_gamma(a: float, x: float) -> float:
 
 def upper_regularized_gamma(a: float, x: float) -> float:
     """Q(a, x) = 1 - P(a, x), computed directly to avoid cancellation."""
-    _check_gamma_args(a, x)
+    a, x = _gamma_args(a, x)
     if x == 0.0:
         return 1.0
     if x < a + 1.0:

@@ -404,6 +404,8 @@ def sample_affine_step(stream: Stream, config: WalkConfig) -> AffineStep:
     consumed even when epsilon is 0 so stream positions never depend on
     config values.
     """
+    _instance("stream", Stream, stream)
+    _instance("config", WalkConfig, config)
     return _with_noise(_draw_map(stream, config), stream, config)
 
 
@@ -455,6 +457,8 @@ def step(x: LatticePoint, s: AffineStep,
     order this makes trajectories bit-reproducible across platforms. When
     bound is given, a coordinate outside [-bound, bound] aborts the walk.
     """
+    _instance("x", LatticePoint, x)
+    _instance("s", AffineStep, s)
     fx = s.a11 * x.x + s.a12 * x.y + s.b1 + s.d1
     fy = s.a21 * x.x + s.a22 * x.y + s.b2 + s.d2
     nx = math.floor(fx)
@@ -548,7 +552,7 @@ def _step_table(configs: Sequence[WalkConfig], lo: int,
         rejected = _map_columns(config, template_keys, table)
         d1_draw = 2
     uniform_draws(keys, d1_draw, -eps, eps, cols[6:8])
-    for g, k in np.argwhere(rejected).tolist():
+    for g, k in zip(*np.nonzero(rejected)):
         table[g, k] = affine_step_for(configs[g], lo + k)
     return table
 

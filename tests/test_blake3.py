@@ -116,7 +116,8 @@ _EDGES = ("all-ones", "alternating")
 
 def _lane_inputs(lanes, counters, per_lane_len_flags, seed):
     """Compression inputs for lanes lanes: random words for an int seed,
-    or the words of one of _EDGES."""
+    or the words of one of _EDGES. The random words of fewer lanes are the
+    first lanes of more, so the oracle checks each lane's inputs once."""
     if seed in _EDGES:
         ones = np.full(lanes, 0xFFFFFFFF, dtype=np.uint32)
         if seed == "alternating":
@@ -127,18 +128,21 @@ def _lane_inputs(lanes, counters, per_lane_len_flags, seed):
         word = ones if per_lane_len_flags else int(ones[0])
         return (np.tile(ones, (8, 1)), np.tile(ones, (16, 1)), counter,
                 word, word)
-    rng = np.random.default_rng([lanes, seed])
-    h = rng.integers(0, 2**32, (8, lanes), dtype=np.uint32)
-    m = rng.integers(0, 2**32, (16, lanes), dtype=np.uint32)
+    rng = np.random.default_rng(seed)
+    width = max(lanes, 320)
+    h = rng.integers(0, 2**32, (8, width), dtype=np.uint32)[:, :lanes].copy()
+    m = rng.integers(0, 2**32, (16, width), dtype=np.uint32)[:, :lanes].copy()
+    per_lane = rng.integers(0, 2**64, width, dtype=np.uint64)[:lanes]
+    per_lane[::2] &= np.uint64(0xFFFFFFFF)  # some high words zero
+    lens = rng.integers(0, 65, width).astype(np.uint32)[:lanes]
     if counters == "scalar":
         counter = 0
     elif counters == "scalar-high":
         counter = 2**40 + 12345  # nonzero high word
     else:
-        counter = rng.integers(0, 2**64, lanes, dtype=np.uint64)
-        counter[::2] &= np.uint64(0xFFFFFFFF)  # some high words zero
+        counter = per_lane
     if per_lane_len_flags:
-        block_len = rng.integers(0, 65, lanes).astype(np.uint32)
+        block_len = lens
         # Every flag bit, alone and combined, BLAKE3's seven and beyond.
         flags = (np.arange(lanes) % 256).astype(np.uint32)
     else:
@@ -156,26 +160,46 @@ def test_int_kernel_equals_numpy_kernel(monkeypatch, lanes, counters,
     for seed in (0, 1, 2, *_EDGES):
         h, m, counter, block_len, flags = _lane_inputs(
             lanes, counters, per_lane_len_flags, seed)
-        rows = _blake3._compress_rows(h, m, counter, block_len, flags)
         ints = _blake3._compress_ints(h, m, counter, block_len, flags)
-        assert ints.dtype == rows.dtype == np.uint32
-        assert ints.shape == rows.shape == (16, lanes)
-        np.testing.assert_array_equal(ints, rows)
-        # Lane 0 against the scalar oracle.
-        first = [int(np.ravel(x)[0]) for x in (counter, block_len, flags)]
-        assert ints[:, 0].tolist() == blake3_ref.compress(
-            h[:, 0].tolist(), m[:, 0].astype("<u4").tobytes(), *first)
-        # Parent levels pass one shared (8, 1) chaining value.
+        assert ints.dtype == np.uint32
+        assert ints.shape == (16, lanes)
+        _assert_oracle_compressions(ints, h, m, counter, block_len, flags)
+        # One shared (8, 1) chaining value, as a root of parent nodes.
         iv = _blake3._IV[:, None]
         np.testing.assert_array_equal(
             _blake3._compress_ints(iv, m, counter, block_len, flags),
-            _blake3._compress_rows(iv, m, counter, block_len, flags))
-        # A parent level on ints packs only its message words.
-        with monkeypatch.context() as patch:
-            patch.setattr(_blake3, "_CROSSOVER", 2**62)
-            np.testing.assert_array_equal(
-                _blake3._parent_cvs(m), _blake3._compress_rows(
-                    iv, m, 0, _blake3._BLOCK_LEN, _blake3._PARENT)[0:8])
+            _blake3._compress_ints(np.repeat(iv, lanes, axis=1), m, counter,
+                                   block_len, flags))
+        # A parent level on either kernel: the numpy rounds on the (28, L)
+        # state, or the int rounds with only the message words packed.
+        parent = _blake3._compress_ints(iv, m, 0, _blake3._BLOCK_LEN,
+                                        _blake3._PARENT)[0:8]
+        for crossover in (0, 2**62):
+            with monkeypatch.context() as patch:
+                patch.setattr(_blake3, "_CROSSOVER", crossover)
+                cvs = _blake3._parent_cvs(m)
+            assert cvs.dtype == np.uint32
+            np.testing.assert_array_equal(cvs, parent)
+
+
+def _assert_oracle_compressions(out, h, m, counter, block_len, flags):
+    """Every lane of out, all 16 words, equals the scalar oracle's
+    compression of that lane's inputs."""
+    lanes = m.shape[1]
+    h = np.broadcast_to(h, (8, lanes))
+    counter, block_len, flags = (np.broadcast_to(np.asarray(x, np.uint64),
+                                                 (lanes,)).tolist()
+                                 for x in (counter, block_len, flags))
+    for j in range(lanes):
+        assert out[:, j].tolist() == _oracle_compress(
+            tuple(h[:, j].tolist()), m[:, j].astype("<u4").tobytes(),
+            counter[j], block_len[j], flags[j]), j
+
+
+@cache
+def _oracle_compress(h, block, counter, block_len, flags):
+    # the carry-edge inputs repeat one or two lanes across the whole width
+    return blake3_ref.compress(list(h), block, counter, block_len, flags)
 
 
 @pytest.mark.parametrize("crossover", [0, 2**62], ids=["numpy", "ints"])
@@ -226,7 +250,7 @@ def test_a_keygen_sized_message_runs_no_numpy_compression(monkeypatch):
     assert 32 < _C
     msg = random.Random(2000).randbytes(32016)
     calls = []
-    for name in ("_compress_rows", "_chunks_rows", "_rounds_rows"):
+    for name in ("_chunks_rows", "_rounds_rows"):
         def spy(*args, f=getattr(_blake3, name), name=name):
             calls.append(name)
             return f(*args)
@@ -237,11 +261,12 @@ def test_a_keygen_sized_message_runs_no_numpy_compression(monkeypatch):
 
 @pytest.mark.parametrize("lanes", [1, 33, _C, 165, 320])
 def test_numpy_kernel_leaves_its_inputs_untouched(monkeypatch, lanes):
-    # The inputs its callers pass: an (8, 1) or a strided (8, L) h, message
-    # words viewed one 1 KB chunk apart per lane (as _root_nodes and the
-    # chunk stage see them) or contiguous, per-lane counters with nonzero
-    # high words, lens and flags. Nothing may be written through them, and
-    # no output may share their memory.
+    # The inputs their callers pass: to a root compression on ints, an
+    # (8, 1) or a strided (8, L) h, message words viewed one 1 KB chunk
+    # apart per lane (as _root_nodes and the chunk stage see them) or
+    # contiguous, per-lane counters with nonzero high words, lens and
+    # flags. Nothing may be written through them, and no output may share
+    # their memory.
     rng = np.random.default_rng(lanes)
     padded = rng.integers(0, 256, (lanes, 1024), dtype=np.uint8)
     words = padded.view("<u4").reshape(lanes, 16, 16).transpose(1, 2, 0)
@@ -253,12 +278,11 @@ def test_numpy_kernel_leaves_its_inputs_untouched(monkeypatch, lanes):
         for m in (words[3], words[3].copy()):
             inputs = (h, m, counter, block_len, flags)
             before = [x.copy() for x in inputs]
-            rows = _blake3._compress_rows(*inputs)
-            np.testing.assert_array_equal(
-                rows, _blake3._compress_ints(*before))
+            out = _blake3._compress_ints(*inputs)
+            _assert_oracle_compressions(out, *before)
             for x, y in zip(inputs, before):
                 np.testing.assert_array_equal(x, y)
-                assert not np.shares_memory(rows, x)
+                assert not np.shares_memory(out, x)
     # The chunk stage, and a parent level on numpy.
     final = np.arange(lanes) % 3 == 2
     inputs = (words, counter, final)
@@ -276,6 +300,27 @@ def test_numpy_kernel_leaves_its_inputs_untouched(monkeypatch, lanes):
         _blake3._PARENT)[0:8])
     np.testing.assert_array_equal(m, before)
     assert not np.shares_memory(cvs, m)
+
+
+@pytest.mark.parametrize("count, out_len", [(60, 32), (4, 1024)])
+def test_a_root_of_many_lanes_equals_the_oracle(monkeypatch, count,
+                                                out_len):
+    # 60 one-chunk messages, or 4 messages of 16 output blocks each: root
+    # outputs of at least _CROSSOVER lanes, which run on ints as well
+    rng = random.Random(count)
+    messages = [rng.randbytes(rng.randrange(0, 1025)) for _ in range(count)]
+    messages += [b"", bytes(1024)]
+    widths = []
+
+    def spy(h, m, *rest, f=_blake3._compress_ints):
+        widths.append(m.shape[1])
+        return f(h, m, *rest)
+
+    monkeypatch.setattr(_blake3, "_compress_ints", spy)
+    assert blake3_many(messages, out_len) == \
+        [blake3_ref.blake3(msg, out_len) for msg in messages]
+    assert widths == [len(messages) * -(-out_len // 64)]
+    assert widths[0] >= _C
 
 
 @pytest.mark.parametrize("messages, nchunks, tail", [

@@ -367,6 +367,12 @@ def test_bitmatrix_validation():
         BitMatrix(np.array([0, 1], dtype=np.uint8))  # 1-D
     with pytest.raises(ValueError):
         BitMatrix(np.array([[0, 2]], dtype=np.uint8))  # entry > 1
+    # each once an OverflowError, or a row of 0 for the 0.5
+    for entry in (-1, 0.5, 256, np.inf):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            BitMatrix([[0, entry]])
+    with pytest.raises(TypeError, match="^bits must be numbers"):
+        BitMatrix([[0, 10**400]])
     with pytest.raises(ValueError):
         BitMatrix.from_flip_vectors([])
     with pytest.raises(ValueError):
@@ -884,3 +890,10 @@ def test_trial_summary_exact_means():
 def test_trial_summary_rejects_empty():
     with pytest.raises(DegenerateInput):
         trial_summary([])
+
+
+def test_trial_summary_takes_only_trial_records():
+    # once an AttributeError
+    with pytest.raises(TypeError,
+                       match=r"^records\[0\] must be a TrialRecord"):
+        trial_summary(["x"])

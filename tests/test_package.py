@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import walkhash
-from walkhash import (ConfigError, WalkConfig, affine_step_for,
+from walkhash import (ConfigError, LatticePoint, WalkConfig, affine_step_for,
                       chi_square_uniform, derive_key, generate_walk,
-                      map_templates, run_avalanche, serialize_trajectory)
+                      map_templates, run_avalanche, sample_affine_step,
+                      serialize_trajectory, step)
+from walkhash.rng import Stream
 
 SRC = Path(walkhash.__file__).resolve().parent
 
@@ -54,6 +56,10 @@ def test_public_names_are_pinned():
     (derive_key, ([(0, 0), (1, 1)], "sha3-512"), TypeError, "t"),
     (chi_square_uniform, (np.ones((4, 8), dtype=bool),), TypeError,
      "matrix"),
+    (step, ((1, 2), affine_step_for(WalkConfig(), 1)), TypeError, "x"),
+    (step, (LatticePoint(1, 2), 0), TypeError, "s"),
+    (sample_affine_step, (None, WalkConfig()), TypeError, "stream"),
+    (sample_affine_step, (Stream(1), None), TypeError, "config"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_a_wrong_argument_is_named(call, args, error, name):
     with pytest.raises(error, match=f"^{name} must be "):

@@ -76,6 +76,20 @@ def test_gamma_argument_validation():
         upper_regularized_gamma(1.0, -0.5)
 
 
+@pytest.mark.parametrize("gamma", [lower_regularized_gamma,
+                                   upper_regularized_gamma])
+@pytest.mark.parametrize("a, x, name", [
+    (10**400, 1.0, "a"), (1.0, 10**400, "x"), (math.inf, 1.0, "a"),
+    (1.0, math.inf, "x"), (1.0, math.nan, "x"), (math.nan, 1.0, "a"),
+    (True, 1.0, "a"), (1.0, True, "x"), ("2", 1.0, "a"),
+], ids=lambda v: "10**400" if v == 10**400 else None)
+def test_gamma_takes_only_finite_reals(gamma, a, x, name):
+    # each once ended in an OverflowError, in an ArithmeticError that the
+    # series or the fraction did not converge, or in a result for a bool
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        gamma(a, x)
+
+
 def test_p_value_monotone_in_statistic():
     # dof 511 is the operating point for 512-bit digests
     a = 511 / 2.0

@@ -231,9 +231,10 @@ def default_positions(n: int) -> tuple[int, ...]:
 
 def trial_seed(seed: int, position: int, trial: int) -> int:
     """Walk seed for one trial; independent of every other trial's. Each
-    argument is an integer (ConfigError naming it if not)."""
-    return stream_key(_integer("seed", seed), _SUB_TRIAL,
-                      _integer("position", position), _integer("trial", trial))
+    argument is an integer in [0, 2**64) (ConfigError naming it if not)."""
+    return stream_key(_integer("seed", seed, 0, 2**64), _SUB_TRIAL,
+                      _integer("position", position, 0, 2**64),
+                      _integer("trial", trial, 0, 2**64))
 
 
 def run_avalanche(

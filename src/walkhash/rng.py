@@ -122,15 +122,14 @@ def stream_keys(seeds: Sequence[int], path: tuple[int, ...],
     return mix64_array(keys)
 
 
-def u64_draws(keys: np.ndarray, k: int, out: np.ndarray | None = None,
+def u64_draws(keys: np.ndarray, k: int, out: np.ndarray,
               spare: np.ndarray | None = None) -> np.ndarray:
-    """Draw k (1-based) of the streams with these keys: next_u64 called k
-    times on each; written into out if given. An out with one more leading
-    axis than keys, of D rows, holds draws k..k+D-1, row d draw k + d, all
-    made in one pass; spare is mix64_array's scratch."""
-    lead = () if out is None else out.shape[:out.ndim - keys.ndim]
-    steps = np.array([(k + d) * _GOLDEN & _MASK64
-                      for d in range(math.prod(lead))], dtype=np.uint64)
+    """Draw k (1-based) of the streams with these keys, next_u64 called k
+    times on each, written into out, a uint64 array of keys' shape; an out
+    with one more leading axis of D rows holds draws k..k+D-1, row d draw
+    k + d, all made in one pass. spare is mix64_array's scratch."""
+    lead = out.shape[:out.ndim - keys.ndim]
+    steps = np.arange(k, k + math.prod(lead), dtype=np.uint64) * _GOLDEN_U64
     z = np.add(keys, steps.reshape(lead + (1,) * keys.ndim), out=out)
     return mix64_array(z, spare)
 

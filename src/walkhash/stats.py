@@ -3,8 +3,8 @@
 The incomplete gamma functions are implemented here rather than imported so
 the p-values have no dependency beyond math: series expansion below the
 a + 1 crossover, modified Lentz continued fraction above it. Both converge
-to machine precision for every (dof, statistic) pair this package can
-produce; the test suite pins them against an arbitrary-precision oracle.
+within _MAX_ITER terms for 1e-300 <= a <= 1e6, every dof / 2 included;
+the test suite pins them against an arbitrary-precision oracle.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ _TINY = 1e-300
 _MAX_ITER = 10_000
 
 
-def _series_p(a: float, x: float) -> float:
-    # Lower incomplete gamma series: x^a e^-x / Gamma(a) * sum x^k / (a)_k+1
+def _series(a: float, x: float) -> float:
+    # P(a, x) / front: the lower incomplete gamma series, sum x^k / (a)_k+1
     ap = a
     term = 1.0 / a
     total = term
@@ -33,16 +33,15 @@ def _series_p(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * exp(-x + a * log(x) - lgamma(a))
+            return total
     raise ArithmeticError("incomplete gamma series did not converge")
 
 
-def _contfrac_q(a: float, x: float) -> float:
-    # Upper incomplete gamma via Lentz's method on the standard fraction.
+def _contfrac(a: float, x: float) -> float:
+    # Q(a, x) / front by Lentz's method on the standard fraction
     b = x + 1.0 - a
     c = 1.0 / _TINY
-    d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
-    h = d
+    d = h = 1.0 / b  # b > 1, as x >= a + 1
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
         b += 2.0
@@ -56,39 +55,48 @@ def _contfrac_q(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * exp(-x + a * log(x) - lgamma(a))
+            return h
     raise ArithmeticError("incomplete gamma fraction did not converge")
 
 
-def _gamma_args(a: float, x: float) -> tuple[float, float]:
-    """a and x as floats: ConfigError unless both are finite reals,
-    ValueError unless a > 0 and x >= 0."""
+def _p_and_q(a: float, x: float) -> tuple[float, float]:
+    """P(a, x) and Q(a, x): ConfigError unless a and x are finite reals,
+    ValueError unless 1e-300 <= a <= 1e6 and x >= 0."""
     a, x = _real("a", a), _real("x", x)
-    if not a > 0.0:
-        raise ValueError(f"a must be positive, got {a!r}")
+    # near x = a + 1 the series and the fraction each take about 8 sqrt(a)
+    # of their _MAX_ITER terms (7,719 and 964 at a = 1e6); below 1e-300 the
+    # series' first term, 1/a, nears the float range
+    if not 1e-300 <= a <= 1e6:
+        raise ValueError(f"a must satisfy 1e-300 <= a <= 1e6, where the "
+                         f"series and the fraction converge, got {a!r}")
     if x < 0.0:
         raise ValueError(f"x must be non-negative, got {x!r}")
-    return a, x
+    if x == 0.0:
+        return 0.0, 1.0
+    front = exp(-x + a * log(x) - lgamma(a))
+    if x < a + 1.0:
+        # at a tiny a, P is within rounding of 1 and can round past it
+        p = min(_series(a, x) * front, 1.0)
+        return p, 1.0 - p
+    # the fraction is at most 1, so Q underflows with front; at x near
+    # 1e308, where it does, its first terms are subnormal and it would
+    # never converge
+    q = _contfrac(a, x) * front if front else 0.0
+    return 1.0 - q, q
 
 
 def lower_regularized_gamma(a: float, x: float) -> float:
-    """P(a, x), the regularized lower incomplete gamma function."""
-    a, x = _gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _series_p(a, x)
-    return 1.0 - _contfrac_q(a, x)
+    """P(a, x), the regularized lower incomplete gamma function, for
+    1e-300 <= a <= 1e6 and finite x >= 0, where the series and the fraction
+    converge (ValueError outside it); exactly 1.0 where Q underflows."""
+    return _p_and_q(a, x)[0]
 
 
 def upper_regularized_gamma(a: float, x: float) -> float:
-    """Q(a, x) = 1 - P(a, x), computed directly to avoid cancellation."""
-    a, x = _gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _series_p(a, x)
-    return _contfrac_q(a, x)
+    """Q(a, x) = 1 - P(a, x) for 1e-300 <= a <= 1e6 and finite x >= 0
+    (ValueError outside it), computed directly to avoid cancellation;
+    exactly 0.0 where it underflows."""
+    return _p_and_q(a, x)[1]
 
 
 class ChiSquareMode(Enum):

@@ -495,65 +495,62 @@ def lattice_bound(config: WalkConfig) -> int:
 
 
 def _map_columns(config: WalkConfig, keys: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
+                 table: np.ndarray) -> np.ndarray:
     """_draw_map on every stream key at once.
 
-    Writes the rows a11 a12 a21 a22 b1 b2 into out[..., :6] and returns
-    the mask of lanes whose first matrix draw is rejected; _draw_map
-    redraws those, which moves every later draw, so their rows must be
-    refilled by the caller. Each run of draws with the same bounds is one
-    uniform_draws pass, whose scratch words are columns of out not yet
+    Writes a11 a12 a21 a22 b1 b2 into table[:6] of an (8, *keys.shape)
+    table and returns the mask of lanes whose first matrix draw is
+    rejected; _draw_map redraws those, which moves every later draw, so
+    the caller refills their steps. Each run of draws with the same bounds
+    is one uniform_draws pass, whose scratch words are columns not yet
     drawn: draws 1-4 go into columns 0-3 (scratch 4-7), the norms into
     column 4 (scratch 5-6), draw 5 (rho) into column 7 (scratch 5), and
     draws 6-7 into columns 4-5 (scratch 6-7). So the only temporaries are
     each pass's D offsets and the mask.
     """
-    cols = np.moveaxis(out, -1, 0)
-    words = cols.view(np.uint64)
-    uniform_draws(keys, 1, -1.0, 1.0, cols[:4], words[4:])
-    sigma = _spectral_norms(*cols[:4], cols[4:7])
+    words = table.view(np.uint64)
+    uniform_draws(keys, 1, -1.0, 1.0, table[:4], words[4:])
+    sigma = _spectral_norms(*table[:4], table[4:7])
     rejected = sigma <= _SIGMA_FLOOR
-    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max, cols[7],
+    scale = uniform_draws(keys, 5, config.rho_min, config.rho_max, table[7],
                           words[5])
-    cols[:4] *= np.divide(scale, sigma, scale)
-    uniform_draws(keys, 6, config.b_min, config.b_max, cols[4:6], words[6:])
+    table[:4] *= np.divide(scale, sigma, scale)
+    uniform_draws(keys, 6, config.b_min, config.b_max, table[4:6], words[6:])
     return rejected
 
 
 def _step_table(configs: Sequence[WalkConfig], lo: int,
                 hi: int) -> np.ndarray:
     """The steps lo <= i < hi of walks whose configs differ only in seed,
-    as (len(configs), hi - lo, 8) float64 rows a11 a12 a21 a22 b1 b2 d1
-    d2: row [g, k] equals affine_step_for(configs[g], lo + k).
+    as (8, len(configs), hi - lo) float64 columns a11 a12 a21 a22 b1 b2 d1
+    d2: column [:, g, k] equals affine_step_for(configs[g], lo + k).
 
     In FIXED_SET mode each step draws only the template it chooses, so the
-    cost follows the steps, not map_count. The table is a view of an
-    (8, G, hi - lo) array: each run of draws is made in place, in one
-    pass over its columns (four passes in either mode), and _lane_rows
-    reads step t of every lane of a column with one stride. Beside the
-    table and the keys, the noise pass's scratch (two words a step) is its
+    cost follows the steps, not map_count. Each run of draws is made in
+    place, in one pass over its columns (four passes in either mode), and
+    the steps of a walk's column are one contiguous run. Beside the table
+    and the keys, the noise pass's scratch (two words a step) is its
     largest temporary.
     """
     config = configs[0]
     seeds = [c.seed for c in configs]
-    eps = config.epsilon
-    cols = np.empty((8, len(seeds), hi - lo))
-    table = cols.transpose(1, 2, 0)
+    table = np.empty((8, len(seeds), hi - lo))
     if config.map_mode is MapMode.PER_STEP_FRESH:
         keys = stream_keys(seeds, (_SUB_STEP,), np.arange(lo, hi))
         rejected = _map_columns(config, keys, table)
         d1_draw = 8
     else:
         keys = stream_keys(seeds, (_SUB_CHOICE,), np.arange(lo, hi))
-        choice = u64_draws(keys, 1)
+        # the choices and their scratch in columns _map_columns draws later
+        words = table.view(np.uint64)
+        choice = u64_draws(keys, 1, words[7], words[6])
         choice %= np.uint64(config.map_count)
-        template_keys = stream_keys(seeds, (_SUB_TEMPLATE,), choice)
-        del choice  # before _map_columns draws the templates
-        rejected = _map_columns(config, template_keys, table)
+        rejected = _map_columns(
+            config, stream_keys(seeds, (_SUB_TEMPLATE,), choice), table)
         d1_draw = 2
-    uniform_draws(keys, d1_draw, -eps, eps, cols[6:8])
+    uniform_draws(keys, d1_draw, -config.epsilon, config.epsilon, table[6:8])
     for g, k in zip(*np.nonzero(rejected)):
-        table[g, k] = affine_step_for(configs[g], lo + k)
+        table[:, g, k] = affine_step_for(configs[g], lo + k)
     return table
 
 
@@ -574,26 +571,22 @@ def _floor_step(ax: np.ndarray, ay: np.ndarray, b: np.ndarray,
 
 def _follows(table: np.ndarray, rows: np.ndarray, bound: int) -> bool:
     """Whether every row lies in [-bound, bound] and each row after the
-    first is where the step in the table row before it takes the row
-    before it: rows is (m + 1, 2) for an (m, 8) table, int64 or float64.
+    first is where the step in the table column before it takes the row
+    before it: rows is (m + 1, 2) for an (8, m) table, int64 or float64.
     """
     if not ((rows >= -bound) & (rows <= bound)).all():
         return False
-    shape = (2, len(table))
-    # columns (a11, a21), (a12, a22), (b1, b2), (d1, d2) of every row, as
-    # (2, m) operands: a _step_table column is one contiguous run, which
-    # numpy steps through without copying
-    want = _floor_step(table[:, 0:4:2].T, table[:, 1:4:2].T,
-                       table[:, 4:6].T, table[:, 6:8].T, rows[:-1, 0],
-                       rows[:-1, 1], np.empty(shape), np.empty(shape))
+    want = _floor_step(table[0:4:2], table[1:4:2], table[4:6], table[6:8],
+                       rows[:-1, 0], rows[:-1, 1],
+                       *np.empty((2, 2, table.shape[1])))
     return bool(np.array_equal(want, rows[1:].T))
 
 
 def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The rows each walk g reaches by stepping from x[g] through the m
-    steps of table[g] (m a multiple of _SEGMENT), as (G, m + 1, 2) float64
-    for a (G, m, 8) table and (G, 2) starts: its fixed point if the lanes
-    reach one in _PASSES passes, else the rows of the last pass.
+    steps of table[:, g] (m a multiple of _SEGMENT), as (G, m + 1, 2)
+    float64 for a contiguous (8, G, m) table and (G, 2) starts: its fixed
+    point if the lanes reach one in _PASSES passes, else the last pass's.
 
     Lane j of a walk holds steps j*_SEGMENT .. (j+1)*_SEGMENT - 1; a pass
     runs step t of every lane of every walk in one _floor_step call. Lane
@@ -605,16 +598,14 @@ def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     would repeat the one before: each lane starts where the one before it
     ends. _evolve still checks each walk's rows with _follows.
     """
-    walks, m = table.shape[:2]
+    walks, m = table.shape[1:]
     seg = _SEGMENT
     lanes = m // seg
     # step t of every lane as _floor_step's (2, walks, lanes) arguments:
     # the column pairs (a11, a21), (a12, a22), (b1, b2) and (d1, d2) of its
     # maps, the points it starts from (at[t]) and the points it reaches
-    # (at[t + 1]); steps is a view when table is one from _step_table, and
-    # row t of each of these strided views is one step's argument
-    steps = table.transpose(2, 0, 1).reshape(8, walks, lanes, seg)
-    steps = np.moveaxis(steps, -1, 0)
+    # (at[t + 1])
+    steps = np.moveaxis(table.reshape(8, walks, lanes, seg), -1, 0)
     at = np.empty((seg + 1, 2, walks, lanes))
     at[:] = x.T[:, :, None]  # the true starts, and the guess lanes start from
     calls = list(zip(steps[:, 0:4:2], steps[:, 1:4:2], steps[:, 4:6],
@@ -639,14 +630,14 @@ def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _scalar_rows(table: np.ndarray, x: LatticePoint,
                  bound: int) -> np.ndarray:
-    """The points reached by stepping from x through table one step at a
-    time, each step(x, row, bound) with Python floats and ints, as an
-    (m, 2) int64 array."""
+    """The points reached by stepping from x through the m steps of an
+    (8, m) table one at a time, each step(x, column, bound) with Python
+    floats and ints, as an (m, 2) int64 array."""
     floor = math.floor
     px, py = x
     out: list[int] = []
     append = out.append
-    for a11, a12, a21, a22, b1, b2, d1, d2 in table.tolist():
+    for a11, a12, a21, a22, b1, b2, d1, d2 in zip(*table.tolist()):
         nx = floor(a11 * px + a12 * py + b1 + d1)
         ny = floor(a21 * px + a22 * py + b2 + d2)
         if nx > bound or nx < -bound or ny > bound or ny < -bound:
@@ -696,17 +687,17 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray,
             configs, lo, lo + (-(-m // _SEGMENT) * _SEGMENT if lanes else m))
         x = xy[:, lo - first]
         rows = _lane_rows(table, x) if lanes else None
-        table = table[:, :m]
+        table = table[..., :m]
         for g, out in enumerate(xy[:, lo - first + 1:lo - first + m + 1]):
             if errors[g]:
                 out[...] = x[g]  # defined rows for the lanes that follow
-            elif rows is not None and _follows(table[g], rows[g, :m + 1],
+            elif rows is not None and _follows(table[:, g], rows[g, :m + 1],
                                                bound):
                 out[...] = rows[g, 1:m + 1]
             else:
                 try:
                     out[...] = _scalar_rows(
-                        table[g], LatticePoint(*x[g].tolist()), bound)
+                        table[:, g], LatticePoint(*x[g].tolist()), bound)
                 except BoundsExceeded as exc:
                     errors[g] = exc
                     out[...] = x[g]
@@ -756,7 +747,7 @@ def _replay(config: WalkConfig, xy: np.ndarray, i: int,
         if list(x) == xy[k].tolist():  # the replay's row k is xy's
             if walked or all(
                     _follows(_step_table([config], lo + 1,
-                                         min(lo + block, last) + 1)[0],
+                                         min(lo + block, last) + 1)[:, 0],
                              xy[lo:lo + block + 1], bound)
                     for lo in range(k, last, block)):
                 return

@@ -22,6 +22,7 @@ from walkhash import (
     BitMatrix,
     BoundsExceeded,
     ConfigError,
+    GeneratorFailure,
     HashAlg,
     LatticePoint,
     MapMode,
@@ -589,6 +590,28 @@ def test_oversize_allocations_exit_3(argv, tmp_path, capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: out of memory: Unable to allocate ")
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_degenerate_matrix_draws_end_in_generator_failure(mode, monkeypatch,
+                                                          tmp_path, capsys):
+    # a 2x2 matrix of entries in [-1, 1] has spectral norm at most 2, so at
+    # this floor every draw is rejected: the scalar step, the walk (whose
+    # table refills each rejected step through it) and keygen all fail
+    monkeypatch.setattr(walk, "_SIGMA_FLOOR", 2.0)
+    config = WalkConfig(n=40, map_mode=mode,
+                        map_count=3 if mode is MapMode.FIXED_SET else None)
+    message = f"{walk._RESAMPLE_LIMIT} degenerate matrix draws in a row"
+    for call in (lambda: walk.affine_step_for(config, 1),
+                 lambda: generate_walk(config)):
+        with pytest.raises(GeneratorFailure, match=f"^{message}$"):
+            call()
+    argv = ["keygen", "--n", 40, "--map-mode", mode.value]
+    if mode is MapMode.FIXED_SET:
+        argv += ["--map-count", 3]
+    code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

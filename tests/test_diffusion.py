@@ -409,7 +409,20 @@ def test_trial_seed_refuses_non_integers():
                         ((1, 1, "2"), "trial"), ((True, 1, 1), "seed")):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
             trial_seed(*args)
-    assert trial_seed(-1, 1, 1) == trial_seed(2**64 - 1, 1, 1)
+
+
+@pytest.mark.parametrize("args, field, got", [
+    ((2**64, 5, 0), "seed", 2**64), ((-1, 1, 1), "seed", -1),
+    ((7, -1, 1), "position", -1), ((7, 1, -1), "trial", -1),
+], ids=["seed-2**64", "seed--1", "position--1", "trial--1"])
+def test_trial_seed_refuses_integers_that_would_alias(args, field, got):
+    # a key part is reduced modulo 2**64, so each once aliased an in-range
+    # value: 2**64 the seed 0, and -1 the seed, position or trial 2**64 - 1
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{field} must satisfy 0 <= {field} < 2**64, got {got}")):
+        trial_seed(*args)
+    assert trial_seed(2**64 - 1, 2**64 - 1, 2**64 - 1) \
+        == stream_key(2**64 - 1, 3, 2**64 - 1, 2**64 - 1)
 
 
 def test_perturb_refuses_other_objects():

@@ -85,7 +85,7 @@ def test_array_draws_equal_scalar_streams():
             keys = stream_keys(seeds, path, rows)
             assert keys.dtype == np.uint64 and keys.shape == (4, 7)
             u64, uniform, zero = (
-                u64_draws(keys, 1),
+                u64_draws(keys, 1, np.empty(keys.shape, np.uint64)),
                 uniform_draws(keys, 2, -2.5, 7.0, out=np.empty(keys.shape)),
                 uniform_draws(keys, 3, -0.0, 0.0, out=np.empty(keys.shape)))
             for g, seed in enumerate(seeds):

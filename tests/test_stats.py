@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,6 +89,58 @@ def test_gamma_takes_only_finite_reals(gamma, a, x, name):
     # series or the fraction did not converge, or in a result for a bool
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         gamma(a, x)
+
+
+@pytest.mark.parametrize("gamma", [lower_regularized_gamma,
+                                   upper_regularized_gamma])
+@pytest.mark.parametrize("a, x", [
+    (1e308, 1.0), (1e308, 1e308), (1e300, 1e300), (1e20, 1e20),
+    (5e-324, 0.5), (math.nextafter(1e6, math.inf), 1e6),
+    (math.nextafter(1e-300, 0.0), 0.5),
+])
+def test_gamma_names_an_a_outside_its_range(gamma, a, x):
+    # each but the last two once ended in an ArithmeticError: the series
+    # or the fraction did not converge in _MAX_ITER terms
+    with pytest.raises(ValueError, match=r"^a must satisfy 1e-300 <= a <= "
+                                         r"1e6, where the series and the "
+                                         r"fraction converge, got "):
+        gamma(a, x)
+
+
+def test_gamma_ends_in_zero_or_one_where_that_is_the_answer():
+    # Q(1, 1e308) = exp(-1e308) underflows, where the fraction's first
+    # terms are subnormal and it once never converged; at a = 1e-300 the
+    # series once rounded P(a, 0.5) to 1 + 2.4e-14 and Q to -2.4e-14
+    for a, x in ((1.0, 1e308), (4095.5, 1e308), (1e-300, 1e308),
+                 (1e-300, 0.5)):
+        assert lower_regularized_gamma(a, x) == 1.0
+        assert upper_regularized_gamma(a, x) == 0.0
+
+
+def test_gamma_converges_across_its_range():
+    # at the top of the range, at the x where the series (below a + 1) and
+    # the fraction (from a + 1) take the most terms, against the oracle; at
+    # its foot Q(a, x) is a * E1(x) to double precision; then a seeded sweep
+    # of the whole range stays in [0, 1]
+    mpmath.mp.dps = 50
+    assert upper_regularized_gamma(1e-300, 2.0) \
+        == pytest.approx(1e-300 * float(mpmath.e1(2.0)), rel=1e-12)
+    for a, x in ((1e6, 1e6 + 1 - 1e-6), (1e6, 1e6 + 2.5), (1e6, 1e6 - 3e3)):
+        want_p = float(mpmath.gammainc(a, 0, x, regularized=True))
+        want_q = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+        assert lower_regularized_gamma(a, x) \
+            == pytest.approx(want_p, rel=1e-8, abs=1e-15)
+        assert upper_regularized_gamma(a, x) \
+            == pytest.approx(want_q, rel=1e-8, abs=1e-15)
+    rng = random.Random("gamma-range")
+    for _ in range(2000):
+        a = 10 ** rng.uniform(-300, 6)
+        x = rng.choice([10 ** rng.uniform(-320, 308), a * rng.uniform(0, 2),
+                        a + 1 + rng.uniform(-1, 3)])
+        p = lower_regularized_gamma(a, x)
+        q = upper_regularized_gamma(a, x)
+        assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
+        assert p + q == pytest.approx(1.0, abs=1e-12)
 
 
 def test_p_value_monotone_in_statistic():

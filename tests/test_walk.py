@@ -89,21 +89,21 @@ def test_rho_distribution_one_million_samples():
     # Monte-Carlo check of the sampler's documented distribution: recovered
     # spectral norms stay inside [0.5, 0.95] to 1e-9 and their empirical
     # CDF is uniform on that band (KS statistic < 0.01). The samples are
-    # _step_table columns, whose rows equal affine_step_for's (spot-checked
-    # here against the scalar sampler).
+    # _step_table columns, whose steps equal affine_step_for's
+    # (spot-checked here against the scalar sampler).
     config = WalkConfig(seed=999)
     count = 1_000_000
     block = 100_000
     spots = random.Random(999).sample(range(count), 1000)
     norms = np.empty(count)
     for lo in range(0, count, block):
-        table = walk._step_table([config], lo, lo + block)[0]
-        norms[lo:lo + block] = walk._spectral_norms(*table[:, :4].T,
+        table = walk._step_table([config], lo, lo + block)[:, 0]
+        norms[lo:lo + block] = walk._spectral_norms(*table[:4],
                                                     np.empty((3, block)))
         for i in spots:
             if lo <= i < lo + block:
                 s = sample_affine_step(Stream(999, 0, i), config)
-                assert tuple(table[i - lo].tolist()) == tuple(s)
+                assert tuple(table[:, i - lo].tolist()) == tuple(s)
                 assert norms[i] == walk._spectral_norm(*s[:4])
     assert norms.min() >= 0.5 - 1e-9
     assert norms.max() <= 0.95 + 1e-9
@@ -316,6 +316,11 @@ def _random_config(rng, mode, n=None):
         map_count=rng.randint(1, 12) if mode is MapMode.FIXED_SET else None)
 
 
+def _columns(rows):
+    """(G, m, 8) step rows as the (8, G, m) table _step_table returns."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(rows, float), -1, 0))
+
+
 def _table_walk(config, x, first, last=None):
     """walk._evolve for one walk: the rows x_first..x_last (last defaults
     to n) stepped on from x = x_(first-1); raises the walk's error."""
@@ -383,16 +388,18 @@ def test_step_table_crosses_block_boundaries(mode):
 
 
 def test_step_table_rows_equal_affine_step_for():
-    # one table for walks that differ only in seed: row [g, k] is walk g's
+    # one table for walks that differ only in seed: column [:, g, k] is
+    # walk g's
     config = WalkConfig(seed=99, map_mode=MapMode.FIXED_SET, map_count=6)
     for cfg in (replace(config, map_mode=MapMode.PER_STEP_FRESH,
                         map_count=None), config):
         configs = [replace(cfg, seed=s) for s in (99, 0, 2**64 - 1, 99)]
         table = walk._step_table(configs, 40, 90)
-        assert table.shape == (4, 50, 8) and table.dtype == np.float64
-        for c, rows in zip(configs, table.tolist()):
-            for k, row in enumerate(rows):
-                assert tuple(row) == tuple(affine_step_for(c, 40 + k))
+        assert table.shape == (8, 4, 50) and table.dtype == np.float64
+        assert table.flags.c_contiguous
+        for g, c in enumerate(configs):
+            for k, row in enumerate(zip(*table[:, g].tolist())):
+                assert row == tuple(affine_step_for(c, 40 + k))
 
 
 def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
@@ -404,7 +411,7 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
             (below, 0.0, below, half, half, -half, -half, 0.0)] * 3
     monkeypatch.setattr(walk, "_step_table",
                         lambda configs, lo, hi:
-                        np.array([rows[lo - 1:hi - 1]] * len(configs)))
+                        _columns([rows[lo - 1:hi - 1]] * len(configs)))
     config = WalkConfig(x0=LatticePoint(1, 1), n=len(rows))
     x, want = config.x0, []
     for row in rows:
@@ -453,7 +460,7 @@ def test_rejected_matrix_draws_fall_back_to_scalar(mode, monkeypatch):
     else:
         sub, count = walk._SUB_STEP, config.n
     keys = stream_keys([config.seed], (sub,), np.arange(count))
-    rejected = walk._map_columns(config, keys, np.empty((1, count, 8)))
+    rejected = walk._map_columns(config, keys, np.empty((8, 1, count)))
     assert 0 < rejected.sum() < count
     if mode is MapMode.FIXED_SET:
         # the walk chooses some rejected template, so its refill is checked
@@ -497,7 +504,7 @@ def test_step_table_sweep_equals_affine_step_for(mode, monkeypatch):
                            for _ in range(walks - 1)] + [config]
                 lo = rng.choice([1, rng.randrange(1, 2**40), 2**40 - m])
                 table = walk._step_table(configs, lo, lo + m)
-                assert table.shape == (walks, m, 8)
+                assert table.shape == (8, walks, m)
                 if m in short:
                     cells = [(g, k) for g in range(walks) for k in range(m)]
                 else:
@@ -505,13 +512,13 @@ def test_step_table_sweep_equals_affine_step_for(mode, monkeypatch):
                     cells += [(rng.randrange(walks), rng.randrange(m))
                               for _ in range(8)]
                 for g, k in cells:
-                    assert tuple(table[g, k].tolist()) \
+                    assert tuple(table[:, g, k].tolist()) \
                         == tuple(affine_step_for(configs[g], lo + k))
 
 
 # SHA-256 of six step tables, one lone walk's block and two groups' (see
-# test_step_table_bytes_are_pinned), recorded when a table took nine
-# one-draw passes; any change to a table byte fails.
+# test_step_table_bytes_are_pinned), recorded over (G, m, 8) rows when a
+# table took nine one-draw passes; any change to a table byte fails.
 _TABLE_PINS = {
     (MapMode.PER_STEP_FRESH, 1):
         "dc9983676f82b4ab80acc968e9132a098f6e0d50e831aa6317e192ce997e602f",
@@ -537,7 +544,7 @@ def test_step_table_bytes_are_pinned(mode, walks):
                for g in range(walks)]
     lo = {1: 1, 3: 2**40, 8: 12289}[walks]
     table = walk._step_table(configs, lo, lo + walk._block(walks))
-    assert hashlib.sha256(table.tobytes()).hexdigest() \
+    assert hashlib.sha256(table.transpose(1, 2, 0).tobytes()).hexdigest() \
         == _TABLE_PINS[mode, walks]
 
 
@@ -624,7 +631,8 @@ def test_lanes_reach_their_fixed_point_on_contracting_walks(mode,
                             else None)
         assert np.array_equal(generate_walk(config).xy[1:],
                               _replay(config, config.x0, 1))
-        assert all(len(table) < walk._LANE_MIN for table, *_ in scalar)
+        assert all(table.shape[1] < walk._LANE_MIN
+                   for table, *_ in scalar)
 
 
 def test_lanes_stop_at_the_first_step_of_a_pass_at_their_fixed_point(
@@ -632,10 +640,11 @@ def test_lanes_stop_at_the_first_step_of_a_pass_at_their_fixed_point(
     # every map sends every point to (3, -2), so the first pass is exact
     # and the second rejoins it at its first step
     steps = _count_calls(monkeypatch, "_floor_step")
-    table = np.zeros((4 * walk._SEGMENT, 8))
-    table[:, 4:6] = (3.25, -1.5)
-    rows = walk._lane_rows(table[None], np.array([[40, 7]]))
-    assert rows.tolist() == [[[40, 7]] + [[3, -2]] * len(table)]
+    m = 4 * walk._SEGMENT
+    table = np.zeros((8, 1, m))
+    table[4:6] = [[[3.25]], [[-1.5]]]
+    rows = walk._lane_rows(table, np.array([[40, 7]]))
+    assert rows.tolist() == [[[40, 7]] + [[3, -2]] * m]
     assert len(steps) == walk._SEGMENT + 1
 
 
@@ -647,7 +656,7 @@ def test_lanes_keep_the_evaluation_order_of_step(monkeypatch):
             (below, 0.0, below, half, half, -half, -half, 0.0)]
     n = walk._LANE_MIN + 3
     monkeypatch.setattr(walk, "_step_table", lambda configs, lo, hi:
-                        np.array([[rows[i % 2] for i in range(lo, hi)]]
+                        _columns([[rows[i % 2] for i in range(lo, hi)]]
                                  * len(configs)))
     scalar = _count_calls(monkeypatch, "_scalar_rows")
     config = WalkConfig(x0=LatticePoint(1, 1), n=n)
@@ -665,8 +674,9 @@ def test_walks_that_never_coalesce_fall_back_to_the_scalar_loop(
     block = walk._block(1)
     n = block + walk._LANE_MIN
     monkeypatch.setattr(walk, "_step_table", lambda configs, lo, hi:
-                        np.tile([1.0, 0.0, 0.0, 1.0, 1.5, 0.0, -0.25, 0.0],
-                                (len(configs), hi - lo, 1)))
+                        _columns(np.tile([1.0, 0.0, 0.0, 1.0, 1.5, 0.0,
+                                          -0.25, 0.0],
+                                         (len(configs), hi - lo, 1))))
     steps = _count_calls(monkeypatch, "_floor_step")
     scalar = _count_calls(monkeypatch, "_scalar_rows")
     x = -(n // 2)
@@ -675,7 +685,8 @@ def test_walks_that_never_coalesce_fall_back_to_the_scalar_loop(
     assert got.tolist() == [[x + i, 3] for i in range(1, n + 1)]
     # per block: every step of every pass, then one _follows check
     assert len(steps) == 2 * (walk._PASSES * walk._SEGMENT + 1)
-    assert [len(table) for table, *_ in scalar] == [block, walk._LANE_MIN]
+    assert [table.shape[1] for table, *_ in scalar] \
+        == [block, walk._LANE_MIN]
 
 
 def test_a_corrupted_lane_row_falls_back_to_the_exact_walk(monkeypatch):
@@ -800,6 +811,40 @@ def test_group_walks_match_their_scalar_replays_at_every_edge(mode,
             assert bool(lanes) == (n >= edge)
 
 
+def _far_config(rng, mode, n):
+    """A config with b = epsilon = 0 whose walk starts within 2**20 of
+    +-2**52 on one coordinate or both (the diagonal), the other anywhere
+    in between: lattice_bound lies near 2**52, halfway to 2**53."""
+    rho_max = rng.choice([0.5, 0.95, 1 - 1e-6, 1 - 1e-9])
+    far = [s * (2**52 - rng.randrange(2**20)) for s in rng.choices((-1, 1),
+                                                                   k=2)]
+    near = rng.choice([0, 1, None])  # the coordinate left free, if any
+    if near is not None:
+        far[near] = rng.randint(-2**52, 2**52)
+    return WalkConfig(
+        x0=LatticePoint(*far), rho_min=rng.uniform(rho_max / 2, rho_max),
+        rho_max=rho_max, b_min=0.0, b_max=0.0, epsilon=0.0, n=n,
+        seed=rng.randrange(2**64), map_mode=mode,
+        map_count=rng.randint(1, 12) if mode is MapMode.FIXED_SET else None)
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_walks_near_the_coordinate_limit_match_their_scalar_replays(mode):
+    # lone walks and groups, the scalar loop and lanes, from starts near
+    # 2**52, where a step's products and sums still round as in step: each
+    # walk equals its scalar replay, rows or BoundsExceeded. A far start's
+    # first step can cross lattice_bound (ROADMAP item 2), and some do.
+    rng = random.Random(f"far-{mode.value}")
+    walks = []
+    for size, n in ((1, 40), (1, walk._LANE_MIN + 5), (3, 200),
+                    (walk._GROUP, 80)):
+        for _ in range(6):
+            walks += _check_group(_group(_far_config(rng, mode, n), rng,
+                                         size))
+    stopped = sum(isinstance(t, BoundsExceeded) for t in walks)
+    assert 0 < stopped < len(walks)
+
+
 @pytest.mark.parametrize("count", [1, 8, 9, 17])
 def test_walks_yields_each_walk_as_generate_walk_does(count, monkeypatch):
     # 17 walks are stepped as groups of 8, 8 and 1: the groups of 8 run
@@ -869,7 +914,7 @@ def test_a_group_walk_whose_lanes_fail_falls_back_alone(monkeypatch):
     scalar = _count_calls(monkeypatch, "_scalar_rows")
     walks = _check_group(configs)
     xy = walks[1].xy
-    assert [(len(table), x) for table, x, _ in scalar] == [
+    assert [(table.shape[1], x) for table, x, _ in scalar] == [
         (block, LatticePoint(*xy[0].tolist())),
         (700, LatticePoint(*xy[block].tolist()))]
 
@@ -1108,9 +1153,9 @@ def test_config_real_fields_hold_python_floats():
     assert json.loads(json.dumps(echo))["rho_max"] == float(np.float32(0.9))
     for cfg in (config, replace(config, map_mode=MapMode.FIXED_SET,
                                 map_count=3)):
-        table = walk._step_table([cfg], 1, cfg.n + 1)[0]
-        for i, row in enumerate(table.tolist(), 1):
-            assert tuple(row) == tuple(affine_step_for(cfg, i))
+        table = walk._step_table([cfg], 1, cfg.n + 1)[:, 0]
+        for i, row in enumerate(zip(*table.tolist()), 1):
+            assert row == tuple(affine_step_for(cfg, i))
         assert np.array_equal(generate_walk(cfg).xy[1:],
                               _replay(cfg, cfg.x0, 1))
 

@@ -40,7 +40,7 @@ def _gates():
 def test_gate_scripts_compile():
     compile(CHECKER.read_text(), str(CHECKER), "exec")
     assert "<<'PY'" not in WORKFLOW.read_text()
-    assert [count for count, _ in _gates()] == [4, 1, 2, 1, 1, 1, 1]
+    assert [count for count, _ in _gates()] == [4, 1, 3, 1, 1, 1, 1]
 
 
 def test_gates_read_only_reported_metrics(monkeypatch):

@@ -101,11 +101,9 @@ def perturb(t: Trajectory, spec: PerturbationSpec) -> Trajectory:
     """Return the disturbed copy of t; the input is never modified.
 
     RE_EVOLVE replays the tail after the nudged point to t's last row with
-    walk._replay: up to 16 scalar steps until the replay lands on a row of
-    t, then t's own rows. A walk's rows (from generate_walk or
-    walk._walks) are kept as they are; any other trajectory's, also a copy
-    of a walk, are kept once they are confirmed to follow t.config's
-    steps, a block at a time, and a trajectory whose rows do not follow is
+    walk._replay. A walk's tail (from generate_walk or walk._walks) runs
+    up to 16 scalar steps until the replay lands on a row of t, then keeps
+    t's own rows; any other trajectory's, also a copy of a walk, is
     replayed to the end. TypeError if t is not a Trajectory or spec not a
     PerturbationSpec.
     """

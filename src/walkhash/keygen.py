@@ -18,10 +18,9 @@ from a copy() of that state (FIPS 202; hashlib documents copy()). The
 prefix is taken only when the two have the same length and it spans at
 least _MIN_SHARED bytes: the first _MIN_SHARED bytes are compared as
 bytes, and only if they agree is the rest found with one compare of the
-two messages as uint64 words. Any other message starts from a fresh
-state. One message, and a batch with no message of _MIN_SHARED bytes,
-take the plain path without a neighbour check. BLAKE3 skips the chunks
-that repeat the previous message's (see _blake3).
+two messages as uint64 words. Any other message, and so a lone one,
+starts from a fresh state. BLAKE3 skips the chunks that repeat the
+previous message's (see _blake3).
 """
 
 from __future__ import annotations
@@ -178,8 +177,6 @@ def digest_many(messages: Sequence[bytes],
         new, finish = hashlib.sha3_512, methodcaller("digest")
     else:
         new, finish = hashlib.shake_256, methodcaller("digest", alg.out_len)
-    if len(messages) < 2 or max(map(len, messages)) < _MIN_SHARED:
-        return [finish(new(m)) for m in messages]
     return _sponges(messages, new, finish)
 
 

@@ -26,14 +26,14 @@ the scalar loop runs that walk's block alone and raises that walk's
 BoundsExceeded. _walks yields walks stepped _GROUP at a time, over rows
 it then freezes and marks as its own (Trajectory._walked): generate_walk
 takes the first of one, and diffusion.run_avalanche walks its trials
-through it. A re-evolve tail (_replay) runs the scalar steps until it
-rejoins its trajectory, and from there keeps a marked walk's rows as they
-are and checks any other trajectory's rows with _follows. The output
-bytes depend neither on the grouping nor on the block size, which shrinks
-as a group grows (_block). The scalar functions (Stream,
-sample_affine_step, affine_step_for, map_templates, step) are the
-reference the tables and lanes are tested against, and they fill in the
-rare steps whose matrix draw is rejected.
+through it. A re-evolve tail (_replay) of a marked walk runs the scalar
+steps until it rejoins the walk and keeps the walk's rows from there;
+_evolve replays any other tail whole. The output bytes depend neither on
+the grouping nor on the block size, which shrinks as a group grows
+(_block). The scalar functions (Stream, sample_affine_step,
+affine_step_for, map_templates, step) are the reference the tables and
+lanes are tested against, and they fill in the rare steps whose matrix
+draw is rejected.
 """
 
 from __future__ import annotations
@@ -287,7 +287,8 @@ class Trajectory:
     xy is a read-only (n+1, 2) int64 array, row i holding x_i. The
     constructor takes any sequence of integer points or an (m, 2) integer
     array and copies it, so a trajectory never shares memory with its input;
-    config must be a WalkConfig (TypeError if not).
+    it holds x_0 at least (ValueError if xy is empty), and config must be a
+    WalkConfig (TypeError if not).
     """
 
     xy: np.ndarray
@@ -299,6 +300,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         _instance("config", WalkConfig, self.config)
         xy = _checked_xy(self.xy).copy()
+        if not len(xy):
+            raise ValueError("xy must hold x_0 at least, got no points")
         xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)
 
@@ -572,7 +575,7 @@ def _floor_step(ax: np.ndarray, ay: np.ndarray, b: np.ndarray,
 def _follows(table: np.ndarray, rows: np.ndarray, bound: int) -> bool:
     """Whether every row lies in [-bound, bound] and each row after the
     first is where the step in the table column before it takes the row
-    before it: rows is (m + 1, 2) for an (8, m) table, int64 or float64.
+    before it: rows is (m + 1, 2) float64 lane rows for an (8, m) table.
     """
     if not ((rows >= -bound) & (rows <= bound)).all():
         return False
@@ -724,36 +727,27 @@ def _walks(configs: Iterable[WalkConfig]
 
 
 def _replay(config: WalkConfig, xy: np.ndarray, i: int,
-            walked: bool = False) -> None:
+            walked: bool) -> None:
     """Rewrite rows i+1.. of xy, the rows of a trajectory under config in
     all but row i, as the rows reached by stepping on from xy[i].
 
-    Up to _REJOIN steps run as step(x, affine_step_for(config, k), bound),
-    stopping at the first row k the replay shares with xy: step k + 1
-    depends only on the seed, k and that row, so from there the replay
-    would retrace xy. If walked (the rows are a walk's from _walks, which
-    follow config's steps) they are kept as they are; otherwise they are
-    kept once _follows confirms them, a lone walk's block of _block(1)
-    steps at a time from row k, one table alive at once. A tail of at
-    most _REJOIN steps ends in the loop. Without a rejoin, or if a row
-    does not follow, _evolve replays the whole tail.
+    If walked (the rows are a walk's from _walks, which follow config's
+    steps), up to _REJOIN steps run as step(x, affine_step_for(config, k),
+    bound), stopping at the first row k the replay shares with xy: step
+    k + 1 depends only on the seed, k and that row, so from there the
+    replay would retrace xy, and xy's rows are kept as they are. A tail of
+    at most _REJOIN steps ends in the loop. Any other trajectory, and a
+    walk that does not rejoin, has its whole tail replayed by _evolve.
     """
     last = len(xy) - 1
-    bound = lattice_bound(config)
-    block = _block(1)
-    x = LatticePoint(*xy[i].tolist())
-    for k in range(i + 1, min(i + _REJOIN, last) + 1):
-        x = step(x, affine_step_for(config, k), bound)
-        if list(x) == xy[k].tolist():  # the replay's row k is xy's
-            if walked or all(
-                    _follows(_step_table([config], lo + 1,
-                                         min(lo + block, last) + 1)[:, 0],
-                             xy[lo:lo + block + 1], bound)
-                    for lo in range(k, last, block)):
+    if walked:
+        bound = lattice_bound(config)
+        x = LatticePoint(*xy[i].tolist())
+        for k in range(i + 1, min(i + _REJOIN, last) + 1):
+            x = step(x, affine_step_for(config, k), bound)
+            if list(x) == xy[k].tolist():  # the replay's row k is xy's
                 return
-            break
-        xy[k] = x
-    else:
+            xy[k] = x
         if last - i <= _REJOIN:
             return
     (exc,) = _evolve([config], xy[None, i:], i + 1)

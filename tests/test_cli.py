@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -762,6 +763,25 @@ def test_readme_python_example_runs(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert re.fullmatch(r"([0-9a-f]{2})+\n", capsys.readouterr().out)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every walkhash line of the sh blocks, in a scratch directory that
+    # holds the ini block under the name its first comment gives
+    readme = (SRC.parent / "README.md").read_text()
+    (ini,) = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    name = ini.splitlines()[0].lstrip("# ").strip()
+    lines = [shlex.split(line, comments=True)
+             for block in re.findall(r"^```sh\n(.*?)^```", readme,
+                                     re.M | re.S)
+             for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["walkhash"]]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(ini)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 # ------------------------------------------------------------ config file

@@ -101,7 +101,7 @@ def _full_replay(t, spec):
 def test_re_evolve_equals_full_replay(mode):
     rng = random.Random(f"rejoin-{mode.value}")
     # 60 short walks, then 12 whose tails reach or cross the boundary of a
-    # lone walk's block, as the replay draws them
+    # lone walk's block, as _evolve draws them
     block = walk._block(1)
     for n in [None] * 60 + [block + 1, 2 * block + 17, 2 * block + 904] * 4:
         b = rng.choice([1.0, 100.0, 1e6])  # wide maps rejoin late
@@ -156,9 +156,9 @@ def test_re_evolve_ends_at_the_trajectory_not_at_config_n():
 
 
 def test_re_evolve_memory_stays_near_the_walk_size():
-    # the replay checks the walk's rows one block of steps at a time, so
-    # it never holds a step table of the whole tail (64 bytes a step), and
-    # it writes the tail into the copy that the result keeps
+    # the replay keeps the walk's rows from where it rejoins them, so it
+    # never holds a step table of the whole tail (64 bytes a step), and it
+    # writes the tail into the copy that the result keeps
     t = generate_walk(WalkConfig(seed=3, n=200_000))
     spec = PerturbationSpec(10, PerturbMode.RE_EVOLVE)
     tracemalloc.start()
@@ -173,9 +173,9 @@ def test_re_evolve_memory_stays_near_the_walk_size():
 
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_holds_one_block_table_at_a_time(mode):
-    # the replay of rows that are not a walk's drops its first block's
-    # table before it draws the next one: 1.27x the walk's bytes, against
-    # 1.43x with two tables alive; a walk's own rows draw none
+    # _evolve, which replays rows that are not a walk's, drops its first
+    # block's table before it draws the next one: 1.29x the walk's bytes,
+    # against 1.43x with two tables alive; a walk's own rows draw none
     config = WalkConfig(seed=3, n=200_000, map_mode=mode,
                         map_count=5 if mode is MapMode.FIXED_SET else None)
     t = generate_walk(config)
@@ -194,7 +194,7 @@ def test_re_evolve_raises_the_replay_bounds_error(monkeypatch):
     # t's rows follow the steps, but with the bound lowered a row far past
     # the point where the replay meets t leaves the region. A walk's own
     # rows met the real bound when they were made and are kept unchecked,
-    # so the rows are built by hand, and the check of each block finds it.
+    # so the rows are built by hand, and _evolve's replay of them finds it.
     spec = PerturbationSpec(5, PerturbMode.RE_EVOLVE, (1, 0))
     for seed in range(50):
         config = WalkConfig(seed=seed, n=300)
@@ -693,19 +693,15 @@ def test_grouped_avalanche_raises_the_first_trials_error(mode):
     assert type(raised.value) is cls and str(raised.value) == message
 
 
-def _checked_tables(t, spec, want):
-    """The (lo, hi) of the _step_table calls of a re-evolve replay of t's
-    rows that are not a walk's, whose result is want: blocks of
-    _block(1) steps from the first row of its first _REJOIN where want
-    rejoins t, or none for a shorter tail that does not; None for a longer
-    one that does not, which _evolve replays whole. A walk's replay draws
-    none where this is not None."""
-    i, n, block = spec.position, t.n, walk._block(1)
-    for k in range(i + 1, min(i + walk._REJOIN, n) + 1):
-        if want[k].tolist() == t.xy[k].tolist():
-            return [(lo + 1, min(lo + block, n) + 1)
-                    for lo in range(k, n, block)]
-    return [] if n - i <= walk._REJOIN else None
+def _rejoins(t, spec, want):
+    """Whether a re-evolve replay of the walk t, whose result is want, ends
+    in its scalar head: the tail is at most walk._REJOIN steps, or the
+    replay lands on a row of t within them. Otherwise _evolve replays the
+    whole tail."""
+    i, n = spec.position, t.n
+    return n - i <= walk._REJOIN or any(
+        want[k].tolist() == t.xy[k].tolist()
+        for k in range(i + 1, i + walk._REJOIN + 1))
 
 
 @pytest.mark.parametrize("mode", list(MapMode))
@@ -737,10 +733,10 @@ def test_re_evolve_with_the_group_table_equals_a_full_replay(mode,
                 assert np.array_equal(got.xy, want)
                 assert np.array_equal(
                     got.xy, perturb(Trajectory(t.xy, t.config), spec).xy)
-                if _checked_tables(t, spec, want) is None:
-                    assert drawn[0][0] == position + 1  # _evolve's
-                else:
+                if _rejoins(t, spec, want):
                     assert drawn == []
+                else:
+                    assert drawn[0][0] == position + 1  # _evolve's
 
 
 def _scalar_replay(t, spec):
@@ -765,14 +761,24 @@ def _step_tables(monkeypatch):
     return calls
 
 
+def _evolve_calls(monkeypatch):
+    """The first row of every walk._evolve call from here on."""
+    calls = []
+    inner = walk._evolve
+    monkeypatch.setattr(walk, "_evolve", lambda configs, xy, first:
+                        calls.append(first) or inner(configs, xy, first))
+    return calls
+
+
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_of_a_walk_equals_a_hand_built_and_a_scalar_replay(
         mode, monkeypatch):
     # walks at every edge of a lone walk's blocks and lanes, tails around
     # _REJOIN steps: a walk's replay keeps its rows from where it rejoins
-    # them and draws no table, the same rows built by hand draw the blocks
-    # that check them from there, and every replay equals the scalar one
-    # (a long tail the table one, which other tests hold to the scalar one)
+    # them and draws no table, the same rows built by hand are one _evolve
+    # call from the row after the nudge, and every replay equals the
+    # scalar one (a long tail the table one, which other tests hold to
+    # the scalar one)
     rng = random.Random(f"walk-tail-{mode.value}")
     edges = (walk._SEGMENT, walk._LANE_MIN, walk._BLOCK_MIN, walk._BLOCK,
              walk._BLOCK + walk._SEGMENT, walk._BLOCK + walk._LANE_MIN)
@@ -795,17 +801,18 @@ def test_re_evolve_of_a_walk_equals_a_hand_built_and_a_scalar_replay(
             want = replay(t, spec)
             with monkeypatch.context() as patch:
                 drawn = _step_tables(patch)
+                evolved = _evolve_calls(patch)
                 got = perturb(t, spec)
-                walk_drew = drawn[:]
-                del drawn[:]
+                walk_drew, walk_evolved = drawn[:], evolved[:]
+                del evolved[:]
                 hand_got = perturb(hand, spec)
             assert np.array_equal(got.xy, hand_got.xy)
             assert np.array_equal(got.xy, want)
-            tables = _checked_tables(t, spec, want)
-            if tables is None:  # both replay the whole tail
-                assert walk_drew == drawn and drawn[0][0] == position + 1
-            else:
-                assert walk_drew == [] and drawn == tables
+            assert evolved == [position + 1]
+            if _rejoins(t, spec, want):
+                assert walk_drew == [] and walk_evolved == []
+            else:  # both replay the whole tail
+                assert walk_evolved == [position + 1]
 
 
 def test_re_evolve_reads_the_walks_own_maps(monkeypatch):
@@ -813,13 +820,14 @@ def test_re_evolve_reads_the_walks_own_maps(monkeypatch):
     # changed every row from 1501 on; then the walk carried its last maps,
     # 64 bytes a step. Now a walk's replay keeps the walk's rows from the
     # row where it rejoins them, here 1502, and draws no maps, and the
-    # constructor's copy of it draws the maps that check them from there
+    # constructor's copy of it draws the maps of its whole tail, 500 steps
+    # that run in the scalar loop
     t = generate_walk(WalkConfig(n=2000, seed=5))
     spec = PerturbationSpec(1500, "re-evolve", (3, 1))
     want = _scalar_replay(t, spec)
-    assert _checked_tables(t, spec, want) == [(1503, 2001)]
+    assert want[1502].tolist() == t.xy[1502].tolist() != want[1501].tolist()
     for walk_t, tables in ((t, []), (Trajectory(t.xy, t.config),
-                                     [(1503, 2001)])):
+                                     [(1501, 2001)])):
         with monkeypatch.context() as patch:
             drawn = _step_tables(patch)
             assert np.array_equal(perturb(walk_t, spec).xy, want)
@@ -834,7 +842,7 @@ def test_re_evolve_reads_the_walks_own_maps(monkeypatch):
 def test_copies_of_a_walk_are_checked_like_hand_built_ones():
     # deepcopy and pickle once kept a walk's mark on a writeable copy of its
     # rows, so a replay kept a row edited after the rejoin; every copy is
-    # now unmarked, and its rows are checked and replayed where they differ
+    # now unmarked, and its whole tail is replayed
     t = generate_walk(WalkConfig(n=2000, seed=5))
     spec = PerturbationSpec(100, PerturbMode.RE_EVOLVE, (3, 1))
     row = 1500
@@ -856,19 +864,19 @@ def test_copies_of_a_walk_are_checked_like_hand_built_ones():
 @pytest.mark.parametrize("n", [2000, 20000])
 def test_a_walks_replay_draws_no_table_once_it_rejoins(monkeypatch, n):
     # the replay's head draws its steps one at a time, and from the rejoin
-    # a walk's rows are kept as they are; the same rows built by hand draw
-    # a lone walk's blocks from the rejoin row, and neither replays whole
+    # a walk's rows are kept as they are, with no _evolve call; the same
+    # rows built by hand are one _evolve call from the row after the nudge
     t = generate_walk(WalkConfig(n=n, seed=5))
     spec = PerturbationSpec(100, PerturbMode.RE_EVOLVE, (3, 1))
     want = _full_replay(t, spec)
-    tables = _checked_tables(t, spec, want)
-    assert len(tables) == -(-(n - tables[0][0] + 1) // walk._block(1))
-    for trajectory, drew in ((t, []), (Trajectory(t.xy, t.config), tables)):
+    assert _rejoins(t, spec, want)
+    for trajectory, calls in ((t, []), (Trajectory(t.xy, t.config), [101])):
         with monkeypatch.context() as patch:
             drawn = _step_tables(patch)
-            patch.setattr(walk, "_evolve", None)
+            evolved = _evolve_calls(patch)
             assert np.array_equal(perturb(trajectory, spec).xy, want)
-        assert drawn == drew
+        assert evolved == calls
+        assert [lo for lo, _ in drawn[:1]] == calls
 
 
 def test_run_avalanche_validation():

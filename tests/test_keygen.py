@@ -313,20 +313,20 @@ def test_neighbours_may_be_any_byte_buffer():
 
 
 def test_one_message_takes_the_plain_path(monkeypatch):
-    # no compare and no state copy for a single message, keygen's path,
-    # nor for a batch with no message of _MIN_SHARED bytes, whose
-    # neighbours cannot share
+    # a single message, keygen's path, has no neighbour to compare with,
+    # and a batch with no message of _MIN_SHARED bytes shares no prefix:
+    # each message starts from a fresh state
     def no_compare(*args):
         raise AssertionError("compared a lone message")
 
-    monkeypatch.setattr(keygen, "_shared", no_compare)
-    monkeypatch.setattr(keygen, "_sponges", no_compare)
     t = generate_walk(WalkConfig(seed=2, n=30))
     blob = serialize_trajectory(t)
-    assert derive_key(t, "sha3-512") == hashlib.sha3_512(blob).digest()
-    assert digest_bytes(blob, "shake256-384") \
-        == hashlib.shake_256(blob).digest(48)
-    assert digest_many([], "sha3-512") == []
+    with monkeypatch.context() as patch:
+        patch.setattr(keygen, "_shared", no_compare)
+        assert derive_key(t, "sha3-512") == hashlib.sha3_512(blob).digest()
+        assert digest_bytes(blob, "shake256-384") \
+            == hashlib.shake_256(blob).digest(48)
+        assert digest_many([], "sha3-512") == []
     short = [blob, blob, blob[:-16], b"", bytes(_MIN_SHARED - 1)]
     assert len(blob) < _MIN_SHARED
     assert digest_many(short, "sha3-512") \

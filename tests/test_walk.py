@@ -193,6 +193,16 @@ def test_trajectory_is_a_read_only_int64_array():
             Trajectory(bad, WalkConfig())
 
 
+def test_trajectory_refuses_no_points():
+    # an empty trajectory once had n == -1, so geometry ended in a numpy
+    # reduction error, perturb asked for positions in [1, -2] and
+    # derive_key hashed zero bytes; a walk holds x_0 at least
+    for empty in ([], (), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="xy"):
+            Trajectory(empty, WalkConfig())
+    assert Trajectory([(0, 0)], WalkConfig()).n == 0
+
+
 def test_checked_xy_reads_an_int64_array_in_place():
     xy = np.arange(20, dtype=np.int64).reshape(10, 2)
     assert walk._checked_xy(xy) is xy
@@ -419,14 +429,15 @@ def test_recurrence_keeps_the_evaluation_order_of_step(monkeypatch):
         want.append(list(x))
     assert want == [[1, 1]] * len(rows)
     assert _table_walk(config, config.x0, 1).tolist() == want
-    # _replay's scalar head rejoins at once, and rows that are not a walk's
-    # are kept only if _follows confirms them: it must not fall back to
-    # _evolve
+    # _replay steps rows that are not a walk's with _evolve; a walk's
+    # scalar head rejoins at once, so it must not fall back to _evolve
+    xy = np.array([[1, 1]] + [[0, 0]] * len(rows))
+    walk._replay(config, xy, 0, False)
+    assert xy[1:].tolist() == want
     monkeypatch.setattr(walk, "affine_step_for",
                         lambda config, i: AffineStep(*rows[i - 1]))
     monkeypatch.setattr(walk, "_evolve", None)
-    xy = np.array([[1, 1], *want])
-    walk._replay(config, xy, 0)
+    walk._replay(config, xy, 0, True)
     assert xy[1:].tolist() == want
 
 
@@ -935,25 +946,26 @@ def test_block_lengths_follow_the_group_size(monkeypatch):
                 _group(WalkConfig(n=9000, seed=7), rng, size)))
         assert [hi - lo for _, lo, hi in calls] == lengths
         assert all(isinstance(t, Trajectory) for t in walks)
-    # a re-evolve replay of rows that are not a walk's checks them a lone
-    # walk's block at a time from the row where it rejoins them, here row
-    # 21: rows 22..8213, 8214..16405, then the last 3595; a walk's own
-    # rows draw no table
+    # a re-evolve replay of rows that are not a walk's is one lone walk's
+    # _evolve from the row after the nudge: rows 11..8202, 8203..16394,
+    # then the last 3606, drawn to 3616; a walk's replay rejoins its rows
+    # at row 21 and draws no table
     config = WalkConfig(n=20000, seed=7)
     t = generate_walk(config)
     x = LatticePoint(*(t.xy[10] + (1, 0)).tolist())
     for i in range(11, 22):
         x = step(x, affine_step_for(config, i))
         assert (list(x) == t.xy[i].tolist()) is (i == 21)
-    for walked, lengths in ((False, [8192, 8192, 3595]), (True, [])):
+    for walked, lengths in ((False, [8192, 8192, 3616]), (True, [])):
         xy = t.xy.copy()
         xy[10] += (1, 0)
         with monkeypatch.context() as patch:
             calls = _count_calls(patch, "_step_table")
-            patch.setattr(walk, "_evolve", None)
+            evolved = _count_calls(patch, "_evolve")
             walk._replay(config, xy, 10, walked)
         assert [hi - lo for _, lo, hi in calls] == lengths
-        assert [lo for _, lo, _ in calls[:1]] == [22] * (not walked)
+        assert [lo for _, lo, _ in calls[:1]] == [11] * (not walked)
+        assert [first for *_, first in evolved] == [11] * (not walked)
 
 
 def test_generate_walk_memory_stays_near_the_walk_size():

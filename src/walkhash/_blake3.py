@@ -34,20 +34,25 @@ The chunk stage and each parent level run on one of two kernels with one
 output, picked by lane count. The root output blocks, one lane per
 64-byte output block of each message, always run on the int kernel. A
 key's root is one lane; 524 n=2000 walks, the most that one avalanche
-batch of them holds, put 524 lanes there, which took 1.2 ms on ints
-against 0.25 ms on numpy, about 1% of the batch's 57 ms of hashing.
+batch of them holds, put 524 lanes there, which take 0.7 ms on ints
+(1.1 ms with 64-bit slots) against 0.25 ms on numpy, about 1% of the
+batch's 57 ms of hashing.
 
 - Below _CROSSOVER lanes, the int kernel holds each state and message
-  word as one Python int, lane j in bits 64j..64j+31 (SWAR, "SIMD within
-  a register"). A round is the spec's: one G function on the four
-  columns, then on the four diagonals, each G the same 30 int operations
-  at any lane count, with no numpy dispatch. Words are packed once per
-  stage: the chunk stage packs the message words of all 16 blocks with
-  one transpose and one tobytes, keeps the chaining values packed from
-  block to block and unpacks them once at the end; each parent level and
-  the root output blocks pack their words once from the level below. One
-  32 KB message is 32 chunk lanes, then 16, 8, 4, 2 and 1, so it runs
-  here.
+  word as one Python int (SWAR, "SIMD within a register"): lane j is the
+  5-byte slot j, its 32-bit word in the top four bytes and the low byte
+  headroom for the lane below. A round is the spec's: one G function on
+  the four columns, then on the four diagonals, each G the same 30 int
+  operations at any lane count, with no numpy dispatch. Only G's
+  rotations need clean words: each reads a lane's 32 bits alone, so b
+  and d leave every G clean, while a and c gather carries in the next
+  slot's low byte and are masked once, in the compression's output (see
+  _rounds). Words are packed once per stage: the chunk stage packs the
+  message words of all 16 blocks with one structured-array copy and one
+  tobytes, keeps the chaining values packed from block to block and
+  unpacks them once at the end; each parent level and the root output
+  blocks pack their words once from the level below. One 32 KB message
+  is 32 chunk lanes, then 16, 8, 4, 2 and 1, so it runs here.
 - At or above it, the numpy kernel holds the state in one (28, L) array:
   a in four rows, and b, c and d in eight rows each, the second four
   repeating the first. A round is one G over whole (4, L) rows (the
@@ -62,12 +67,15 @@ against 0.25 ms on numpy, about 1% of the batch's 57 ms of hashing.
 
 The int kernel's cost grows with the width of its ints, while the numpy
 kernel's is mostly dispatch and barely grows below a few hundred lanes.
-_CROSSOVER is where the two measured equal: the int kernel's 7 rounds on
-packed words against one numpy compression, a whole parent level and a
-whole chunk stage each met between 44 and 64 lanes (in-process CPU time,
+With 40-bit slots the two meet between 80 and 92 lanes: a whole parent
+level at 80, a whole chunk stage at 88, and the int kernel's 7 rounds on
+packed words against one numpy compression at 92 (in-process CPU time,
 best of interleaved repeats, on a 2-core Xeon VM, Python 3.11.7, numpy
-2.4.6). The packing is left out of the first comparison because the int
-stages pay it once, not once per block.
+2.4.6). The packing is left out of the last comparison because the int
+stages pay it once, not once per block. _CROSSOVER was set where 64-bit
+slots met, between 44 and 64 lanes, and stays there: of the benchmark's
+stages only avalanche's 80-lane parent level lies between it and the
+new meeting point, where the two kernels are even.
 """
 
 from __future__ import annotations
@@ -165,63 +173,91 @@ def _rounds_rows(s, words, tmp) -> None:
 
 
 def _ones(lanes: int) -> int:
-    """1 in the low bit of each of lanes 64-bit slots: x * _ones(L) is x in
-    every lane."""
-    return int.from_bytes(b"\1\0\0\0\0\0\0\0" * lanes, "little")
+    """1 as the word of each of lanes lanes: x * _ones(L) is x in every
+    lane."""
+    return int.from_bytes(b"\0\1\0\0\0" * lanes, "little")
+
+
+# A lane of a packed word: its 32 bits in the top four bytes of a 5-byte
+# slot. CPython keeps an int in 30-bit digits, and rounds ran 7-10%
+# slower when the top lane's word ended a bit or two into a digit, so
+# that the int's length changed from word to word. With the word in the
+# low four bytes that is so at 1, 4, 7, ... lanes (4 and 16 among a 32 KB
+# message's); in the top four bytes only at multiples of 3, which ran no
+# slower than 64-bit slots.
+_SLOT = np.dtype({"names": ["word"], "formats": ["<u4"], "offsets": [1],
+                  "itemsize": 5})
 
 
 def _pack(words) -> list[int]:
     """Each row of a (R, L) array of 32-bit words as one lane-packed int."""
-    width = 8 * words.shape[1]
-    blob = words.astype("<u8").tobytes()
+    slots = np.zeros(words.shape, dtype=_SLOT)
+    slots["word"] = words
+    width = 5 * words.shape[1]
+    blob = slots.tobytes()
     return [int.from_bytes(blob[i:i + width], "little")
             for i in range(0, len(blob), width)]
 
 
 def _unpack(words, lanes: int):
-    """(len(words), lanes) uint32 from lane-packed ints; undoes _pack."""
-    blob = b"".join(x.to_bytes(8 * lanes, "little") for x in words)
-    return np.frombuffer(blob, dtype="<u8").reshape(-1, lanes).astype(
-        np.uint32)
+    """(len(words), lanes) uint32 from clean lane-packed ints; undoes
+    _pack."""
+    blob = b"".join(x.to_bytes(5 * lanes, "little") for x in words)
+    return np.frombuffer(blob, dtype=_SLOT)["word"].reshape(
+        -1, lanes).astype(np.uint32)
 
 
-def _g_ints(a, b, c, d, x, y, M):
+def _masks(ones: int):
+    """_g_ints's rotation masks for lanes packed as ones."""
+    return (ones * 0xFFFF, ones * 0xFFFFF, ones * 0xFFF, ones * 0xFFFFFF,
+            ones * 0xFF, ones * 0x1FFFFFF, ones * 0x7F)
+
+
+def _g_ints(a, b, c, d, x, y, masks):
     """The spec's G on lane-packed ints: a, b, c, d after mixing in the
-    message words x and y."""
-    a = (a + b + x) & M
+    message words x and y. A rotation right by r is
+    ((x >> r) & lr) | ((x & rr) << (32 - r)), where lr holds the low
+    32 - r bits of each lane and rr its low r bits (m16 both at r = 16). It
+    reads only bits 0-31 of each lane, so b and d come out clean whatever
+    a and c carry."""
+    m16, l12, r12, l8, r8, l7, r7 = masks
+    a += b + x
     d ^= a
-    d = ((d >> 16) | (d << 16)) & M
-    c = (c + d) & M
+    d = ((d >> 16) & m16) | ((d & m16) << 16)
+    c += d
     b ^= c
-    b = ((b >> 12) | (b << 20)) & M
-    a = (a + b + y) & M
+    b = ((b >> 12) & l12) | ((b & r12) << 20)
+    a += b + y
     d ^= a
-    d = ((d >> 8) | (d << 24)) & M
-    c = (c + d) & M
+    d = ((d >> 8) & l8) | ((d & r8) << 24)
+    c += d
     b ^= c
-    b = ((b >> 7) | (b << 25)) & M
+    b = ((b >> 7) & l7) | ((b & r7) << 25)
     return a, b, c, d
 
 
-def _rounds(v, w, M):
-    """The 7 rounds of the int kernel on 16 state words v and 16 message
-    words w, all lane-packed; returns the 16 state words after them.
+def _rounds(v, w, masks):
+    """The 7 rounds of the int kernel on 16 clean state words v and 16
+    clean message words w, all lane-packed; returns the 16 state words
+    after them, of which a (0-3) and c (8-11) are not masked.
 
-    Lane j of a word sits in bits 64j..64j+31, so a sum of three words
-    never carries into the next lane and a shift's spill lands in bits
-    that the mask M clears. The 56 _g_ints calls cost about 10 us a
-    compression over inline steps, about 6% of one 32 KB digest.
+    Only a and c gather bits above a lane's 32, and neither reaches the
+    next lane's word, 8 bits up: in one compression each a takes 28
+    additions of b + m, each below 2**33, so it stays below
+    57 * 2**32 < 2**38, and each c takes 28 additions of a clean d, so it
+    stays below 29 * 2**32. The 56 _g_ints calls cost about 10 us a
+    compression over inline steps; a 32 KB digest runs 21 compressions.
     """
     v0, v1, v2, v3, v4, v5, v6, v7, v8, v9, v10, v11, v12, v13, v14, v15 = v
     for _ in range(7):
-        v0, v4, v8, v12 = _g_ints(v0, v4, v8, v12, w[0], w[1], M)
-        v1, v5, v9, v13 = _g_ints(v1, v5, v9, v13, w[2], w[3], M)
-        v2, v6, v10, v14 = _g_ints(v2, v6, v10, v14, w[4], w[5], M)
-        v3, v7, v11, v15 = _g_ints(v3, v7, v11, v15, w[6], w[7], M)
-        v0, v5, v10, v15 = _g_ints(v0, v5, v10, v15, w[8], w[9], M)
-        v1, v6, v11, v12 = _g_ints(v1, v6, v11, v12, w[10], w[11], M)
-        v2, v7, v8, v13 = _g_ints(v2, v7, v8, v13, w[12], w[13], M)
-        v3, v4, v9, v14 = _g_ints(v3, v4, v9, v14, w[14], w[15], M)
+        v0, v4, v8, v12 = _g_ints(v0, v4, v8, v12, w[0], w[1], masks)
+        v1, v5, v9, v13 = _g_ints(v1, v5, v9, v13, w[2], w[3], masks)
+        v2, v6, v10, v14 = _g_ints(v2, v6, v10, v14, w[4], w[5], masks)
+        v3, v7, v11, v15 = _g_ints(v3, v7, v11, v15, w[6], w[7], masks)
+        v0, v5, v10, v15 = _g_ints(v0, v5, v10, v15, w[8], w[9], masks)
+        v1, v6, v11, v12 = _g_ints(v1, v6, v11, v12, w[10], w[11], masks)
+        v2, v7, v8, v13 = _g_ints(v2, v7, v8, v13, w[12], w[13], masks)
+        v3, v4, v9, v14 = _g_ints(v3, v4, v9, v14, w[14], w[15], masks)
         w = _permute(w)
     return [v0, v1, v2, v3, v4, v5, v6, v7,
             v8, v9, v10, v11, v12, v13, v14, v15]
@@ -244,9 +280,11 @@ def _compress_ints(h, m, counter, block_len, flags):
     words[15] = flags
     words[16:32] = m
     words = _pack(words)
-    v = _rounds(words[:16], words[16:], _ones(lanes) * 0xFFFFFFFF)
-    out = [v[i] ^ v[i + 8] for i in range(8)]
-    out += [v[i + 8] ^ words[i] for i in range(8)]
+    ones = _ones(lanes)
+    v = _rounds(words[:16], words[16:], _masks(ones))
+    M = ones * 0xFFFFFFFF
+    out = [(v[i] ^ v[i + 8]) & M for i in range(8)]
+    out += [(v[i + 8] ^ words[i]) & M for i in range(8)]
     return _unpack(out, lanes)
 
 
@@ -295,10 +333,11 @@ def _chunks_ints(m, counter, final, tail: int):
     last = max(0, (tail - 1) // _BLOCK_LEN)
     ones = _ones(lanes)
     M = ones * 0xFFFFFFFF
-    final = int.from_bytes(final.astype("<u8").tobytes(), "little")
-    lo, hi, *w = _pack(np.concatenate([
+    masks = _masks(ones)
+    lo, hi, final, *w = _pack(np.concatenate([
         (counter & np.uint64(0xFFFFFFFF))[None],
-        (counter >> np.uint64(32))[None], m.reshape(16 * blocks, lanes)]))
+        (counter >> np.uint64(32))[None], final[None],
+        m.reshape(16 * blocks, lanes)]))
     h = [x * ones for x in _IV_INTS]
     iv = h[0:4]
     for b in range(blocks):
@@ -309,8 +348,8 @@ def _chunks_ints(m, counter, final, tail: int):
             block_len -= (_BLOCK_LEN * (b + 1) - tail) * final
             flags |= _CHUNK_END * final
         v = _rounds(h + iv + [lo, hi, block_len, flags],
-                    w[16 * b:16 * b + 16], M)
-        h = [v[i] ^ v[i + 8] for i in range(8)]
+                    w[16 * b:16 * b + 16], masks)
+        h = [(v[i] ^ v[i + 8]) & M for i in range(8)]
         if b == last:
             kept = h
     if blocks > last + 1:
@@ -329,9 +368,9 @@ def _parent_cvs(m):
         _rounds_rows(s, m[_SCHEDULE], np.empty((4, lanes), dtype=np.uint32))
         return s[0:8]
     ones = _ones(lanes)
-    v = _rounds([x * ones for x in _PARENT_STATE], _pack(m),
-                ones * 0xFFFFFFFF)
-    return _unpack([v[i] ^ v[i + 8] for i in range(8)], lanes)
+    v = _rounds([x * ones for x in _PARENT_STATE], _pack(m), _masks(ones))
+    M = ones * 0xFFFFFFFF
+    return _unpack([(v[i] ^ v[i + 8]) & M for i in range(8)], lanes)
 
 
 def _fresh_lanes(padded, nchunks: int):

@@ -224,8 +224,9 @@ def test_avalanche_shaped_batch_runs_both_kernels(monkeypatch):
     widths = {"_chunks_rows": lambda m, *rest: m.shape[2],
               "_chunks_ints": lambda m, *rest: m.shape[2],
               "_rounds_rows": lambda s, words, tmp: s.shape[1],
-              # the mask holds 32 ones in each lane's 64-bit slot
-              "_rounds": lambda v, w, M: (M.bit_length() + 32) // 64}
+              # the first mask holds 16 ones in bits 8-23 of each lane's
+              # 40-bit slot
+              "_rounds": lambda v, w, m: (m[0].bit_length() + 16) // 40}
     for name, width in widths.items():
         def spy(*args, f=getattr(_blake3, name), width=width,
                 seen=seen[name]):

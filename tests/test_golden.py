@@ -12,12 +12,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import walkhash
 from walkhash.cli import main
 
 CASES = {
@@ -253,6 +256,51 @@ def _digests(argv, outdir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     assert _digests(CASES[name], tmp_path) == PINS[name]
+
+
+def _umath():
+    """numpy's C module: numpy._core from numpy 2, numpy.core before."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
+# Run in a fresh process, where NPY_DISABLE_CPU_FEATURES applies at import:
+# check that numpy turned off each feature named, then print every case's
+# digests.
+_WITHOUT_DISPATCH = """
+import json, sys, tempfile
+from pathlib import Path
+import test_golden
+features = test_golden._umath().__cpu_features__
+assert [name for name in sys.argv[1:] if features[name]] == []
+pins = {}
+for name, argv in test_golden.CASES.items():
+    with tempfile.TemporaryDirectory() as d:
+        pins[name] = test_golden._digests(argv, Path(d))
+print(json.dumps(pins))
+"""
+
+
+def test_golden_output_without_numpy_cpu_dispatch():
+    # numpy picks a float64 kernel by CPU; with every CPU-specific one
+    # turned off (only the baseline build is left) the pins must hold. A
+    # feature the CPU lacks is never picked, so it needs no turning off.
+    umath = _umath()
+    names = [name for name in umath.__cpu_dispatch__
+             if umath.__cpu_features__[name]]
+    src = Path(walkhash.__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(names),
+               PYTHONPATH=os.pathsep.join(
+                   [str(src), str(Path(__file__).parent),
+                    os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_DISPATCH, *names],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == PINS
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ and friends) and gives the same values as the per-step streams. The floor
 recurrence then runs the block's segments as numpy lanes, the lanes of
 every walk of the group in one pass, iterated to the fixed point where
 each lane starts where the one before it ends (see _lane_rows). A walk
-keeps its lane rows only if one numpy check (_follows) confirms every row;
+whose lanes reach it keeps its lane rows if they lie within its bound;
 otherwise, and for blocks of fewer than _LANE_MIN steps over the group,
 the scalar loop runs that walk's block alone and raises that walk's
 BoundsExceeded. _walks yields walks stepped _GROUP at a time, over rows
@@ -572,34 +572,28 @@ def _floor_step(ax: np.ndarray, ay: np.ndarray, b: np.ndarray,
     return np.floor(out, out)
 
 
-def _follows(table: np.ndarray, rows: np.ndarray, bound: int) -> bool:
-    """Whether every row lies in [-bound, bound] and each row after the
-    first is where the step in the table column before it takes the row
-    before it: rows is (m + 1, 2) float64 lane rows for an (8, m) table.
-    """
-    if not ((rows >= -bound) & (rows <= bound)).all():
-        return False
-    want = _floor_step(table[0:4:2], table[1:4:2], table[4:6], table[6:8],
-                       rows[:-1, 0], rows[:-1, 1],
-                       *np.empty((2, 2, table.shape[1])))
-    return bool(np.array_equal(want, rows[1:].T))
-
-
-def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _lane_rows(table: np.ndarray,
+               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows each walk g reaches by stepping from x[g] through the m
     steps of table[:, g] (m a multiple of _SEGMENT), as (G, m + 1, 2)
-    float64 for a contiguous (8, G, m) table and (G, 2) starts: its fixed
-    point if the lanes reach one in _PASSES passes, else the last pass's.
+    float64 for a contiguous (8, G, m) table and (G, 2) starts, and
+    chained, a (G,) bool array: whether each lane j + 1 of walk g starts,
+    after the last pass, exactly where lane j ends.
 
     Lane j of a walk holds steps j*_SEGMENT .. (j+1)*_SEGMENT - 1; a pass
     runs step t of every lane of every walk in one _floor_step call. Lane
     0 starts from its walk's x, the others from x as a guess, and each pass
     restarts lane j+1 from the end lane j reached in the pass before. The
     maps contract, so a restarted lane soon lands on a point of its
-    previous pass and follows it from there. At the first step of a pass
-    where every lane is back on its previous rows, the rest of the pass
-    would repeat the one before: each lane starts where the one before it
-    ends. _evolve still checks each walk's rows with _follows.
+    previous pass and follows it from there. From the second pass on, the
+    passes stop at the first step where every lane is back on its previous
+    rows, and they stop after _PASSES passes in any case.
+
+    A chained walk's rows are its recurrence. Lane 0 starts from the true
+    x, and every lane's rows of the last pass were stepped by _floor_step
+    (which rounds as step does) from that lane's own start; at an early
+    break, the rows not yet rewritten are the previous pass's, stepped
+    from the row the break found unchanged. Only the bound is unchecked.
     """
     walks, m = table.shape[1:]
     seg = _SEGMENT
@@ -623,12 +617,13 @@ def _lane_rows(table: np.ndarray, x: np.ndarray) -> np.ndarray:
         if k >= seg and new.tobytes() == out.tobytes():
             break
         out[...] = new
+    chained = (at[0, ..., 1:] == at[seg, ..., :-1]).all(axis=(0, 2))
     rows = np.empty((walks, m + 1, 2))
     rows[:, 0] = x
     # a view of rows 1..m: row 1 + j * seg + t is at[1 + t, :, g, j]
     rows[:, 1:].reshape(walks, lanes, seg, 2)[...] = \
         at[1:].transpose(2, 3, 0, 1)
-    return rows
+    return rows, chained
 
 
 def _scalar_rows(table: np.ndarray, x: LatticePoint,
@@ -655,9 +650,9 @@ def _block(walks: int) -> int:
     """Steps per block of _evolve for a group of this many walks: _BLOCK
     shared among them, a multiple of _SEGMENT, but at least _BLOCK_MIN.
     A lone walk takes 8192 steps a block, so a fractal sweep's n=5000
-    walk pays the fixed cost of one table, one set of lane passes and one
-    _follows check; a group of 4 or more keeps 2048 steps a walk, the
-    size its lanes are timed at (see _GROUP), and so its memory."""
+    walk pays the fixed cost of one table and one set of lane passes; a
+    group of 4 or more keeps 2048 steps a walk, the size its lanes are
+    timed at (see _GROUP), and so its memory."""
     return max(_BLOCK // walks // _SEGMENT * _SEGMENT, _BLOCK_MIN)
 
 
@@ -672,8 +667,9 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray,
     for all walks; a block's table and lane rows are dropped before the
     next block's are made. A block of _LANE_MIN steps or more over all
     its walks runs every walk's lanes in one _lane_rows call, and keeps a
-    walk's rows only if _follows confirms them; any other block, or a walk
-    whose lanes fail, runs the scalar loop from the walk's exact start.
+    walk's rows only if its lanes chain and every row lies within
+    lattice_bound; any other block, or a walk whose lanes fail, runs the
+    scalar loop from the walk's exact start.
     Returns the BoundsExceeded that stopped each walk, or None; a stopped
     walk's later rows repeat its last start.
     """
@@ -689,13 +685,13 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray,
         table = _step_table(
             configs, lo, lo + (-(-m // _SEGMENT) * _SEGMENT if lanes else m))
         x = xy[:, lo - first]
-        rows = _lane_rows(table, x) if lanes else None
+        rows, chained = _lane_rows(table, x) if lanes else (None, None)
         table = table[..., :m]
         for g, out in enumerate(xy[:, lo - first + 1:lo - first + m + 1]):
             if errors[g]:
                 out[...] = x[g]  # defined rows for the lanes that follow
-            elif rows is not None and _follows(table[:, g], rows[g, :m + 1],
-                                               bound):
+            elif lanes and chained[g] \
+                    and (np.abs(rows[g, 1:m + 1]) <= bound).all():
                 out[...] = rows[g, 1:m + 1]
             else:
                 try:

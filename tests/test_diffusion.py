@@ -174,7 +174,7 @@ def test_re_evolve_memory_stays_near_the_walk_size():
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_re_evolve_holds_one_block_table_at_a_time(mode):
     # _evolve, which replays rows that are not a walk's, drops its first
-    # block's table before it draws the next one: 1.29x the walk's bytes,
+    # block's table before it draws the next one: 1.26x the walk's bytes,
     # against 1.43x with two tables alive; a walk's own rows draw none
     config = WalkConfig(seed=3, n=200_000, map_mode=mode,
                         map_count=5 if mode is MapMode.FIXED_SET else None)

@@ -654,9 +654,58 @@ def test_lanes_stop_at_the_first_step_of_a_pass_at_their_fixed_point(
     m = 4 * walk._SEGMENT
     table = np.zeros((8, 1, m))
     table[4:6] = [[[3.25]], [[-1.5]]]
-    rows = walk._lane_rows(table, np.array([[40, 7]]))
+    rows, chained = walk._lane_rows(table, np.array([[40, 7]]))
     assert rows.tolist() == [[[40, 7]] + [[3, -2]] * m]
+    assert chained.tolist() == [True]
     assert len(steps) == walk._SEGMENT + 1
+
+
+def test_lanes_run_their_first_pass_whole(monkeypatch):
+    # the first step of every lane sends every point to (40, 7), where the
+    # guess lanes start, and each later step moves one to the right: the
+    # first step of the first pass rewrites no row, yet the rows after it
+    # are still the starts, so only a second pass may stop the lanes
+    steps = _count_calls(monkeypatch, "_floor_step")
+    seg, m = walk._SEGMENT, 4 * walk._SEGMENT
+    table = np.zeros((8, 1, m))
+    table[[0, 3], 0] = 1.0
+    table[4, 0] = 1.25
+    table[:, 0, ::seg] = np.array([[0, 0, 0, 0, 40.25, 7.5, 0, 0]]).T
+    rows, chained = walk._lane_rows(table, np.array([[40, 7]]))
+    assert rows.tolist() == [[[40, 7]] + [[40 + t, 7]
+                                          for t in range(seg)] * 4]
+    assert rows[0, 1:].tolist() == walk._scalar_rows(
+        table[:, 0], LatticePoint(40, 7), 100).tolist()
+    assert chained.tolist() == [True]
+    assert len(steps) == seg + 1
+
+
+@pytest.mark.parametrize("bound", [60, 59])
+def test_a_lane_walk_is_kept_up_to_its_bound_and_no_further(bound,
+                                                             monkeypatch):
+    # every step sends every point to (3, -2) but the last, which sends
+    # it to (60, 0), so the lanes chain and only the last row decides: on
+    # a bound of 60 the lane rows are kept, on 59 the scalar loop replays
+    # the block and raises its error at that row
+    n = walk._LANE_MIN
+    far = (0.0, 0.0, 0.0, 0.0, 60.5, 0.5, 0.0, 0.0)
+    near = (0.0, 0.0, 0.0, 0.0, 3.25, -1.5, 0.0, 0.0)
+    monkeypatch.setattr(walk, "_step_table", lambda configs, lo, hi:
+                        _columns([[far if i == n else near
+                                   for i in range(lo, hi)]] * len(configs)))
+    monkeypatch.setattr(walk, "lattice_bound", lambda config: bound)
+    scalar = _count_calls(monkeypatch, "_scalar_rows")
+    config = WalkConfig(x0=LatticePoint(40, 7), n=n)
+    if bound == 60:
+        assert _table_walk(config, config.x0, 1).tolist() \
+            == [[3, -2]] * (n - 1) + [[60, 0]]
+        assert scalar == []
+    else:
+        with pytest.raises(BoundsExceeded, match=re.escape(
+                "walk reached (60, 0), outside the safe region "
+                "[-59, 59]^2")):
+            _table_walk(config, config.x0, 1)
+        assert [table.shape[1] for table, *_ in scalar] == [n]
 
 
 def test_lanes_keep_the_evaluation_order_of_step(monkeypatch):
@@ -679,7 +728,7 @@ def test_walks_that_never_coalesce_fall_back_to_the_scalar_loop(
         monkeypatch):
     # a translation keeps every lane's distance to the true walk, so the
     # lanes have no fixed point within _PASSES passes: both blocks run
-    # every pass, _follows rejects their rows, and the scalar loop runs;
+    # every pass, their lanes do not chain, and the scalar loop runs;
     # the walk starts n // 2 left of the origin, so it ends as far right,
     # inside its lattice_bound of n // 2 + 2871
     block = walk._block(1)
@@ -694,30 +743,32 @@ def test_walks_that_never_coalesce_fall_back_to_the_scalar_loop(
     config = WalkConfig(x0=LatticePoint(x, 3), n=n)
     got = _table_walk(config, config.x0, 1)
     assert got.tolist() == [[x + i, 3] for i in range(1, n + 1)]
-    # per block: every step of every pass, then one _follows check
-    assert len(steps) == 2 * (walk._PASSES * walk._SEGMENT + 1)
+    # per block: every step of every pass, and no other _floor_step call
+    assert len(steps) == 2 * walk._PASSES * walk._SEGMENT
     assert [table.shape[1] for table, *_ in scalar] \
         == [block, walk._LANE_MIN]
 
 
-def test_a_corrupted_lane_row_falls_back_to_the_exact_walk(monkeypatch):
+def test_lanes_that_do_not_chain_fall_back_to_the_exact_walk(monkeypatch):
+    # in one pass no guess lane is restarted from its true start, so no
+    # walk's lanes chain: the chain flag alone sends every lane block of a
+    # lone walk and of a group to the scalar loop, from each walk's exact
+    # start, and every walk still equals its scalar replay
+    monkeypatch.setattr(walk, "_PASSES", 1)
+    scalar = _count_calls(monkeypatch, "_scalar_rows")
     config = WalkConfig(n=walk._block(1) + 700, seed=41)
-    want = _replay(config, config.x0, 1)
-    for row in (1, walk._SEGMENT, walk._SEGMENT + 1, 700, walk._block(1)):
-        inner = walk._lane_rows
-        scalar = []
-
-        def corrupt(table, x, inner=inner):
-            rows = inner(table, x)
-            if row < rows.shape[1]:
-                rows[0, row] += (0, 1)
-            return rows
-
-        with monkeypatch.context() as patch:
-            patch.setattr(walk, "_lane_rows", corrupt)
-            scalar = _count_calls(patch, "_scalar_rows")
-            assert np.array_equal(_table_walk(config, config.x0, 1), want)
-        assert len(scalar) >= 1
+    got = _table_walk(config, config.x0, 1)
+    assert np.array_equal(got, _replay(config, config.x0, 1))
+    assert [(table.shape[1], x) for table, x, _ in scalar] == [
+        (walk._block(1), config.x0),
+        (700, LatticePoint(*got[walk._block(1) - 1].tolist()))]
+    block = walk._block(3)
+    configs = [WalkConfig(n=block + 700, seed=s) for s in (41, 5, 9)]
+    scalar.clear()
+    walks = _check_group(configs)
+    assert [(table.shape[1], x) for table, x, _ in scalar] == [
+        (m, LatticePoint(*t.xy[row].tolist()))
+        for m, row in ((block, 0), (700, block)) for t in walks]
 
 
 @pytest.mark.parametrize("mode", list(MapMode))
@@ -909,25 +960,35 @@ def test_rejected_matrix_draws_in_a_group_are_redrawn_per_walk(mode,
 
 
 def test_a_group_walk_whose_lanes_fail_falls_back_alone(monkeypatch):
-    # a corrupted lane row of walk 1 fails its _follows check in both lane
-    # blocks; the scalar loop runs those two blocks of walk 1 only, each
-    # from walk 1's exact start, and the other walks keep their lane rows
+    # walk 1 steps by the translation of
+    # test_walks_that_never_coalesce_fall_back_to_the_scalar_loop, so its
+    # lanes do not chain in either lane block; the scalar loop runs those
+    # two blocks of walk 1 only, each from walk 1's exact start, and the
+    # other walks keep their lane rows. The walks start n // 2 left of the
+    # origin, so walk 1 ends as far right, inside its lattice_bound.
     block = walk._block(3)
-    configs = [WalkConfig(n=block + 700, seed=s) for s in (41, 5, 9)]
-    inner = walk._lane_rows
+    n = block + 700
+    x0 = LatticePoint(-(n // 2), 3)
+    configs = [WalkConfig(x0=x0, n=n, seed=s) for s in (41, 5, 9)]
+    inner = walk._step_table
 
-    def corrupt(table, x):
-        rows = inner(table, x)
-        rows[1, 7] += (0, 1)
-        return rows
+    def translated(configs, lo, hi):
+        table = inner(configs, lo, hi)
+        table[:, 1] = np.array([[1.0, 0.0, 0.0, 1.0, 1.5, 0.0, -0.25,
+                                 0.0]]).T
+        return table
 
-    monkeypatch.setattr(walk, "_lane_rows", corrupt)
+    monkeypatch.setattr(walk, "_step_table", translated)
     scalar = _count_calls(monkeypatch, "_scalar_rows")
-    walks = _check_group(configs)
+    walks = list(walk._walks(configs))
     xy = walks[1].xy
     assert [(table.shape[1], x) for table, x, _ in scalar] == [
         (block, LatticePoint(*xy[0].tolist())),
         (700, LatticePoint(*xy[block].tolist()))]
+    assert xy.tolist() == [[x0.x + i, 3] for i in range(n + 1)]
+    for g in (0, 2):
+        assert np.array_equal(walks[g].xy[1:],
+                              _replay(configs[g], x0, 1))
 
 
 def test_block_lengths_follow_the_group_size(monkeypatch):
@@ -1017,9 +1078,9 @@ def test_a_walks_rows_cannot_be_made_writeable():
 
 @pytest.mark.parametrize("mode", list(MapMode))
 def test_generate_walk_memory_holds_one_block_at_a_time(mode):
-    # one 8192-step block's table (512 KB), its lane rows and its _follows
-    # check, drawn in place after the last block's are dropped: 1.29x the
-    # walk's bytes in either map mode
+    # one 8192-step block's table (512 KB) and its lane rows, drawn in
+    # place after the last block's are dropped: 1.26x the walk's bytes in
+    # either map mode
     config = WalkConfig(seed=3, n=200_000, map_mode=mode,
                         map_count=5 if mode is MapMode.FIXED_SET else None)
     generate_walk(replace(config, n=5000))  # imports and caches

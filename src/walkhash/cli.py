@@ -324,38 +324,35 @@ def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
 
     Step i of a walk depends only on (seed, i), so each seed is walked once,
     at its longest n, and each n is estimated from a view of that walk's
-    first n + 1 rows; the walk is dropped before the next seed's. If it
-    fails, each n is walked alone, so each fails as it would alone. A
-    failure is the one the n-major loop (for n, for seed) would meet first.
+    first n + 1 rows; the walk is dropped before the next seed's. A failing
+    sweep reruns as the n-major loop (for n, for seed), one walk per
+    (n, seed), and raises the error that loop meets first, so an error
+    costs more than a success.
     """
     ns = list(dict.fromkeys(n_list))
+    seeds = range(config.seed, config.seed + num_seeds)
     entries: dict[int, list[dict]] = {n: [] for n in ns}
-    failed: tuple[int, WalkhashError] | None = None  # (index into ns, error)
-    for offset in range(num_seeds):
-        # a later seed can only fail first at an earlier n
-        todo = ns if failed is None else ns[:failed[0]]
-        if not todo:
-            break
-        seed_config = replace(config, seed=config.seed + offset)
-        longest = None  # frees the last seed's walk before this one's
-        try:
-            longest = generate_walk(replace(seed_config, n=max(todo)))
-        except WalkhashError:
-            pass
-        for i, n in enumerate(todo):
-            try:
-                estimate = estimate_point_dimension(
-                    generate_walk(replace(seed_config, n=n)).xy
-                    if longest is None or n < 1 else longest.xy[:n + 1],
+    try:
+        # a view of no rows passes where a walk of n=0 fails; replace fails
+        replace(config, n=min(ns))
+        for seed in seeds:
+            longest = None  # frees the last seed's walk before this one's
+            longest = generate_walk(replace(config, seed=seed, n=max(ns)))
+            for n in ns:
+                estimate = estimate_point_dimension(longest.xy[:n + 1],
+                                                    box_sizes)
+                # vars, not asdict: the fields are flat, so asdict's deep
+                # copy only costs time
+                entries[n].append({"seed": seed, **vars(estimate)})
+    except WalkhashError:
+        # each failure above, of a walk at max(ns), of an estimate or of an
+        # n below 1, is one of the same (n, seed) here, so this loop fails
+        for n in ns:
+            for seed in seeds:
+                estimate_point_dimension(
+                    generate_walk(replace(config, seed=seed, n=n)).xy,
                     box_sizes)
-            except WalkhashError as exc:
-                failed = (i, exc)
-                break
-            # vars, not asdict: the fields are flat, so asdict's deep
-            # copy only costs time
-            entries[n].append({"seed": seed_config.seed, **vars(estimate)})
-    if failed is not None:
-        raise failed[1]
+        raise
     return entries
 
 

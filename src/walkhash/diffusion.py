@@ -287,7 +287,6 @@ def run_avalanche(
     batch = max(1, _BATCH_BYTES // (32 * (config.n + 1)))
     # lazy: itertools.product would first copy range(trials) into a tuple
     pending = ((p, t) for p in positions for t in range(trials_per_position))
-    row = 0
     while chunk := list(islice(pending, batch)):
         messages: list[bytes] = []
         walks = _walks(replace(config, seed=trial_seed(config.seed, *pair))
@@ -313,7 +312,7 @@ def run_avalanche(
                 flipped = int.from_bytes(d0, "big") ^ int.from_bytes(d1, "big")
                 hamming = flipped.bit_count()
                 records[label].append(TrialRecord(
-                    trial_id=row + j,
+                    trial_id=len(records[label]),
                     position=position,
                     alg=alg,
                     hamming=hamming,
@@ -321,7 +320,6 @@ def run_avalanche(
                     delta_entropy=shannon_entropy(d1) - shannon_entropy(d0),
                     flip_vector=flipped.to_bytes(alg.out_len, "big"),
                 ))
-        row += len(chunk)
     return {
         label: (records[label], BitMatrix.from_flip_vectors(
             [r.flip_vector for r in records[label]]))

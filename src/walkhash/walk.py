@@ -574,8 +574,8 @@ def _floor_step(ax: np.ndarray, ay: np.ndarray, b: np.ndarray,
 
 def _lane_rows(table: np.ndarray,
                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows each walk g reaches by stepping from x[g] through the m
-    steps of table[:, g] (m a multiple of _SEGMENT), as (G, m + 1, 2)
+    """The rows x_1..x_m each walk g reaches by stepping from x[g] through
+    the m steps of table[:, g] (m a multiple of _SEGMENT), as (G, m, 2)
     float64 for a contiguous (8, G, m) table and (G, 2) starts, and
     chained, a (G,) bool array: whether each lane j + 1 of walk g starts,
     after the last pass, exactly where lane j ends.
@@ -618,12 +618,8 @@ def _lane_rows(table: np.ndarray,
             break
         out[...] = new
     chained = (at[0, ..., 1:] == at[seg, ..., :-1]).all(axis=(0, 2))
-    rows = np.empty((walks, m + 1, 2))
-    rows[:, 0] = x
-    # a view of rows 1..m: row 1 + j * seg + t is at[1 + t, :, g, j]
-    rows[:, 1:].reshape(walks, lanes, seg, 2)[...] = \
-        at[1:].transpose(2, 3, 0, 1)
-    return rows, chained
+    # row j * seg + t of walk g is at[1 + t, :, g, j]; reshape copies
+    return at[1:].transpose(2, 3, 0, 1).reshape(walks, m, 2), chained
 
 
 def _scalar_rows(table: np.ndarray, x: LatticePoint,
@@ -691,8 +687,8 @@ def _evolve(configs: Sequence[WalkConfig], xy: np.ndarray,
             if errors[g]:
                 out[...] = x[g]  # defined rows for the lanes that follow
             elif lanes and chained[g] \
-                    and (np.abs(rows[g, 1:m + 1]) <= bound).all():
-                out[...] = rows[g, 1:m + 1]
+                    and (np.abs(rows[g, :m]) <= bound).all():
+                out[...] = rows[g, :m]
             else:
                 try:
                     out[...] = _scalar_rows(

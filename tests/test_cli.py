@@ -274,24 +274,66 @@ def test_fractal_sweep_equals_one_walk_per_n_and_seed(mode, tmp_path,
 ])
 def test_fractal_sweep_reports_the_n_major_first_error(seed, n_list,
                                                        monkeypatch, tmp_path,
-                                                       capsys):
+                                                       capsys, box_sizes=None):
     # with this bound, seeds 5, 6 and 7 first leave the region at steps 8,
     # 31 and 4
     monkeypatch.setattr(walk, "lattice_bound", lambda config: 120)
     config = WalkConfig(seed=seed)
     try:
-        _n_major_sweep(config, n_list, 2)
+        _n_major_sweep(config, n_list, 2, box_sizes)
         want_code, want_err = 0, ""
     except WalkhashError as exc:
         want_code = 2 if isinstance(exc, ConfigError) else 3
         want_err = f"error: {exc}\n"
-    code, _, err = _run(capsys, *_fractal_argv(config, n_list, 2, None),
+    code, _, err = _run(capsys, *_fractal_argv(config, n_list, 2, box_sizes),
                         "--output-dir", tmp_path)
     assert (code, err) == (want_code, want_err)
     if n_list == (3, 20, 40):
         with pytest.raises(WalkhashError) as late:
             generate_walk(replace(config, n=40))
         assert code == 3 and str(late.value) not in err
+
+
+@pytest.mark.parametrize("seed, n_list, box_sizes", [
+    # fewer than 3 sizes: every estimate fails
+    (6, (3, 20), (1, 2)),       # seed 6's estimate at n=3 comes first
+    (6, (3, 40), (1, 2)),       # before seed 6's bounds error at n=40
+    (6, (3, 0), (1, 2)),        # before n=0
+    (7, (9, 3), (1, 2)),        # seed 7's bounds error at n=9 comes first
+    # sizes 3 and 4 do not nest: the counts of seed 6 rise from n=23 on,
+    # and those of seed 84, which leaves the region at step 21, from n=6 on
+    (6, (3, 23), (1, 3, 4)),    # seed 6's estimate at n=23 comes first
+    (6, (23, 3), (1, 3, 4)),
+    (6, (4, 23), (1, 3, 4)),    # seed 7's bounds error at n=4 comes first
+    (83, (3, 6, 10), (1, 3, 4)),  # seed 84's estimate at n=6 comes first
+    (83, (3, 6, 25), (1, 3, 4)),  # before seed 84's bounds error at n=25
+    (83, (3, 5), (1, 3, 4)),    # both seeds pass
+])
+def test_fractal_sweep_reports_the_n_major_first_error_of_an_estimate(
+        seed, n_list, box_sizes, monkeypatch, tmp_path, capsys):
+    test_fractal_sweep_reports_the_n_major_first_error(
+        seed, n_list, monkeypatch, tmp_path, capsys, box_sizes)
+
+
+def test_fractal_sweep_raises_a_one_walk_error_the_n_major_loop_misses(
+        monkeypatch, tmp_path, capsys):
+    # the n-major loop meets every real one-walk failure again; one it does
+    # not meet is still raised, never reported as a partial sweep
+    made = []
+
+    def first_fails(config):
+        made.append((config.n, config.seed))
+        if len(made) == 1:
+            raise BoundsExceeded("only the first walk fails")
+        return generate_walk(config)
+
+    monkeypatch.setattr(cli, "generate_walk", first_fails)
+    code, _, err = _run(capsys, "fractal", "--n-list", "3,9",
+                        "--num-seeds", 2, "--seed", 0,
+                        "--output-dir", tmp_path)
+    assert (code, err) == (3, "error: only the first walk fails\n")
+    assert made == [(9, 0), (3, 0), (3, 1), (9, 0), (9, 1)]
+    assert not (tmp_path / "fractal.json").exists()
 
 
 def test_fractal_sweep_walks_each_seed_once_holding_one_walk(

@@ -655,7 +655,7 @@ def test_lanes_stop_at_the_first_step_of_a_pass_at_their_fixed_point(
     table = np.zeros((8, 1, m))
     table[4:6] = [[[3.25]], [[-1.5]]]
     rows, chained = walk._lane_rows(table, np.array([[40, 7]]))
-    assert rows.tolist() == [[[40, 7]] + [[3, -2]] * m]
+    assert rows.tolist() == [[[3, -2]] * m]
     assert chained.tolist() == [True]
     assert len(steps) == walk._SEGMENT + 1
 
@@ -672,9 +672,8 @@ def test_lanes_run_their_first_pass_whole(monkeypatch):
     table[4, 0] = 1.25
     table[:, 0, ::seg] = np.array([[0, 0, 0, 0, 40.25, 7.5, 0, 0]]).T
     rows, chained = walk._lane_rows(table, np.array([[40, 7]]))
-    assert rows.tolist() == [[[40, 7]] + [[40 + t, 7]
-                                          for t in range(seg)] * 4]
-    assert rows[0, 1:].tolist() == walk._scalar_rows(
+    assert rows.tolist() == [[[40 + t, 7] for t in range(seg)] * 4]
+    assert rows[0].tolist() == walk._scalar_rows(
         table[:, 0], LatticePoint(40, 7), 100).tolist()
     assert chained.tolist() == [True]
     assert len(steps) == seg + 1

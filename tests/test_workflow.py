@@ -40,7 +40,7 @@ def _gates():
 def test_gate_scripts_compile():
     compile(CHECKER.read_text(), str(CHECKER), "exec")
     assert "<<'PY'" not in WORKFLOW.read_text()
-    assert [count for count, _ in _gates()] == [4, 1, 3, 1, 1, 1, 1]
+    assert [count for count, _ in _gates()] == [4, 4, 1, 1, 1, 1]
 
 
 def test_gates_read_only_reported_metrics(monkeypatch):
@@ -73,7 +73,7 @@ def _breaks(count, conditions, parse):
                                           name: metric}}] * count
 
 
-@pytest.mark.parametrize("gate", range(7))
+@pytest.mark.parametrize("gate", range(6))
 def test_checker_fails_a_run_that_breaks_any_condition(gate, tmp_path,
                                                        monkeypatch):
     checker = _load("_workflow_checker", CHECKER, monkeypatch)

@@ -27,8 +27,8 @@ chunks", BLAKE3 spec section 5.3), so independent work shares lanes:
   same 16-block loop with their own block_len and flags and keep the
   chaining value of their last block. A one-chunk message stops before
   that block, which is its root node.
-- Each parent level of a group is one compression, and the root output
-  blocks of every message in the call are one more.
+- Each parent level of a group is one compression, and the group's root
+  output blocks are one more: one root compression per message length.
 
 The chunk stage and each parent level run on one of two kernels with one
 output, picked by lane count. The root output blocks, one lane per
@@ -385,11 +385,9 @@ def _fresh_lanes(padded, nchunks: int):
 
 
 def _root_nodes(padded, n: int):
-    """Root node (h, m, block_len, flags) of each message of one length.
-
-    padded: (k, chunks * 1024) uint8, k messages of n bytes each, zero
-    padded. Returns h (8, k), m (16, k), block_len (k,) and flags (k,).
-    """
+    """Root nodes h (8, k) and m (16, k), and the block_len and flags ints
+    that they share, of k messages of n bytes each, zero padded in padded,
+    a (k, chunks * 1024) uint8 array."""
     k, nchunks = padded.shape[0], padded.shape[1] // _CHUNK_LEN
     lanes = nchunks * k
     tail = n - (nchunks - 1) * _CHUNK_LEN
@@ -415,8 +413,7 @@ def _root_nodes(padded, n: int):
     if nchunks == 1:
         flags = (_CHUNK_START if blocks == 0 else 0) | _CHUNK_END | _ROOT
         return (h, padded.view("<u4").reshape(k, 16, 16)[:, blocks].T,
-                np.full(k, tail - _BLOCK_LEN * blocks, dtype=np.uint32),
-                np.full(k, flags, dtype=np.uint32))
+                tail - _BLOCK_LEN * blocks, flags)
     # Pair chain values level by level; an odd one out is promoted
     # unchanged, which gives the reference's left-subtree tree shape.
     cvs = h.reshape(8, k, nchunks)
@@ -428,9 +425,8 @@ def _root_nodes(padded, n: int):
             [_parent_cvs(m).reshape(8, k, pairs), cvs[:, :, 2 * pairs:]],
             axis=2)
     m = cvs.transpose(2, 0, 1).reshape(16, k)
-    return (np.repeat(_IV[:, None], k, axis=1), m,
-            np.full(k, _BLOCK_LEN, dtype=np.uint32),
-            np.full(k, _PARENT | _ROOT, dtype=np.uint32))
+    return (np.repeat(_IV[:, None], k, axis=1), m, _BLOCK_LEN,
+            _PARENT | _ROOT)
 
 
 def blake3_many(messages, out_len: int = 32) -> list[bytes]:
@@ -442,27 +438,20 @@ def blake3_many(messages, out_len: int = 32) -> list[bytes]:
     groups: dict[int, list[int]] = {}
     for i, arr in enumerate(data):
         groups.setdefault(len(arr), []).append(i)
-    order: list[int] = []
-    nodes = []
+    nblocks = -(-out_len // _BLOCK_LEN)
+    stride = nblocks * _BLOCK_LEN
+    digests: list[bytes] = [b""] * len(data)
     for n, members in groups.items():
         width = max(1, -(-n // _CHUNK_LEN)) * _CHUNK_LEN
         padded = np.zeros((len(members), width), dtype=np.uint8)
         for row, i in enumerate(members):
             padded[row, :n] = data[i]
-        nodes.append(_root_nodes(padded, n))
-        order.extend(members)
-    if not order:
-        return []
-    h, m, block_len, flags = (np.concatenate(parts, axis=-1)
-                              for parts in zip(*nodes))
-    nblocks = -(-out_len // _BLOCK_LEN)
-    out = _compress_ints(
-        np.repeat(h, nblocks, axis=1), np.repeat(m, nblocks, axis=1),
-        np.tile(np.arange(nblocks, dtype=np.uint64), len(order)),
-        np.repeat(block_len, nblocks), np.repeat(flags, nblocks))
-    stride = nblocks * _BLOCK_LEN
-    blob = out.T.astype("<u4").tobytes()
-    digests: list[bytes] = [b""] * len(order)
-    for row, i in enumerate(order):
-        digests[i] = blob[row * stride:row * stride + out_len]
+        h, m, block_len, flags = _root_nodes(padded, n)
+        out = _compress_ints(
+            np.repeat(h, nblocks, axis=1), np.repeat(m, nblocks, axis=1),
+            np.tile(np.arange(nblocks, dtype=np.uint64), len(members)),
+            block_len, flags)
+        blob = out.T.astype("<u4").tobytes()
+        for row, i in enumerate(members):
+            digests[i] = blob[row * stride:row * stride + out_len]
     return digests

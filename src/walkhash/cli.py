@@ -139,7 +139,7 @@ _COMMON = (
 # command -> every option it takes, besides --config
 OPTIONS: dict[str, tuple[Option, ...]] = {
     "keygen": _COMMON + (
-        Option("alg", str, "sha3-512",
+        Option("alg", HashAlg.parse, "sha3-512",
                "sha3-512, shake256[-BITS] or blake3[-BITS]", "ALG"),
     ),
     "walk": _COMMON,
@@ -269,8 +269,7 @@ def _chi_dict(result: ChiSquareResult) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_keygen(opts: dict[str, Any]) -> int:
-    config = _walk_config(opts)
-    alg = HashAlg.parse(opts["alg"])
+    config, alg = _walk_config(opts), opts["alg"]
     digest = derive_key(generate_walk(config), alg).hex()
     _write_report(opts, "key.json", config, {
         "algorithm": alg.label,

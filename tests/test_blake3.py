@@ -306,10 +306,13 @@ def test_numpy_kernel_leaves_its_inputs_untouched(monkeypatch, lanes):
 @pytest.mark.parametrize("count, out_len", [(60, 32), (4, 1024)])
 def test_a_root_of_many_lanes_equals_the_oracle(monkeypatch, count,
                                                 out_len):
-    # 60 one-chunk messages, or 4 messages of 16 output blocks each: root
-    # outputs of at least _CROSSOVER lanes, which run on ints as well
+    # 60 one-chunk messages of one length, or 4 of 16 output blocks each:
+    # a root output of at least _CROSSOVER lanes, which runs on ints as
+    # well; b"" and bytes(1024) are groups of their own, each with its own
+    # root compression
     rng = random.Random(count)
-    messages = [rng.randbytes(rng.randrange(0, 1025)) for _ in range(count)]
+    n = rng.randrange(1, 1024)
+    messages = [rng.randbytes(n) for _ in range(count)]
     messages += [b"", bytes(1024)]
     widths = []
 
@@ -320,7 +323,8 @@ def test_a_root_of_many_lanes_equals_the_oracle(monkeypatch, count,
     monkeypatch.setattr(_blake3, "_compress_ints", spy)
     assert blake3_many(messages, out_len) == \
         [blake3_ref.blake3(msg, out_len) for msg in messages]
-    assert widths == [len(messages) * -(-out_len // 64)]
+    blocks = -(-out_len // 64)
+    assert widths == [count * blocks, blocks, blocks]
     assert widths[0] >= _C
 
 

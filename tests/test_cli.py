@@ -770,6 +770,64 @@ def test_fuzzed_option_exits_0_2_or_3(command, flag, tmp_path, monkeypatch,
                 (argv, err)
 
 
+# Small valid values of each option, which the argv sweep draws from most
+# of the time; the rest come from _FUZZ_VALUES.
+_SWEEP_POOLS = {
+    "config": ["seed.cfg"], "output-dir": ["", "out"],
+    "format": ["csv", "json", "csv,json"],
+    "x0": ["0,0", "3,-2", "-1,0"], "rho-min": ["0.3", "0.5"],
+    "rho-max": ["0.6", "0.9"], "b-min": ["-2", "0"], "b-max": ["0", "2"],
+    "epsilon": ["0", "0.5"], "n": ["1", "8", "16"],
+    "seed": ["0", "7", str(2**64 - 1)],
+    "map-mode": ["per-step-fresh", "fixed-set"], "map-count": ["1", "4"],
+    "alg": ["sha3-512", "shake256-128", "blake3"],
+    "n-list": ["8", "8,16"], "num-seeds": ["1", "2"],
+    "box-sizes": ["1,2,4"], "synthetic": ["point", "line:8", "square:4"],
+    "algs": ["sha3-512", "blake3-128,shake256"],
+    "positions": ["auto", "4", "2,8"], "trials": ["1", "2"],
+    "mode": ["point-nudge", "re-evolve"], "nudge": ["1,0", "0,-1"],
+}
+
+
+def test_seeded_argv_sweep_exits_0_2_or_3(tmp_path, monkeypatch, capsys):
+    # Command lines of one to four flags each on the _FUZZ_BASE sizes, so
+    # that values meet each other: every line ends in a result or in one
+    # `error:` line, never in a traceback.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.cfg").write_text("seed = 3\n")
+    rng = random.Random(2025)
+    codes = []
+    for _ in range(1200):
+        command = rng.choice(sorted(OPTIONS))
+        keys = ["config", *(o.key for o in OPTIONS[command])]
+        argv = [command, *_FUZZ_BASE[command]]
+        for key in rng.sample(keys, rng.randint(1, 4)):
+            pool = _SWEEP_POOLS[key] if rng.random() < 0.8 else _FUZZ_VALUES
+            argv += [f"--{key}", rng.choice(pool)]
+        code, _, err = _run(capsys, *argv)
+        assert code in (0, 2, 3), argv
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, \
+                (argv, err)
+        codes.append(code)
+    assert {0, 2} <= set(codes)
+
+
+def test_an_unknown_alg_is_reported_before_the_walk_config(tmp_path,
+                                                            capsys):
+    # every value is parsed by its option row before a command runs, so
+    # keygen's --alg and avalanche's --algs, from a flag or a file, fail
+    # alike and ahead of a bad rho_max
+    (tmp_path / "alg.cfg").write_text("alg = nope\n")
+    for argv in (["keygen", "--alg", "nope"], ["avalanche", "--algs", "nope"],
+                 ["keygen", "--config", tmp_path / "alg.cfg"]):
+        code, out, err = _run(capsys, *argv, "--rho-max", 2,
+                              "--output-dir", tmp_path)
+        assert (code, out) == (2, ""), argv
+        assert err == ("error: unknown alg 'nope'; expected one of "
+                       "['blake3', 'sha3-512', 'shake256']\n"), argv
+
+
 def test_help_shows_each_default(capsys):
     for command, rows in OPTIONS.items():
         with pytest.raises(SystemExit) as exc:

@@ -8,12 +8,18 @@ Each option is one row of OPTIONS (key, parser, default, help). It can
 also come from a flat `key = value` config file passed with --config;
 explicit flags win over file values, which win over defaults. Reports
 echo the full effective configuration plus the tool version, all files
-are written atomically (temp then rename), and JSON is emitted with
-sorted keys so identical runs produce byte-identical output.
+are written atomically (temp then rename) into an output directory made
+once per command, just before its first write, and JSON text is
+`json.dumps(body, sort_keys=True, indent=2)`'s, byte for byte, from a
+small writer of this module's own (on Python 3.10 to 3.12, `indent` puts
+json on its pure-Python encoder), so identical runs produce byte-identical
+output.
 
-main(argv) may be called any number of times in one process: the parser is
-built on the first call and reused, since parsing neither changes it nor
-keeps anything from one call to the next.
+main(argv) may be called any number of times in one process: the parsers
+are built on the first call and reused, since parsing neither changes them
+nor keeps anything from one call to the next. A command line that names a
+command goes straight to that command's parser; the top-level parser reads
+only the rest (--help, --version, a missing or unknown command).
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure
 (including running out of memory).
@@ -24,12 +30,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from statistics import median
 from typing import Any, Callable, Sequence
@@ -214,18 +220,75 @@ def _walk_config(opts: dict[str, Any]) -> WalkConfig:
 
 # ---------------------------------------------------------------- output
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _atomic_write(path: str, data: bytes) -> None:
     # a fresh name per call, so concurrent runs never share a temp file
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with fh:
-            fh.write(data)
+        try:
+            view = memoryview(data)
+            while view:  # a write may take fewer bytes than it was given
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
+
+
+def _write_file(opts: dict[str, Any], name: str, data: bytes) -> None:
+    """Write the file `name` into the output directory, which the
+    command's first write makes."""
+    outdir = opts["output_dir"]
+    if not opts.get("output_dir_made"):
+        outdir.mkdir(parents=True, exist_ok=True)
+        opts["output_dir_made"] = True
+    _atomic_write(os.fspath(outdir / name), data)
+
+
+# json's text for the floats that JSON cannot spell
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(o, pad: str = "\n") -> str:
+    """The text `json.dumps(o, sort_keys=True, indent=2)` gives for a
+    report body, from dicts with str keys, lists, tuples, str, int, float,
+    bool and None; pad is the newline and indent of o's own line.
+
+    Anything else, such as a numpy int, a set, an Enum or a dict key that
+    is not a str, raises TypeError.
+    """
+    if isinstance(o, float):  # np.float64 too
+        text = float.__repr__(o)
+        return _FLOAT_WORDS.get(text, text)
+    kind = type(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        # encode_basestring_ascii raises TypeError for a key not a str
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(k)}: {_json_text(o[k], inner)}"
+            for k in sorted(o)]) + pad + "}"
+    if kind is list or isinstance(o, tuple):  # a NamedTuple too
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _json_text(v, inner) for v in o]) + pad + "]"
+    if o is None:
+        return "null"
+    if kind is bool:
+        return "true" if o else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _write_report(opts: dict[str, Any], name: str,
@@ -237,8 +300,7 @@ def _write_report(opts: dict[str, Any], name: str,
     body = {**body, "tool_version": __version__}
     if config is not None:
         body["config"] = {**vars(config), "map_mode": config.map_mode.value}
-    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
-    _atomic_write(opts["output_dir"] / name, text.encode())
+    _write_file(opts, name, (_json_text(body) + "\n").encode())
 
 
 def _write_csv(opts: dict[str, Any], name: str, header: Sequence[str],
@@ -250,7 +312,23 @@ def _write_csv(opts: dict[str, Any], name: str, header: Sequence[str],
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(opts["output_dir"] / name, buf.getvalue().encode())
+    _write_file(opts, name, buf.getvalue().encode())
+
+
+# rows of trajectory.csv that one % format writes
+_CSV_BLOCK = 4096
+
+
+def _trajectory_csv(xy: np.ndarray) -> bytes:
+    """trajectory.csv of a walk's rows: `index,x,y` and one `i,x,y` line a
+    row, as csv.writer writes them, formatted a block of rows at a time."""
+    table = np.column_stack((np.arange(len(xy)), xy))
+    parts = ["index,x,y\n"]
+    for start in range(0, len(table), _CSV_BLOCK):
+        block = table[start:start + _CSV_BLOCK]
+        parts.append("%d,%d,%d\n" * len(block)
+                     % tuple(block.ravel().tolist()))
+    return "".join(parts).encode()
 
 
 def _chi_dict(result: ChiSquareResult) -> dict:
@@ -284,8 +362,8 @@ def cmd_walk(opts: dict[str, Any]) -> int:
     config = _walk_config(opts)
     trajectory = generate_walk(config)
     report = geometry(trajectory)
-    _write_csv(opts, "trajectory.csv", ("index", "x", "y"),
-               ((i, x, y) for i, (x, y) in enumerate(trajectory.xy.tolist())))
+    if "csv" in opts["format"]:
+        _write_file(opts, "trajectory.csv", _trajectory_csv(trajectory.xy))
     _write_report(opts, "geometry.json", config, {
         "geometry": vars(report),
         "lattice_bound": lattice_bound(config),
@@ -412,8 +490,7 @@ def cmd_avalanche(opts: dict[str, Any]) -> int:
             ((r.trial_id, r.position, label, r.hamming, r.bitflip_rate,
               r.delta_entropy, r.flip_vector.hex()) for r in records))
         # the bit matrix is written whatever --format says
-        _atomic_write(opts["output_dir"] / f"bitmatrix_{label}.bin",
-                      matrix.to_bytes())
+        _write_file(opts, f"bitmatrix_{label}.bin", matrix.to_bytes())
         block = trial_summary(records)
         chi = {}
         for m in ChiSquareMode:
@@ -447,14 +524,17 @@ def cmd_avalanche(opts: dict[str, Any]) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are ConfigError, so they end in
-    one `error:` line and exit 2 like every other bad input."""
+    one `error:` line and exit 2 like every other bad input. The top-level
+    parser's `commands` maps each command to its own parser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message: str):
         raise ConfigError(message)
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The command line parser. The first call builds it and every later
     call returns that same object; build_parser.__wrapped__() builds a
     fresh one."""
@@ -479,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
             default = "" if o.default is None else f" (default: {o.default})"
             p.add_argument(f"--{o.key}", metavar=o.metavar,
                            help=o.help + default)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=command)
+    parser.commands = sub.choices
     return parser
 
 
@@ -497,9 +578,13 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = build_parser().parse_args(_attach_values(argv))
+        parser = build_parser()
+        if argv and argv[0] in OPTIONS:
+            args = parser.commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.func(_read_options(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
 """End-to-end command tests driven through main(argv)."""
 
+import contextlib
 import csv
 import importlib.metadata
+import io
 import json
 import os
 import random
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
@@ -725,6 +728,170 @@ def test_leftover_temp_name_does_not_block_reports(tmp_path, capsys):
         == ["key.json", "key.json.tmp"]
 
 
+def test_atomic_write_finishes_a_short_write(monkeypatch, tmp_path):
+    real_write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:7]))
+    monkeypatch.setattr(os, "write", short_write)
+    data = bytes(range(256)) * 3
+    cli._atomic_write(str(tmp_path / "r.bin"), data)
+    assert (tmp_path / "r.bin").read_bytes() == data
+    assert len(calls) == -(-len(data) // 7)
+    assert [p.name for p in tmp_path.iterdir()] == ["r.bin"]
+
+
+@pytest.mark.parametrize("fails", ["write", "replace"])
+def test_failed_atomic_write_leaves_no_file_and_no_descriptor(
+        fails, monkeypatch, tmp_path):
+    real_open, fds = os.open, []
+
+    def recording_open(*args, **kwargs):
+        fds.append(real_open(*args, **kwargs))
+        return fds[-1]
+
+    def no_space(*args):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, fails, no_space)
+    with pytest.raises(OSError, match="No space"):
+        cli._atomic_write(str(tmp_path / "r.bin"), b"report")
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+    (fd,) = fds
+    with pytest.raises(OSError):
+        os.fstat(fd)
+
+
+def test_output_dir_that_is_a_file_is_a_runtime_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = _run(capsys, "keygen", "--n", 16,
+                          "--output-dir", blocker)
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 17] File exists: '{blocker}'\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_output_dir_is_made_once_by_the_first_write(monkeypatch, tmp_path,
+                                                  capsys):
+    # a command that fails before its first write creates nothing
+    for argv in (["keygen", "--rho-max", 2], ["walk", "--n", 0],
+                 ["fractal", "--synthetic", "line:0"],
+                 ["keygen", "--n", 16, "--format", "csv"]):
+        code, *_ = _run(capsys, *argv, "--output-dir", tmp_path / "a" / "b")
+        assert code in (0, 2), argv
+    assert list(tmp_path.iterdir()) == []
+    real_mkdir, made = Path.mkdir, []
+
+    def recording_mkdir(path, *args, **kwargs):
+        if kwargs.get("parents"):  # not one of mkdir's own inner calls
+            made.append(path)
+        return real_mkdir(path, *args, **kwargs)
+    monkeypatch.setattr(Path, "mkdir", recording_mkdir)
+    code, *_ = _run(capsys, "avalanche", "--n", 40, "--positions", 10,
+                    "--trials", 1, "--algs", "sha3-512,blake3-256",
+                    "--output-dir", tmp_path / "a" / "b")
+    assert code == 0
+    assert len(list((tmp_path / "a" / "b").iterdir())) == 5
+    assert made == [tmp_path / "a" / "b", tmp_path / "a"]
+
+
+def test_trajectory_csv_equals_csv_writer(tmp_path, capsys):
+    # two whole blocks and a last block of one row
+    n = 2 * cli._CSV_BLOCK
+    code, *_ = _run(capsys, "walk", "--n", n, "--x0=-40,25", "--format",
+                    "csv", "--output-dir", tmp_path)
+    assert code == 0
+    xy = generate_walk(WalkConfig(n=n, x0=LatticePoint(-40, 25))).xy
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("index", "x", "y"))
+    writer.writerows((i, x, y) for i, (x, y) in enumerate(xy.tolist()))
+    assert (tmp_path / "trajectory.csv").read_bytes() \
+        == buf.getvalue().encode()
+
+
+# ------------------------------------------------------------ JSON writer
+
+def _dumps(o):
+    return json.dumps(o, sort_keys=True, indent=2)
+
+
+_WRITER_SCALARS = [
+    0, -1, 2**64, -(2**64) - 1, 3**100, True, False, None,
+    0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1, -1.5e300, float("nan"),
+    float("inf"), float("-inf"), np.float64(0.1), np.float64("-inf"),
+    "", 'a "quoted" word', "back\\slash \\u0041", "\x00\x08\t\n\x1f\x7f",
+    "café ☃ \U0001f600 \ud800", LatticePoint(-3, 4),
+]
+
+
+def _random_string(rng):
+    return "".join(chr(rng.choice((rng.randrange(32, 127),
+                                   rng.randrange(0, 32),
+                                   rng.randrange(0x80, 0x11000))))
+                   for _ in range(rng.randrange(6)))
+
+
+def _random_body(rng, depth=0):
+    """A seeded random JSON value: dicts, lists, tuples and NamedTuples
+    nested up to four deep, and every kind of scalar a report holds."""
+    r = rng.random()
+    if depth >= 4 or r < 0.45:
+        return rng.choice((
+            rng.choice(_WRITER_SCALARS),
+            struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0],
+            rng.uniform(-1e3, 1e3),
+            rng.randrange(-2**70, 2**70),
+            _random_string(rng)))
+    items = [_random_body(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if r < 0.7:
+        return {_random_string(rng): v for v in items}
+    if r < 0.85:
+        return items
+    if r < 0.95:
+        return tuple(items)
+    return LatticePoint(*items[:2]) if len(items) >= 2 else []
+
+
+def test_json_writer_equals_json_dumps_on_random_bodies():
+    rng = random.Random(36)
+    for _ in range(600):
+        body = {_random_string(rng): _random_body(rng, 1)
+                for _ in range(rng.randrange(4))}
+        assert cli._json_text(body) == _dumps(body), body
+    for o in (*_WRITER_SCALARS, {}, [], (), [[]], {"a": {}}, [{}, [[], {}]]):
+        assert cli._json_text(o) == _dumps(o), o
+
+
+def test_json_writer_equals_json_dumps_on_golden_bodies(monkeypatch,
+                                                         tmp_path):
+    from test_golden import CASES
+    write, bodies = cli._json_text, []
+
+    def spy(o, pad="\n"):
+        if pad == "\n":  # a body, not one of its values
+            bodies.append(o)
+        return write(o, pad)
+    monkeypatch.setattr(cli, "_json_text", spy)
+    for name, argv in CASES.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--output-dir", str(tmp_path / name)]) == 0
+    assert len(bodies) == len(CASES)
+    for body in bodies:
+        assert write(body) == _dumps(body)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, MapMode.FIXED_SET,
+                                   {1: "one"}, {"a": [0, {"b": {2}}]}])
+def test_json_writer_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
 @pytest.mark.parametrize("argv, flag, value, report", [
     (["keygen", "--n", "20"], "--x0", "-1,0", "key.json"),
     (["avalanche", "--n", "40", "--positions", "10", "--trials", "1",
@@ -826,6 +993,59 @@ def test_an_unknown_alg_is_reported_before_the_walk_config(tmp_path,
         assert (code, out) == (2, ""), argv
         assert err == ("error: unknown alg 'nope'; expected one of "
                        "['blake3', 'sha3-512', 'shake256']\n"), argv
+
+
+def _parsed(parse, argv):
+    """The namespace parse gives argv, or the text of its ConfigError."""
+    try:
+        return vars(parse(argv))
+    except ConfigError as exc:
+        return str(exc)
+
+
+# usage errors, which only argparse reports
+_USAGE_ERRORS = [
+    ["keygen", "--n"], ["keygen", "--bogus", "1"], ["walk", "x"],
+    ["fractal", "--n-list"], ["avalanche", "--", "x"],
+    ["keygen", "--version"], ["keygen", "--b", "1"], ["walk", "--se=3", "-"],
+    ["avalanche", "--algs"], ["keygen", "--config"], ["fractal", "-n", "3"],
+]
+
+
+def test_a_command_parser_reads_argv_as_the_top_level_parser_does(
+        monkeypatch, tmp_path):
+    # command lines drawn as test_seeded_argv_sweep_exits_0_2_or_3 draws
+    # them, and a few usage errors
+    parser = cli.build_parser()
+    rng = random.Random(36)
+    lines = []
+    for _ in range(300):
+        command = rng.choice(sorted(OPTIONS))
+        keys = ["config", *(o.key for o in OPTIONS[command])]
+        argv = [command, *_FUZZ_BASE[command]]
+        for key in rng.sample(keys, rng.randint(1, 4)):
+            pool = _SWEEP_POOLS[key] if rng.random() < 0.8 else _FUZZ_VALUES
+            argv += [f"--{key}", rng.choice(pool)]
+        lines.append(argv)
+    seen = set()
+    for argv in lines + _USAGE_ERRORS:
+        argv = cli._attach_values(argv)
+        got = _parsed(parser.commands[argv[0]].parse_args, argv[1:])
+        assert got == _parsed(parser.parse_args, argv), argv
+        seen.add(type(got))
+    assert seen == {dict, str}
+
+
+def test_argv_naming_no_command_keeps_its_output(capsys):
+    assert _run(capsys) == (
+        2, "", "error: the following arguments are required: command\n")
+    assert _run(capsys, "nope") == (
+        2, "", "error: argument command: invalid choice: 'nope' (choose "
+               "from 'keygen', 'walk', 'fractal', 'avalanche')\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (f"walkhash {walkhash.__version__}\n", "")
 
 
 def test_help_shows_each_default(capsys):

@@ -46,7 +46,7 @@ from . import __version__
 from .diffusion import (_MAX_ROWS, PerturbMode, TrialRecord,
                         default_positions, run_avalanche, trial_summary)
 from .errors import ConfigError, DegenerateInput, WalkhashError
-from .fractal import estimate_point_dimension, geometry
+from .fractal import _estimates, estimate_point_dimension, geometry
 from .keygen import HashAlg, derive_key
 from .stats import ChiSquareMode, ChiSquareResult, chi_square_uniform
 from .walk import (
@@ -400,24 +400,25 @@ def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
     """Each n's per-seed estimate entries, in seed order.
 
     Step i of a walk depends only on (seed, i), so each seed is walked once,
-    at its longest n, and each n is estimated from a view of that walk's
-    first n + 1 rows; the walk is dropped before the next seed's. A failing
-    sweep reruns as the n-major loop (for n, for seed), one walk per
-    (n, seed), and raises the error that loop meets first, so an error
-    costs more than a success.
+    at its longest n, and each n is estimated from that walk's first n + 1
+    rows, all by one fractal._estimates call, which encodes the walk once;
+    the walk is dropped before the next seed's. A failing sweep reruns as
+    the n-major loop (for n, for seed), one walk per (n, seed), and raises
+    the error that loop meets first, of its class and with " (seed=S n=N)"
+    appended, so an error costs more than a success.
     """
     ns = list(dict.fromkeys(n_list))
     seeds = range(config.seed, config.seed + num_seeds)
     entries: dict[int, list[dict]] = {n: [] for n in ns}
+    lengths = [n + 1 for n in ns]
     try:
         # a view of no rows passes where a walk of n=0 fails; replace fails
         replace(config, n=min(ns))
         for seed in seeds:
             longest = None  # frees the last seed's walk before this one's
             longest = generate_walk(replace(config, seed=seed, n=max(ns)))
-            for n in ns:
-                estimate = estimate_point_dimension(longest.xy[:n + 1],
-                                                    box_sizes)
+            estimates = _estimates(longest.xy, lengths, box_sizes)
+            for n, estimate in zip(ns, estimates):
                 # vars, not asdict: the fields are flat, so asdict's deep
                 # copy only costs time
                 entries[n].append({"seed": seed, **vars(estimate)})
@@ -426,9 +427,14 @@ def _sweep(config: WalkConfig, n_list: Sequence[int], num_seeds: int,
         # n below 1, is one of the same (n, seed) here, so this loop fails
         for n in ns:
             for seed in seeds:
-                estimate_point_dimension(
-                    generate_walk(replace(config, seed=seed, n=n)).xy,
-                    box_sizes)
+                try:
+                    estimate_point_dimension(
+                        generate_walk(replace(config, seed=seed, n=n)).xy,
+                        box_sizes)
+                except WalkhashError as exc:
+                    # `walk --seed S --n N` with the same walk options
+                    # replays a failing walk
+                    raise type(exc)(f"{exc} (seed={seed} n={n})") from exc
         raise
     return entries
 

@@ -9,8 +9,11 @@ instead: with the origin aligned down to a multiple of the largest size, a
 cell of size 2^k is a run of points whose Morton (Z-order) codes agree
 above their lowest k bit pairs, so each pair of neighbours in code order
 splits the cells of every size below the highest bit pair in which they
-differ. A lone size, sizes that are not all powers of two, or cells past 32
-bits an axis are counted one size at a time.
+differ. Given prefix lengths, it encodes the longest prefix once and sorts
+each prefix's leading codes: dyadic cells nest, so the origin of the
+longest prefix serves every shorter one. A lone size, sizes that are not
+all powers of two, or cells past 32 bits an axis are counted one size at a
+time, prefix by prefix.
 The dimension estimate is the negated slope of log2(count) against
 log2(size) over a dyadic schedule of sizes, fit with the shared
 least-squares helper.
@@ -98,21 +101,32 @@ def geometry(t: Trajectory) -> GeometryReport:
 
 
 def box_count(points: Sequence[LatticePoint] | np.ndarray,
-              box_size: int | Iterable[int]) -> int | tuple[int, ...]:
+              box_size: int | Iterable[int], *,
+              lengths: Iterable[int] | None = None) -> int | tuple:
     """Number of size x size cells containing at least one point.
 
     points is a sequence of integer points or an (m, 2) integer array,
     checked and read in place by walk._checked_xy. Given an iterable of
     sizes, returns the count at each, in order; a lone size, a 0-d array
-    included, is counted as a schedule of one.
+    included, is counted as a schedule of one. Given lengths, an iterable
+    of integers 0 <= k <= m, returns a tuple with box_count(points[:k],
+    box_size) for each k, in order, from one encoding of the longest prefix.
     """
     lone = isinstance(box_size, str) or not np.iterable(box_size)
     sizes = tuple(_integer("box_size", s, 1, _MAX_SIZE)
                   for s in ((box_size,) if lone else box_size))
     xy = _checked_xy(points)
-    counts = _count_dyadic(xy, sizes) \
-        or tuple(_count_one(xy, s) for s in sizes)
-    return counts[0] if lone else counts
+    if lengths is None:
+        ks = [len(xy)]
+    elif not np.iterable(lengths):
+        raise TypeError(f"lengths must be an iterable of integers, "
+                        f"got {type(lengths).__name__}")
+    else:
+        ks = [_integer("lengths", k, 0, len(xy) + 1) for k in lengths]
+    counts = _count_dyadic(xy, sizes, ks) \
+        or [tuple(_count_one(xy[:k], s) for s in sizes) for k in ks]
+    counts = [c[0] for c in counts] if lone else counts
+    return counts[0] if lengths is None else tuple(counts)
 
 
 def _count_one(xy: np.ndarray, box_size: int) -> int:
@@ -133,17 +147,22 @@ def _count_one(xy: np.ndarray, box_size: int) -> int:
                                 | (cy[1:] != cy[:-1]))) + 1
 
 
-def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...]
-                  ) -> tuple[int, ...] | None:
-    """box_count of xy at every size from one sort of Morton codes; None
-    unless xy is not empty, there are at least two sizes, every size is a
-    power of two and the cells of the smallest fit in 32 bits an axis once
-    the origin, read from the _columns copy it sorts, is aligned."""
-    if not len(xy) or len(sizes) < 2 or any(s & (s - 1) for s in sizes):
+def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...],
+                  ks: list[int] | None = None
+                  ) -> list[tuple[int, ...]] | None:
+    """box_count of each prefix xy[:k], k in ks (all of xy if ks is None),
+    at every size, from one encoding of Morton codes and one sort a
+    distinct prefix; None unless the longest prefix is not empty, there are
+    at least two sizes, every size is a power of two and the cells of the
+    smallest fit in 32 bits an axis once the origin, read from the _columns
+    copy it encodes, is aligned."""
+    ks = [len(xy)] if ks is None else ks
+    m = max(ks, default=0)
+    if not m or len(sizes) < 2 or any(s & (s - 1) for s in sizes):
         return None
     exps = [s.bit_length() - 1 for s in sizes]
     low, top = min(exps), max(exps)
-    cells, (xlo, ylo), (xhi, yhi) = _columns(xy)
+    cells, (xlo, ylo), (xhi, yhi) = _columns(xy[:m])
     # the origin, aligned down to a multiple of the largest size, in cells
     # of the smallest; Python ints, so that nothing wraps
     ox = xlo >> top << (top - low)
@@ -161,7 +180,20 @@ def _count_dyadic(xy: np.ndarray, sizes: tuple[int, ...]
             spread &= mask
     codes = spread[0]
     codes |= spread[1] << np.uint64(1)
-    codes.sort()
+    counts = {0: (0,) * len(sizes)}
+    for k in sorted(set(ks) - {0}):
+        if k < m:
+            run = np.sort(codes[:k])
+        else:  # the longest prefix comes last, and sorts in place
+            run = codes
+            run.sort()
+        counts[k] = _tally(run, exps, low)
+    return [counts[k] for k in ks]
+
+
+def _tally(codes: np.ndarray, exps: list[int], low: int) -> tuple[int, ...]:
+    """The number of cells of size 2**e, e in exps (low the least), holding
+    the points whose sorted, non-empty Morton codes are codes."""
     # the highest bit pair in which neighbours differ: or-ing each pair's
     # two bits onto its even bit leaves a word that float64 holds without
     # rounding up to the next power of two, so frexp reads its top bit
@@ -192,12 +224,27 @@ def estimate_point_dimension(points: Sequence[LatticePoint] | np.ndarray,
                              box_sizes: Sequence[int] | None = None,
                              ) -> DimensionEstimate:
     """Box-counting dimension of a point set (points as for box_count)."""
-    xy = _checked_xy(points)
-    if not len(xy):
+    return _estimates(_checked_xy(points), None, box_sizes)[0]
+
+
+def _estimates(xy: np.ndarray, lengths: Sequence[int] | None,
+               box_sizes: Sequence[int] | None) -> list[DimensionEstimate]:
+    """estimate_point_dimension of each prefix xy[:k], k in lengths (one or
+    more), in order, or of all of the (m, 2) int64 array xy if lengths is
+    None.
+
+    One box_count call, found as fractal.box_count, counts every prefix at
+    the longest prefix's schedule. Default schedules nest, since a prefix's
+    extents are at most a longer one's, so each prefix fits the leading
+    sizes its own extents give.
+    """
+    ks = [len(xy)] if lengths is None else list(lengths)
+    if not min(ks):
         raise InsufficientData("no points to analyze")
+    distinct = sorted(set(ks))
     if box_sizes is None:
-        _, (xlo, ylo), (xhi, yhi) = _columns(xy)
-        sizes = default_box_sizes(xhi - xlo + 1, yhi - ylo + 1)
+        schedules = {k: default_box_sizes(*extent)
+                     for k, extent in zip(distinct, _extents(xy, distinct))}
     else:
         if not np.iterable(box_sizes):
             raise TypeError(f"box_sizes must be an iterable of integers, "
@@ -207,8 +254,31 @@ def estimate_point_dimension(points: Sequence[LatticePoint] | np.ndarray,
         if len(sizes) < 3:
             raise ConfigError(
                 f"need at least 3 distinct box sizes, got {len(sizes)}")
-    # one call for the whole schedule, found as fractal.box_count
-    counts = box_count(xy, sizes)
+        schedules = dict.fromkeys(distinct, sizes)
+    sizes = schedules[distinct[-1]]
+    counts = [box_count(xy, sizes)] if lengths is None \
+        else box_count(xy, sizes, lengths=ks)
+    return [_fit(schedules[k], c[:len(schedules[k])])
+            for k, c in zip(ks, counts)]
+
+
+def _extents(xy: np.ndarray, ks: list[int]) -> list[tuple[int, int]]:
+    """(width, height) in lattice cells of each prefix xy[:k], k in the
+    ascending distinct positive ks, from running column minima and maxima
+    over the segments between them."""
+    cols = np.array((xy[:ks[-1], 0], xy[:ks[-1], 1]))
+    starts = [0, *ks[:-1]]
+    lo = np.minimum.accumulate(np.minimum.reduceat(cols, starts, axis=1),
+                               axis=1).T.tolist()
+    hi = np.maximum.accumulate(np.maximum.reduceat(cols, starts, axis=1),
+                               axis=1).T.tolist()
+    # Python ints, so that a span past int64 cannot wrap
+    return [(xh - xl + 1, yh - yl + 1) for (xl, yl), (xh, yh) in zip(lo, hi)]
+
+
+def _fit(sizes: tuple[int, ...], counts: tuple[int, ...]
+         ) -> DimensionEstimate:
+    """The estimate from the counts at a sorted schedule of sizes."""
     for smaller, larger in zip(counts, counts[1:]):
         if larger > smaller:
             # cannot happen on the dyadic default; only on a caller-supplied

@@ -123,7 +123,7 @@ def _alg(name: str, value) -> HashAlg:
 def serialize_trajectory(t: Trajectory) -> bytes:
     """The normative byte form described in the module docstring."""
     _instance("t", Trajectory, t)
-    return t.xy.astype("<i8").tobytes()
+    return t.xy.astype("<i8", copy=False).tobytes()
 
 
 def _shared(a: bytes, b: bytes) -> int:

@@ -42,7 +42,7 @@ from walkhash import (
     run_avalanche,
     trial_seed,
 )
-from walkhash import cli, walk
+from walkhash import cli, fractal, walk
 from walkhash.cli import OPTIONS, main
 
 
@@ -214,15 +214,20 @@ def test_fractal_sweep_report_shape(tmp_path, capsys):
 
 def _n_major_sweep(config, n_list, num_seeds, box_sizes=None):
     """The sweep as one walk per (n, seed), n-major, raising the first
-    error it meets: the reference for fractal's prefix sweep. Returns the
-    report's results and the medians in n-list order."""
+    error it meets, of its class, with the seed and n appended: the
+    reference for fractal's prefix sweep. Returns the report's results and
+    the medians in n-list order."""
     results, medians = {}, []
     for n in n_list:
         per_seed = []
-        for offset in range(num_seeds):
-            cfg = replace(config, n=n, seed=config.seed + offset)
-            est = estimate_point_dimension(generate_walk(cfg).xy, box_sizes)
-            per_seed.append({"seed": cfg.seed, **asdict(est)})
+        for seed in range(config.seed, config.seed + num_seeds):
+            try:
+                cfg = replace(config, n=n, seed=seed)
+                est = estimate_point_dimension(generate_walk(cfg).xy,
+                                               box_sizes)
+            except WalkhashError as exc:
+                raise type(exc)(f"{exc} (seed={seed} n={n})") from exc
+            per_seed.append({"seed": seed, **asdict(est)})
         med = median(e["dimension"] for e in per_seed)
         medians.append(med)
         results[str(n)] = {"median_dimension": med, "per_seed": per_seed}
@@ -360,6 +365,69 @@ def test_fractal_sweep_walks_each_seed_once_holding_one_walk(
     assert made == [("walk", 300, 0)] * 50
 
 
+def test_fractal_sweep_counts_boxes_once_a_seed(monkeypatch, tmp_path,
+                                               capsys):
+    # one fractal.box_count call a seed, over every n's prefix of its walk
+    calls = []
+    count = fractal.box_count
+
+    def counted(points, box_size, **kwargs):
+        calls.append((len(points), kwargs))
+        return count(points, box_size, **kwargs)
+
+    monkeypatch.setattr(fractal, "box_count", counted)
+    for box_sizes in ((), ("--box-sizes", "1,2,4,8")):
+        calls.clear()
+        code, _, err = _run(capsys, "fractal", "--n-list", "64,300,128,64",
+                            "--num-seeds", 5, *box_sizes,
+                            "--output-dir", tmp_path)
+        assert (code, err) == (0, "")
+        assert calls == [(301, {"lengths": [65, 301, 129]})] * 5
+    # the benchmark's call: one count call a seed for its four n's
+    calls.clear()
+    assert main(["fractal", "--n-list", "128,500,2000,5000", "--num-seeds",
+                 "1", "--seed", "1", "--output-dir", str(tmp_path)]) == 0
+    assert calls == [(5001, {"lengths": [129, 501, 2001, 5001]})]
+
+
+@pytest.mark.parametrize("mode", list(MapMode))
+def test_sweep_entries_equal_the_n_major_loop(mode):
+    rng = random.Random(f"entries-{mode.value}")
+    for _ in range(6):
+        config = WalkConfig(
+            seed=rng.randrange(2**63), map_mode=mode,
+            map_count=rng.randint(1, 7) if mode is MapMode.FIXED_SET
+            else None)
+        ns = [rng.choice([1, 2, 9, 64, 300, 1030]) for _ in range(4)]
+        num_seeds = rng.randint(1, 3)
+        box_sizes = rng.choice([None, (1, 2, 4, 8), (4, 1, 16, 2)])
+        want = {n: [{"seed": seed, **asdict(estimate_point_dimension(
+            generate_walk(replace(config, n=n, seed=seed)).xy, box_sizes))}
+            for seed in range(config.seed, config.seed + num_seeds)]
+            for n in ns}
+        assert cli._sweep(config, ns, num_seeds, box_sizes) == want
+
+
+def test_a_failing_sweep_names_the_seed_and_n_that_replay_it(tmp_path,
+                                                              capsys):
+    # ROADMAP item 8's command line: of three seeds, the middle one fails
+    walk_options = ["--x0=-825,-680", "--rho-min", "0.8340528309020399",
+                    "--b-min", "0", "--b-max", "0", "--epsilon", "0"]
+    code, out, err = _run(capsys, "fractal", *walk_options,
+                          "--n-list", "8,16,32", "--num-seeds", 3,
+                          "--seed", 9818071680104426894,
+                          "--output-dir", tmp_path / "sweep")
+    found = re.fullmatch(r"(error: .*) \(seed=(\d+) n=(\d+)\)\n", err)
+    assert (code, out) == (3, "") and found, err
+    stem, seed, n = found.groups()
+    assert "outside the safe region [-854, 854]^2" in stem
+    assert (seed, n) == ("9818071680104426895", "8")
+    assert not (tmp_path / "sweep").exists()
+    code, out, err = _run(capsys, "walk", *walk_options, "--seed", seed,
+                          "--n", n, "--output-dir", tmp_path / "walk")
+    assert (code, out, err) == (3, "", stem + "\n")
+
+
 def test_synthetic_points_rows():
     for spec, want in (
             ("point", [[0, 0]]),
@@ -469,7 +537,7 @@ def test_avalanche_json_only_still_writes_bitmatrix(tmp_path, capsys):
 _NO_WALK = """\
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from walkhash import cli, walk
+from walkhash import cli, fractal, walk
 from walkhash.errors import BoundsExceeded
 def no_walk(configs, xy, first):
     return [BoundsExceeded("generate_walk called")] * len(configs)
@@ -597,11 +665,13 @@ def test_out_of_domain_inputs_exit_2(argv, tmp_path, capsys):
     ["fractal", "--synthetic", "line:4", "--box-sizes", "0,1,2"],
 ])
 def test_box_size_errors_name_box_sizes(argv, tmp_path, capsys):
-    # once named box_count's box_size, which no user passes
+    # once named box_count's box_size, which no user passes; a sweep's
+    # error also names the first (seed, n) that it failed at
     code, out, err = _run(capsys, *argv, "--output-dir", tmp_path)
+    where = "" if "--synthetic" in argv else " (seed=0 n=8)"
     assert (code, out, err) == (
-        2, "", "error: box_sizes must satisfy 1 <= box_sizes < 2**63, "
-               "got 0\n")
+        2, "", f"error: box_sizes must satisfy 1 <= box_sizes < 2**63, "
+               f"got 0{where}\n")
 
 
 @pytest.mark.parametrize("argv, message", [

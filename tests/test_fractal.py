@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from walkhash import (
     ConfigError,
     InsufficientData,
     LatticePoint,
+    MapMode,
     Trajectory,
     WalkConfig,
     box_count,
@@ -273,6 +275,87 @@ def test_estimate_counts_equal_each_size_alone():
     assert box_count(xy, (1, 2, 4, 8)) == (1967, 1898, 1591, 961)
     with pytest.raises(TypeError):
         box_count(xy, (1, 2, 4, 8), bounds=(0, 1, 0, 1))
+
+
+def _each_prefix(xy, size, ks):
+    return tuple(box_count(xy[:k], size) for k in ks)
+
+
+def test_box_count_of_prefixes_equals_each_prefix_alone():
+    # one encoding of the longest prefix, aligned to the largest size,
+    # against each prefix counted on its own, on every path the count takes
+    rng = np.random.default_rng(37)
+    for mode in MapMode:
+        for seed in range(6):
+            xy = generate_walk(WalkConfig(
+                seed=seed, n=2000, map_mode=mode,
+                map_count=3 if mode is MapMode.FIXED_SET else None)).xy
+            ks = [int(k) for k in rng.integers(0, 2002, size=5)]
+            ks += [1, 2001, ks[0]]  # one point, all of them, a repeat
+            for size in (default_box_sizes(*_extent(xy)),
+                         default_box_sizes(*_extent(xy[:ks[0] or 1])),
+                         (1, 4, 16, 64), (64, 1, 8), (1, 3, 5), 1, 8, 3):
+                assert box_count(xy, size, lengths=ks) \
+                    == _each_prefix(xy, size, ks), (seed, size, ks)
+    # the longest prefix is wider than 32 bits at the smallest size, so
+    # every prefix goes one size at a time, the narrow first 40 included
+    edge = 2**53
+    xy = np.vstack((rng.integers(-9, 10, size=(40, 2)),
+                    [[-edge, edge], [edge, -edge]],
+                    rng.integers(-edge, edge + 1, size=(40, 2))))
+    for sizes in ((1, 2, 4), (1, 2**20, 2**62), (1, 3)):
+        ks = (82, 3, 41, 42, 60, 40, 1, 0)
+        assert fractal._count_dyadic(xy, sizes, list(ks)) is None
+        assert box_count(xy, sizes, lengths=ks) == _each_prefix(xy, sizes, ks)
+        assert box_count(xy[:40], sizes, lengths=ks[-3:]) \
+            == _each_prefix(xy, sizes, ks[-3:])
+    assert fractal._count_dyadic(xy[:40], (1, 2, 4), [3, 40]) is not None
+    one = np.array([[-3, 4]])
+    assert box_count(one, (1, 2, 2**62), lengths=[1, 0, 1]) \
+        == ((1, 1, 1), (0, 0, 0), (1, 1, 1))
+    assert box_count([LatticePoint(2, 2)], 4, lengths=(1,)) == (1,)
+    assert box_count(xy, (1, 2), lengths=()) == ()
+    assert box_count([], (1, 2), lengths=[0, 0]) == ((0, 0), (0, 0))
+    assert box_count(xy, 2, lengths=np.array([5, 3])) \
+        == _each_prefix(xy, 2, (5, 3))
+
+
+@pytest.mark.parametrize("lengths, error, got", [
+    (5, TypeError, "lengths must be an iterable of integers, got int"),
+    (2.5, TypeError, "lengths must be an iterable of integers, got float"),
+    ([3, -1], ConfigError, "lengths must satisfy 0 <= lengths < 9, got -1"),
+    ([9], ConfigError, "lengths must satisfy 0 <= lengths < 9, got 9"),
+    ([1.5], ConfigError, "lengths must be an integer, got 1.5"),
+    ([True], ConfigError, "lengths must be an integer, got True"),
+    ("x", ConfigError, "lengths must be an integer, got 'x'"),
+    ([None], ConfigError, "lengths must be an integer, got None"),
+])
+def test_box_count_names_lengths_in_its_errors(lengths, error, got):
+    xy = generate_walk(WalkConfig(seed=3, n=7)).xy
+    with pytest.raises(error, match="^" + re.escape(got)):
+        box_count(xy, (1, 2, 4), lengths=lengths)
+
+
+def test_estimates_of_prefixes_equal_each_prefix_alone():
+    # each prefix's default schedule comes from running extents, and fits
+    # the leading sizes of the longest prefix's
+    for mode in MapMode:
+        for seed in range(8):
+            xy = generate_walk(WalkConfig(
+                seed=seed, n=900, map_mode=mode,
+                map_count=5 if mode is MapMode.FIXED_SET else None)).xy
+            ks = [901, 2, 129, 5, 129, 400, 3]
+            for box_sizes in ((1, 2, 4, 8), (8, 2, 1, 4, 2), None):
+                got = fractal._estimates(xy, ks, box_sizes)
+                assert got == [estimate_point_dimension(xy[:k], box_sizes)
+                               for k in ks]
+            assert len({e.box_sizes for e in got}) > 1  # default schedules
+    # a non-nesting schedule fails in any prefix whose counts rise
+    xy = generate_walk(WalkConfig(seed=6, n=40)).xy
+    with pytest.raises(ConfigError, match="increased with size"):
+        fractal._estimates(xy, [3, 41], (1, 3, 4))
+    with pytest.raises(InsufficientData, match="no points"):
+        fractal._estimates(xy, [3, 0], None)
 
 
 def test_extent_matches_min_max_oracle_on_strided_views():

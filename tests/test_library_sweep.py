@@ -90,32 +90,39 @@ def _base_calls():
 
 
 _CALLS = _base_calls()
+# keyword-only arguments, given in every call of their callable
+_KEYWORDS = {"box_count": {"lengths": (3, 9)}}
 
 
 def _timeout(signum, frame):
     raise _Timeout
 
 
-def _gaps(function, base, limit=LIMIT):
-    """(argument index, value, what happened) of each call of function with
-    one argument of base swapped for a value of VALUES that ends in
-    neither a result nor an error of PASSING, or runs past limit seconds."""
+def _gaps(function, base, limit=LIMIT, keywords=None):
+    """(argument index or keyword, value, what happened) of each call of
+    function with one argument of base, or one value of keywords, swapped
+    for a value of VALUES that ends in neither a result nor an error of
+    PASSING, or runs past limit seconds."""
+    keywords = keywords or {}
+    calls = [(i, value, (*base[:i], value, *base[i + 1:]), keywords)
+             for i in range(len(base)) for value in VALUES]
+    calls += [(name, value, base, {**keywords, name: value})
+              for name in keywords for value in VALUES]
     previous = signal.signal(signal.SIGALRM, _timeout)
     gaps = []
     try:
-        for i in range(len(base)):
-            for value in VALUES:
-                signal.setitimer(signal.ITIMER_REAL, limit)
-                try:
-                    function(*base[:i], value, *base[i + 1:])
-                except PASSING:
-                    pass
-                except _Timeout:
-                    gaps.append((i, value, f"no result in {limit} s"))
-                except Exception as exc:  # the gap the sweep looks for
-                    gaps.append((i, value, f"{type(exc).__name__}: {exc}"))
-                finally:
-                    signal.setitimer(signal.ITIMER_REAL, 0)
+        for where, value, args, kwargs in calls:
+            signal.setitimer(signal.ITIMER_REAL, limit)
+            try:
+                function(*args, **kwargs)
+            except PASSING:
+                pass
+            except _Timeout:
+                gaps.append((where, value, f"no result in {limit} s"))
+            except Exception as exc:  # the gap the sweep looks for
+                gaps.append((where, value, f"{type(exc).__name__}: {exc}"))
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
     finally:
         signal.signal(signal.SIGALRM, previous)
     return gaps
@@ -124,26 +131,32 @@ def _gaps(function, base, limit=LIMIT):
 def test_the_sweep_covers_every_public_callable():
     callables = {name for name in walkhash.__all__
                  if callable(getattr(walkhash, name))}
-    assert callables == set(_CALLS)
+    assert callables == set(_CALLS) >= set(_KEYWORDS)
     assert len(callables) == len(walkhash.__all__) - 1  # not __version__
 
 
 def test_the_sweep_finds_what_it_must():
-    def flawed(a, b):
+    def flawed(a, b, *, c=0):
         while a is None:  # never returns
             pass
         if b == "x":
             return b.missing
         if b == -1:
             raise ValueError("b must be >= 0")
+        if c == "x":
+            return c.missing
         return a
 
     assert [(i, repr(v), what) for i, v, what in _gaps(flawed, (1, 2), 0.05)] \
         == [(0, "None", "no result in 0.05 s"),
             (1, "'x'", "AttributeError: 'str' object has no attribute "
                        "'missing'")]
+    assert [(i, repr(v)) for i, v, _ in _gaps(flawed, (1, 2), 0.05,
+                                              {"c": 0})] \
+        == [(0, "None"), (1, "'x'"), ("c", "'x'")]
 
 
 @pytest.mark.parametrize("name", sorted(_CALLS))
 def test_a_wrong_argument_ends_in_a_result_or_a_package_error(name):
-    assert _gaps(getattr(walkhash, name), _CALLS[name]) == []
+    assert _gaps(getattr(walkhash, name), _CALLS[name],
+                 keywords=_KEYWORDS.get(name)) == []
